@@ -1,8 +1,8 @@
 """Command-line surface tying the model, fits and file formats together.
 
-Subcommands: transitions, fit, thermal, angular-scan, perturb-check,
-synth, ramsey.  Exit codes: 0 ok, 2 config/parse error, 3 labeling
-ambiguity, 4 fit non-convergence, 5 validation tripwire.
+Subcommands: transitions, fit, thermal (fit --thermal), angular-scan,
+perturb-check, synth, ramsey.  Exit codes: 0 ok, 2 config/parse error,
+3 labeling ambiguity, 4 fit non-convergence, 5 validation tripwire.
 """
 
 from __future__ import annotations
@@ -26,7 +26,13 @@ from .spin_core import (
     IsotopeSpec,
     get_isotope,
 )
-from .transitions import AmbiguousLabelingError, mw_pairs, transition_set
+from .transitions import (
+    AmbiguousLabelingError,
+    line_values,
+    mw_label,
+    nuclear_labels,
+    transition_set,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,11 +47,15 @@ class TripwireError(RuntimeError):
     """Perturbation-vs-exact residual above the documented tolerance."""
 
 
-def _isotope(args) -> IsotopeSpec:
-    try:
-        return get_isotope(args.isotope)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+# Exception -> (exit code, stderr prefix); the first matching entry wins.
+# ValueError covers ConfigError, ValidityMarginError and UndersampledTraceError.
+EXIT_TABLE = {
+    ValueError: (EXIT_CONFIG, ""),
+    ramsey.NonIdentifiableTraceError: (EXIT_CONFIG, ""),
+    AmbiguousLabelingError: (EXIT_LABELING, "ambiguous state labeling: "),
+    FitConvergenceError: (EXIT_FIT, ""),
+    TripwireError: (EXIT_TRIPWIRE, ""),
+}
 
 
 def _field(args) -> FieldConfig:
@@ -64,11 +74,8 @@ def _params(args, iso: IsotopeSpec, temperature: float):
     if (args.preset is None) == (args.params is None):
         raise ConfigError("exactly one of --preset or --params is required")
     if args.preset is not None:
-        try:
-            presets.resolve_preset(args.preset)
-            return presets.params_at(iso, temperature), presets.thermal_presets(iso)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        presets.resolve_preset(args.preset)
+        return presets.params_at(iso, temperature), presets.thermal_presets(iso)
     try:
         raw = json.loads(Path(args.params).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as err:
@@ -99,43 +106,27 @@ def _config_dict(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _canonical_labels(iso: IsotopeSpec) -> list[str]:
-    rf = ["f1", "f2", "f3", "f4", "f5", "f6"] if iso.name == "N14" else ["f7", "f8", "f9"]
-    extra = ["fdq", "f1-f2", "f5-f4", "f3-f6"] if iso.name == "N14" else []
-    return rf + extra + list(mw_pairs(iso))
-
-
 def cmd_transitions(args) -> int:
-    iso = _isotope(args)
+    iso = get_isotope(args.isotope)
     params, models = _params(args, iso, args.temp)
     field = _field(args)
-    if models is not None and field.bx == 0:
-        table = extraction.transition_table(models, args.temp, field.bz, iso)
-        freqs = {label: f for label, f, _ in table.rows}
-        slopes = {label: s for label, _, s in table.rows}
+    with_slopes = models is not None and field.bx == 0
+    if with_slopes:
+        rows = extraction.transition_table(models, args.temp, field.bz, iso).rows
     else:
-        ts = transition_set(params, field, iso)
-        freqs = dict(ts.frequencies)
-        for combo, a, b in (("f1-f2", "f1", "f2"), ("f5-f4", "f5", "f4"), ("f3-f6", "f3", "f6")):
-            if a in freqs:
-                freqs[combo] = freqs[a] - freqs[b]
-        slopes = None
-    labels = [l for l in _canonical_labels(iso) if l in freqs]
+        rows = [(l, f, None) for l, f in line_values(transition_set(params, field, iso)).items()]
     if args.format == "json":
-        rows = [
-            {"transition": l, "freq_khz": round(float(freqs[l]), 6)}
-            | ({"df_dt_hz_per_k": round(float(slopes[l]), 6)} if slopes else {})
-            for l in labels
+        json_rows = [
+            {"transition": l, "freq_khz": round(float(f), 6)}
+            | ({"df_dt_hz_per_k": round(float(s), 6)} if with_slopes else {})
+            for l, f, s in rows
         ]
-        _emit(args, io.dump_json({"config": _config_dict(args), "rows": rows}, None))
+        _emit(args, io.dump_json({"config": _config_dict(args), "rows": json_rows}, None))
     else:
-        header = "transition,freq_khz" + (",df_dt_hz_per_k" if slopes else "")
-        lines = [header]
-        for l in labels:
-            line = f"{l},{fmt_khz(float(freqs[l]))}"
-            if slopes:
-                line += f",{fmt_g(round(float(slopes[l]), 6))}"
-            lines.append(line)
+        lines = ["transition,freq_khz" + (",df_dt_hz_per_k" if with_slopes else "")]
+        for l, f, s in rows:
+            slope = f",{fmt_g(round(float(s), 6))}" if with_slopes else ""
+            lines.append(f"{l},{fmt_khz(float(f))}{slope}")
         _emit(args, "\n".join(lines))
     return EXIT_OK
 
@@ -170,8 +161,8 @@ def _thermal_summary(models: dict[str, PolynomialModel], t_ref: float = 297.0) -
     return out
 
 
-def _run_fits(args, want_thermal: bool) -> dict:
-    iso = _isotope(args)
+def cmd_fit(args) -> int:
+    iso = get_isotope(args.isotope)
     params, _ = _params(args, iso, presets.T_REF_K)
     if args.bz is None:
         raise ConfigError("--bz (nominal axial field for the initial guess) is required")
@@ -180,30 +171,10 @@ def _run_fits(args, want_thermal: bool) -> dict:
         raise ConfigError("measurement file contains no rows")
     guess = _guess_vector(iso, params, args.bz)
     fixed = tuple(args.fix or ())
-    records = []
-    series = []
-    for ms in sets:
-        n_free = len(guess.fields()) - len(fixed)
-        if len(ms.entries) < n_free:
-            raise ConfigError(
-                f"T = {ms.temperature} K: {len(ms.entries)} rows cannot determine "
-                f"{n_free} parameters"
-            )
-        fit = extraction.extract_params(ms, guess, fixed=fixed)
-        records.append(_fit_record(ms.temperature, fit))
-        series.append((ms.temperature, fit))
-    payload = {"config": _config_dict(args), "results": records}
-    if want_thermal:
-        try:
-            models = extraction.thermal_models(series)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-        payload["thermal"] = _thermal_summary(models)
-    return payload
-
-
-def cmd_fit(args) -> int:
-    payload = _run_fits(args, want_thermal=args.thermal)
+    series = [(ms.temperature, extraction.extract_params(ms, guess, fixed=fixed)) for ms in sets]
+    payload = {"config": _config_dict(args), "results": [_fit_record(t, fit) for t, fit in series]}
+    if args.thermal:
+        payload["thermal"] = _thermal_summary(extraction.thermal_models(series))
     if args.format == "csv":
         lines = ["temperature_K,param,value"]
         for rec in payload["results"]:
@@ -215,16 +186,8 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def cmd_thermal(args) -> int:
-    args.thermal = True
-    payload = _run_fits(args, want_thermal=True)
-    payload = {"config": payload["config"], "thermal": payload["thermal"]}
-    _emit(args, io.dump_json(payload, None))
-    return EXIT_OK
-
-
 def cmd_angular_scan(args) -> int:
-    iso = _isotope(args)
+    iso = get_isotope(args.isotope)
     params, _ = _params(args, iso, args.temp)
     if args.bz is None:
         raise ConfigError("--bz is required")
@@ -233,10 +196,7 @@ def cmd_angular_scan(args) -> int:
     if args.steps < 2:
         raise ConfigError("--steps must be at least 2")
     transition = "fdq" if iso.name == "N14" else "f7"
-    try:
-        beta = perturbation.beta_coefficient(params, args.bz, transition)
-    except perturbation.ValidityMarginError as err:
-        raise ConfigError(str(err)) from err
+    beta = perturbation.beta_coefficient(params, args.bz, transition)
     thetas = np.linspace(0.0, args.theta_max_deg, args.steps)
     f0 = float(
         perturbation.exact_transition(params, iso, args.bz, 0.0, transition, dtype=np.longdouble)
@@ -275,6 +235,9 @@ def cmd_angular_scan(args) -> int:
 
 def cmd_perturb_check(args) -> int:
     isotopes = [get_isotope(args.isotope)] if args.isotope else [get_isotope("n14"), get_isotope("n15")]
+    for flag, steps in (("--bz-steps", args.bz_steps), ("--bx-steps", args.bx_steps)):
+        if steps < 1:
+            raise ConfigError(f"{flag} must be at least 1")
     bz_grid = np.linspace(args.bz_min, args.bz_max, args.bz_steps)
     bx_grid = np.linspace(0.0, args.bx_max, args.bx_steps)
     tolerance_khz = args.tolerance_hz / 1e3
@@ -282,10 +245,7 @@ def cmd_perturb_check(args) -> int:
     failures = []
     for iso in isotopes:
         params = presets.params_at(iso, args.temp)
-        try:
-            worst = perturbation.residuals_vs_exact(params, iso, bz_grid, bx_grid)
-        except perturbation.ValidityMarginError as err:
-            raise ConfigError(str(err)) from err
+        worst = perturbation.residuals_vs_exact(params, iso, bz_grid, bx_grid)
         report["isotopes"][iso.name] = {
             k: {"max_residual_hz": round(v * 1e3, 4), "pass": v <= tolerance_khz}
             for k, v in sorted(worst.items())
@@ -299,9 +259,9 @@ def cmd_perturb_check(args) -> int:
 
 
 def _synth_labels(iso: IsotopeSpec) -> list[str]:
-    if iso.name == "N14":
-        return ["f1", "f2", "f3", "f4", "f5", "f6", "fplus_+1", "fminus_+1"]
-    return ["f7", "f8", "f9", "fplus_+1/2", "fminus_+1/2"]
+    """The nuclear lines plus both electron lines of the top mI level."""
+    top = iso.nuclear_spin
+    return [*nuclear_labels(iso), mw_label(+1, top), mw_label(-1, top)]
 
 
 def _sigma_for(label: str) -> float:
@@ -311,7 +271,7 @@ def _sigma_for(label: str) -> float:
 
 
 def cmd_synth(args) -> int:
-    iso = _isotope(args)
+    iso = get_isotope(args.isotope)
     if args.preset is None:
         raise ConfigError("synth requires --preset")
     presets.resolve_preset(args.preset)
@@ -327,11 +287,7 @@ def cmd_synth(args) -> int:
     labels = _synth_labels(iso)
     rows = []
     for temperature in temps:
-        try:
-            params = presets.params_at(iso, temperature)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-        ts = transition_set(params, FieldConfig(bz=args.bz), iso)
+        ts = transition_set(presets.params_at(iso, temperature), FieldConfig(bz=args.bz), iso)
         for label in labels:
             sigma = _sigma_for(label)
             noise = rng.normal() * sigma * args.noise_scale if args.noise_scale else 0.0
@@ -344,7 +300,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ramsey(args) -> int:
-    iso = _isotope(args)
+    iso = get_isotope(args.isotope)
     if args.trace_in:
         trace = io.read_trace(args.trace_in)
         if args.f_rf_khz is None:
@@ -434,11 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--fix", action="append", help="pin a fit parameter at its guess value")
     s.set_defaults(func=cmd_fit, format="json")
 
-    s = subs.add_parser("thermal", help="per-temperature fits plus thermal models")
+    s = subs.add_parser("thermal", help="same as fit --thermal")
     _add_common(s)
     s.add_argument("--measurements", required=True, help="measurement CSV file")
     s.add_argument("--fix", action="append", help="pin a fit parameter at its guess value")
-    s.set_defaults(func=cmd_thermal, format="json")
+    s.set_defaults(func=cmd_fit, format="json", thermal=True)
 
     s = subs.add_parser("angular-scan", help="fdq/f7 shift vs misalignment angle")
     _add_common(s)
@@ -491,21 +447,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if err.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, perturbation.ValidityMarginError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except AmbiguousLabelingError as err:
-        print(f"error: ambiguous state labeling: {err}", file=sys.stderr)
-        return EXIT_LABELING
-    except FitConvergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FIT
-    except TripwireError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_TRIPWIRE
+    except tuple(EXIT_TABLE) as err:
+        code, prefix = next(v for kind, v in EXIT_TABLE.items() if isinstance(err, kind))
+        print(f"error: {prefix}{err}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from .optimize import (
     weighted_objective,
 )
 from .spin_core import GAMMA_E_KHZ_PER_G, CouplingParams, FieldConfig, IsotopeSpec
-from .transitions import AmbiguousLabelingError, known_labels, transition_set
+from .transitions import AmbiguousLabelingError, known_labels, line_values, transition_set
 
 # Hyperfine decomposition scales (kHz): contact term per unit |cs|^2 eta,
 # dipolar term per unit |cp|^2 eta.
@@ -178,7 +178,8 @@ def extract_params(
     free = [i for i, name in enumerate(fields) if name not in fixed]
     if len(ms.entries) < len(free):
         raise ValueError(
-            f"{len(ms.entries)} measurements cannot determine {len(free)} parameters"
+            f"T = {ms.temperature} K: {len(ms.entries)} measurements cannot "
+            f"determine {len(free)} parameters"
         )
     labels = [e.label for e in ms.entries]
     measured = np.array([e.freq_khz for e in ms.entries])
@@ -362,9 +363,6 @@ def params_from_models(
     )
 
 
-_COMBO_ROWS_N14 = (("f1-f2", "f1", "f2"), ("f5-f4", "f5", "f4"), ("f3-f6", "f3", "f6"))
-
-
 def transition_table(
     models: dict[str, PolynomialModel],
     temperature: float,
@@ -372,29 +370,29 @@ def transition_table(
     iso: IsotopeSpec,
     dt: float = 1.0,
 ) -> TransitionTable:
-    """Exact-diagonalization line table with central-difference dT slopes."""
+    """Exact-diagonalization line table with dT slopes.
+
+    Slopes are central differences over +-dt.  Within dt of the ends of
+    the models' common range the stencil is clipped to the range, so the
+    slope there is one-sided.
+    """
     field = FieldConfig(bz=bz)
 
-    def freqs_at(t: float) -> dict[str, float]:
-        ts = transition_set(params_from_models(models, iso, t), field, iso)
-        return dict(ts.frequencies)
+    def lines_at(t: float) -> dict[str, float]:
+        return line_values(transition_set(params_from_models(models, iso, t), field, iso))
 
-    centre = freqs_at(temperature)
-    hi = freqs_at(temperature + dt)
-    lo = freqs_at(temperature - dt)
-    rows = []
-    for label in centre:
-        slope_hz = 1e3 * (hi[label] - lo[label]) / (2 * dt)
-        rows.append((label, float(centre[label]), float(slope_hz)))
-    if iso.name == "N14":
-        for combo, a, b in _COMBO_ROWS_N14:
-            rows.append(
-                (
-                    combo,
-                    float(centre[a] - centre[b]),
-                    float(1e3 * ((hi[a] - hi[b]) - (lo[a] - lo[b])) / (2 * dt)),
-                )
-            )
-    return TransitionTable(
-        temperature=temperature, bz=bz, isotope=iso.name, rows=tuple(rows)
+    centre = lines_at(temperature)
+    t_min = max(m.t_min for m in models.values())
+    t_max = min(m.t_max for m in models.values())
+    if t_min <= temperature - dt and temperature + dt <= t_max:
+        t_lo, t_hi, span = temperature - dt, temperature + dt, 2 * dt
+    else:
+        t_lo, t_hi = max(temperature - dt, t_min), min(temperature + dt, t_max)
+        span = t_hi - t_lo
+    hi = lines_at(t_hi)
+    lo = lines_at(t_lo)
+    rows = tuple(
+        (label, float(f), float(1e3 * (hi[label] - lo[label]) / span))
+        for label, f in centre.items()
     )
+    return TransitionTable(temperature=temperature, bz=bz, isotope=iso.name, rows=rows)

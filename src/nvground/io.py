@@ -36,6 +36,8 @@ def fmt_g(x: float) -> str:
 
 @dataclass(frozen=True)
 class MeasurementRow:
+    """One line of a measurement CSV, as written by ``write_measurements``."""
+
     temperature: float
     label: str
     freq_khz: float
@@ -63,7 +65,7 @@ def read_measurements(path: str | Path, iso: IsotopeSpec) -> list[MeasurementSet
             f"measurement file must start with header {MEASUREMENT_HEADER!r}"
         )
     valid = set(known_labels(iso))
-    groups: dict[float, list[MeasurementRow]] = {}
+    groups: dict[float, list[MeasurementEntry]] = {}
     for n, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 4:
@@ -74,6 +76,8 @@ def read_measurements(path: str | Path, iso: IsotopeSpec) -> list[MeasurementSet
             sigma = float(parts[3])
         except ValueError as err:
             raise ConfigError(f"line {n}: {err}") from err
+        if not np.all(np.isfinite((temperature, freq, sigma))):
+            raise ConfigError(f"line {n}: values must be finite")
         label = parts[1].strip()
         if label not in valid:
             raise ConfigError(
@@ -81,16 +85,10 @@ def read_measurements(path: str | Path, iso: IsotopeSpec) -> list[MeasurementSet
             )
         if sigma <= 0:
             raise ConfigError(f"line {n}: sigma must be positive")
-        groups.setdefault(temperature, []).append(
-            MeasurementRow(temperature, label, freq, sigma)
-        )
-    sets = []
-    for temperature in sorted(groups):
-        entries = tuple(
-            MeasurementEntry(r.label, r.freq_khz, r.sigma_khz) for r in groups[temperature]
-        )
-        sets.append(MeasurementSet(temperature=temperature, isotope=iso, entries=entries))
-    return sets
+        groups.setdefault(temperature, []).append(MeasurementEntry(label, freq, sigma))
+    return [
+        MeasurementSet(temperature=t, isotope=iso, entries=tuple(groups[t])) for t in sorted(groups)
+    ]
 
 
 def write_trace(path: str | Path, trace: RamseyTrace) -> None:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import CouplingParams, FieldConfig, IsotopeSpec, StateLabel
-from .transitions import RF_PAIRS_N14, RF_PAIRS_N15, TransitionSet, transition_set
+from .spin_core import CouplingParams, FieldConfig, IsotopeSpec
+from .transitions import LINES, TransitionSet, nuclear_labels, transition_set
 
 # The series in 1/(D - gamma_e Bz) is trusted only this far from the
 # ground-state level anti-crossing.
@@ -80,15 +80,13 @@ class FieldModel:
 
 
 def _as_set(freqs: dict[str, float], iso: IsotopeSpec, bz: float, bx: float) -> TransitionSet:
-    pairs = dict(RF_PAIRS_N14 if iso.name == "N14" else RF_PAIRS_N15)
-    ordered = {}
-    for name, (a, b) in pairs.items():
-        ordered[name] = (a, b)
-    if iso.name == "N14":
-        freqs = dict(freqs)
-        freqs["fdq"] = freqs["f1"] - freqs["f2"]
-        ordered["fdq"] = (StateLabel(0, -1.0), StateLabel(0, 1.0))
-    return TransitionSet(frequencies=freqs, pairs=ordered, isotope=iso.name, bz=bz, bx=bx)
+    """Nuclear-line formula values, plus fdq for 14NV, with their level pairs."""
+    lines = LINES[iso.name]
+    if "fdq" in lines:
+        a, b = lines["fdq"].minus
+        freqs = {**freqs, "fdq": freqs[a] - freqs[b]}
+    pairs = {name: lines[name].levels for name in freqs}
+    return TransitionSet(frequencies=freqs, pairs=pairs, isotope=iso.name, bz=bz, bx=bx)
 
 
 def nuclear_freqs_2nd(ctx: PerturbationContext, iso: IsotopeSpec) -> TransitionSet:
@@ -300,6 +298,7 @@ def residuals_vs_exact(
     so that the comparison isolates genuine series-truncation error.
     """
     formula = nuclear_freqs_full if order == "full" else nuclear_freqs_2nd
+    names = nuclear_labels(iso)
     worst: dict[str, float] = {}
     for bz in bz_values:
         for bx in bx_values:
@@ -308,7 +307,7 @@ def residuals_vs_exact(
             exact = transition_set(
                 p, FieldConfig(bz=float(bz), bx=float(bx)), iso, nuclear_transverse=False
             )
-            for name in (RF_PAIRS_N14 if iso.name == "N14" else RF_PAIRS_N15):
+            for name in names:
                 resid = abs(pert[name] - exact[name])
                 if resid > worst.get(name, 0.0):
                     worst[name] = float(resid)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .extraction import params_from_models
 from .optimize import PolynomialModel
 from .spin_core import CouplingParams, IsotopeSpec, get_isotope
 
@@ -117,20 +118,7 @@ def params_at(isotope: str | IsotopeSpec, temperature: float = T_REF_K) -> Coupl
     For N15, a_perp follows a_par's fractional temperature dependence.
     """
     iso = isotope if isinstance(isotope, IsotopeSpec) else get_isotope(isotope)
-    t = TABLE1[iso.name]
-    if not (T_RANGE_K[0] <= temperature <= T_RANGE_K[1]):
-        raise ValueError(
-            f"temperature {temperature} K outside preset range {T_RANGE_K}"
-        )
-    d = t["d"].model().value(temperature)
-    a_par = t["a_par"].model().value(temperature)
-    if iso.name == "N14":
-        q = t["q"].model().value(temperature)
-        a_perp = t["a_perp"].model().value(temperature)
-    else:
-        q = 0.0
-        a_perp = t["a_perp"].value * (a_par / t["a_par"].value)
-    return CouplingParams(d=d, q=q, a_par=a_par, a_perp=a_perp, gamma_n=iso.gamma_n)
+    return params_from_models(thermal_presets(iso), iso, temperature)
 
 
 def resolve_preset(name: str) -> None:

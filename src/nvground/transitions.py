@@ -3,7 +3,9 @@
 Eigenstates are tagged with the (ms, mI) basis label of their dominant
 component, which realizes the standard transition naming: f1..f6 for the
 14NV nuclear lines, f7..f9 for 15NV, fplus_*/fminus_* for the electron
-(MW) lines, and fdq = f1 - f2 for the 14NV double-quantum transition.
+(MW) lines, fdq = f1 - f2 for the 14NV double-quantum transition, and
+the 14NV difference rows such as f1-f2.  ``LINES`` is the one list of
+these names and their order.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import numpy as np
 
 from .eigensolve import EigenSystem, eigh
 from .spin_core import (
+    ISOTOPES,
     CouplingParams,
     FieldConfig,
-    HamiltonianMatrix,
     IsotopeSpec,
     StateLabel,
     build_hamiltonian,
@@ -45,44 +47,63 @@ def mw_label(sign: int, mi: float) -> str:
     return ("fplus_" if sign > 0 else "fminus_") + format_mi(mi)
 
 
-# Level-pair assignments behind each named line (validated against the
-# f1..f9 operating-field values of the source data).
-RF_PAIRS_N14 = {
-    "f1": (StateLabel(0, 0.0), StateLabel(0, 1.0)),
-    "f2": (StateLabel(0, 0.0), StateLabel(0, -1.0)),
-    "f3": (StateLabel(-1, 0.0), StateLabel(-1, 1.0)),
-    "f4": (StateLabel(-1, 0.0), StateLabel(-1, -1.0)),
-    "f5": (StateLabel(1, 0.0), StateLabel(1, 1.0)),
-    "f6": (StateLabel(1, 0.0), StateLabel(1, -1.0)),
-}
-RF_PAIRS_N15 = {
-    "f7": (StateLabel(0, -0.5), StateLabel(0, 0.5)),
-    "f8": (StateLabel(-1, 0.5), StateLabel(-1, -0.5)),
-    "f9": (StateLabel(1, 0.5), StateLabel(1, -0.5)),
-}
+@dataclass(frozen=True)
+class Line:
+    """A named line: the splitting of two levels, the difference of two
+    other lines, or both (fdq is f1 - f2 and connects (0, -1) and (0, +1)).
+    """
 
-RF_LABELS = {"N14": tuple(RF_PAIRS_N14), "N15": tuple(RF_PAIRS_N15)}
+    levels: tuple[StateLabel, StateLabel] | None = None
+    minus: tuple[str, str] | None = None
 
 
-def rf_pairs(iso: IsotopeSpec) -> dict[str, tuple[StateLabel, StateLabel]]:
-    return dict(RF_PAIRS_N14 if iso.name == "N14" else RF_PAIRS_N15)
+def _line_table(iso: IsotopeSpec) -> dict[str, Line]:
+    """Every named line of one isotope, in report row order.
 
-
-def mw_pairs(iso: IsotopeSpec) -> dict[str, tuple[StateLabel, StateLabel]]:
+    The nuclear level pairs were validated against the f1..f9
+    operating-field values of the source data.
+    """
+    s = StateLabel
+    if iso.name == "N14":
+        lines = {
+            "f1": Line((s(0, 0.0), s(0, 1.0))),
+            "f2": Line((s(0, 0.0), s(0, -1.0))),
+            "f3": Line((s(-1, 0.0), s(-1, 1.0))),
+            "f4": Line((s(-1, 0.0), s(-1, -1.0))),
+            "f5": Line((s(1, 0.0), s(1, 1.0))),
+            "f6": Line((s(1, 0.0), s(1, -1.0))),
+            "fdq": Line((s(0, -1.0), s(0, 1.0)), minus=("f1", "f2")),
+        }
+        for a, b in (("f1", "f2"), ("f5", "f4"), ("f3", "f6")):
+            lines[f"{a}-{b}"] = Line(minus=(a, b))
+    else:
+        lines = {
+            "f7": Line((s(0, -0.5), s(0, 0.5))),
+            "f8": Line((s(-1, 0.5), s(-1, -0.5))),
+            "f9": Line((s(1, 0.5), s(1, -0.5))),
+        }
     i = iso.nuclear_spin
-    mis = [i - k for k in range(round(2 * i + 1))]
-    out: dict[str, tuple[StateLabel, StateLabel]] = {}
-    for mi in mis:
-        out[mw_label(+1, mi)] = (StateLabel(1, mi), StateLabel(0, mi))
-        out[mw_label(-1, mi)] = (StateLabel(-1, mi), StateLabel(0, mi))
-    return out
+    for mi in (i - k for k in range(round(2 * i + 1))):
+        lines[mw_label(+1, mi)] = Line((s(1, mi), s(0, mi)))
+        lines[mw_label(-1, mi)] = Line((s(-1, mi), s(0, mi)))
+    return lines
+
+
+LINES = {name: _line_table(iso) for name, iso in ISOTOPES.items()}
 
 
 def known_labels(iso: IsotopeSpec) -> tuple[str, ...]:
-    labels = list(RF_LABELS[iso.name]) + list(mw_pairs(iso))
-    if iso.name == "N14":
-        labels.append("fdq")
-    return tuple(labels)
+    """The lines transition_set computes: all but the pure difference rows."""
+    return tuple(name for name, line in LINES[iso.name].items() if line.levels)
+
+
+def nuclear_labels(iso: IsotopeSpec) -> tuple[str, ...]:
+    """f1..f6 (14NV) or f7..f9 (15NV): splittings within one ms manifold."""
+    return tuple(
+        name
+        for name, line in LINES[iso.name].items()
+        if line.levels and not line.minus and line.levels[0].ms == line.levels[1].ms
+    )
 
 
 @dataclass(frozen=True)
@@ -147,13 +168,6 @@ def label_states(
     return tuple(out)
 
 
-def level_energies(h: HamiltonianMatrix) -> dict[StateLabel, float]:
-    """Diagonalize and map each basis label to its eigenenergy (kHz)."""
-    es = eigh(h.matrix)
-    levels = label_states(es, h.basis_labels)
-    return {lv.label: lv.energy for lv in levels}
-
-
 def transition_set(
     p: CouplingParams,
     f: FieldConfig,
@@ -164,28 +178,33 @@ def transition_set(
     """All named transitions from exact diagonalization at one field point."""
     h = build_hamiltonian(p, f, iso, dtype=dtype, nuclear_transverse=nuclear_transverse)
     try:
-        energy = level_energies(h)
+        levels = label_states(eigh(h.matrix), h.basis_labels)
     except AmbiguousLabelingError as err:
         raise AmbiguousLabelingError(
             f"at Bz = {f.bz} G, Bx = {f.bx} G ({iso.name}): {err}"
         ) from err
-    pair_map = rf_pairs(iso)
-    pair_map.update(mw_pairs(iso))
+    energy = {lv.label: lv.energy for lv in levels}
     freqs: dict[str, float] = {}
     pairs: dict[str, tuple[StateLabel, StateLabel]] = {}
-    for name, (a, b) in pair_map.items():
-        ea, eb = energy[a], energy[b]
-        if ea >= eb:
-            freqs[name], pairs[name] = ea - eb, (a, b)
+    for name, line in LINES[iso.name].items():
+        if line.levels is None:
+            continue  # difference rows are left to line_values
+        a, b = line.levels
+        pairs[name] = (a, b) if energy[a] >= energy[b] else (b, a)
+        if line.minus:
+            freqs[name] = freqs[line.minus[0]] - freqs[line.minus[1]]
         else:
-            freqs[name], pairs[name] = eb - ea, (b, a)
-    if iso.name == "N14":
-        freqs["fdq"] = freqs["f1"] - freqs["f2"]
-        # fdq connects the two outer mI levels of the ms = 0 manifold
-        lo = StateLabel(0, 1.0) if energy[StateLabel(0, 1.0)] < energy[StateLabel(0, -1.0)] else StateLabel(0, -1.0)
-        hi = StateLabel(0, -1.0) if lo == StateLabel(0, 1.0) else StateLabel(0, 1.0)
-        pairs["fdq"] = (hi, lo)
+            freqs[name] = abs(energy[a] - energy[b])
     return TransitionSet(frequencies=freqs, pairs=pairs, isotope=iso.name, bz=f.bz, bx=f.bx)
+
+
+def line_values(ts: TransitionSet) -> dict[str, float]:
+    """Every line of the table in row order: ``ts`` plus the difference rows."""
+    f = ts.frequencies
+    return {
+        name: f[name] if line.levels else f[line.minus[0]] - f[line.minus[1]]
+        for name, line in LINES[ts.isotope].items()
+    }
 
 
 def isotopic_d_shift(fplus14: float, fminus14: float, fplus15: float, fminus15: float) -> float:

@@ -11,9 +11,10 @@ from nvground.io import (
     write_measurements,
     write_trace,
 )
-from nvground.presets import TABLE3
-from nvground.ramsey import synthesize
-from nvground.spin_core import N14
+from nvground.presets import TABLE3, params_at
+from nvground.ramsey import RamseyTrace, synthesize
+from nvground.spin_core import N14, FieldConfig, get_isotope
+from nvground.transitions import transition_set
 
 
 def run(capsys, *argv):
@@ -59,6 +60,36 @@ def test_transitions_zero_field_with_params_override(tmp_path, capsys):
     assert code == 0
     rows = {ln.split(",")[0]: float(ln.split(",")[1]) for ln in out.strip().splitlines()[1:]}
     assert rows["f1"] == pytest.approx(4945.88, abs=1e-6)
+
+
+@pytest.mark.parametrize("iso", ["N14", "N15"])
+def test_transitions_same_rows_from_preset_and_params(tmp_path, capsys, iso):
+    p = params_at(iso)
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"d": p.d, "q": p.q, "a_par": p.a_par, "a_perp": p.a_perp}))
+    common = ["transitions", "--isotope", iso, "--bz", "470", "--bx", "0"]
+    _, from_preset = run(capsys, *common, "--preset", "table1_297K")
+    _, from_params = run(capsys, *common, "--params", str(params))
+    labels = [ln.split(",")[0] for ln in from_preset.strip().splitlines()[1:]]
+    assert labels == [ln.split(",")[0] for ln in from_params.strip().splitlines()[1:]]
+    assert len(labels) == (16 if iso == "N14" else 7)
+
+
+@pytest.mark.parametrize("iso", ["n14", "n15"])
+@pytest.mark.parametrize("temp,t_lo,t_hi", [(77.0, 77.0, 78.0), (400.0, 399.0, 400.0)])
+def test_transitions_one_sided_slopes_at_range_ends(capsys, iso, temp, t_lo, t_hi):
+    code, out = run(
+        capsys,
+        "transitions", "--isotope", iso, "--preset", "table1_297K", "--bz", "470",
+        "--temp", str(temp), "--format", "json",
+    )
+    assert code == 0
+    slopes = {r["transition"]: r["df_dt_hz_per_k"] for r in json.loads(out)["rows"]}
+    spec, field = get_isotope(iso), FieldConfig(bz=470.0)
+    hi = transition_set(params_at(spec, t_hi), field, spec)
+    lo = transition_set(params_at(spec, t_lo), field, spec)
+    for label in hi.frequencies:
+        assert slopes[label] == round(float(1e3 * (hi[label] - lo[label]) / (t_hi - t_lo)), 6)
 
 
 def test_transitions_polar_field_equivalent(capsys):
@@ -123,6 +154,13 @@ def test_perturb_check_passes_and_trips(capsys):
     # grid crossing the anti-crossing is a config error (exit 2)
     code, _ = run(capsys, "perturb-check", "--bz-max", "1024", "--bz-steps", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--bz-steps", "--bx-steps"])
+def test_perturb_check_refuses_empty_grid(capsys, flag):
+    code, out = run(capsys, "perturb-check", flag, "0")
+    assert code == 2
+    assert out == ""
 
 
 def test_synth_deterministic_and_fit_roundtrip(tmp_path, capsys):
@@ -238,6 +276,17 @@ def test_ramsey_trace_file_roundtrip(tmp_path, capsys):
     assert payload["delta_fit_khz"] == pytest.approx(4.0, abs=1e-3)
 
 
+def test_ramsey_flat_trace_is_a_config_error(tmp_path, capsys):
+    trace_path = tmp_path / "flat.csv"
+    write_trace(trace_path, RamseyTrace(times=np.linspace(0.0, 1e-3, 100), signal=np.ones(100)))
+    code = main(
+        ["ramsey", "--isotope", "n14", "--trace-in", str(trace_path), "--f-rf-khz", "100"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("error:") == 1
+
+
 def test_measurement_csv_roundtrip(tmp_path):
     rows = [
         MeasurementRow(297.0, "f1", 5085.123456789012, 0.01),
@@ -259,6 +308,9 @@ def test_measurement_csv_rejects_bad_rows(tmp_path):
         read_measurements(path, N14)
     path.write_text("temperature_K,transition,freq_khz,sigma_khz\n297,f1,5.0,-0.1\n")
     with pytest.raises(ValueError):
+        read_measurements(path, N14)
+    path.write_text("temperature_K,transition,freq_khz,sigma_khz\n297,f1,nan,0.1\n")
+    with pytest.raises(ValueError, match="finite"):
         read_measurements(path, N14)
     path.write_text("wrong,header\n")
     with pytest.raises(ValueError):

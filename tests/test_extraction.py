@@ -204,6 +204,17 @@ def test_transition_table_slopes_n15():
     assert tbl.slope("f7") == pytest.approx(-0.31, abs=0.04)
 
 
+@pytest.mark.parametrize("iso", [N14, N15])
+@pytest.mark.parametrize("temp,t_lo,t_hi", [(77.0, 77.0, 78.0), (297.0, 296.0, 298.0), (400.0, 399.0, 400.0)])
+def test_transition_table_slope_stencil(iso, temp, t_lo, t_hi):
+    # central difference inside the preset range, one-sided at its ends
+    tbl = transition_table(thermal_presets(iso), temp, 470.0, iso)
+    hi = transition_set(params_at(iso, t_hi), FieldConfig(bz=470.0), iso)
+    lo = transition_set(params_at(iso, t_lo), FieldConfig(bz=470.0), iso)
+    for label in hi.frequencies:
+        assert tbl.slope(label) == 1e3 * (hi[label] - lo[label]) / (t_hi - t_lo)
+
+
 def test_transition_table_range_check():
     with pytest.raises(ValueError):
         transition_table(thermal_presets("N14"), 60.0, 470.0, N14)

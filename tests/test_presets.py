@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from nvground.extraction import params_from_models
 from nvground.presets import (
     FRACTIONAL_PPM_PER_K,
     TABLE1,
@@ -7,6 +9,7 @@ from nvground.presets import (
     resolve_preset,
     thermal_presets,
 )
+from nvground.spin_core import get_isotope
 
 
 def test_reference_values_at_297():
@@ -33,6 +36,13 @@ def test_n15_a_perp_tied_to_a_par():
     assert p_cold.a_perp / p_ref.a_perp == pytest.approx(
         p_cold.a_par / p_ref.a_par, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("iso", ["N14", "N15"])
+def test_params_at_equals_params_from_models(iso):
+    models = thermal_presets(iso)
+    for t in np.concatenate([np.linspace(77.0, 400.0, 647), [78.5, 297.0, 399.5]]):
+        assert params_at(iso, float(t)) == params_from_models(models, get_isotope(iso), float(t))
 
 
 def test_quadratic_coefficient_is_half_second_derivative():

@@ -70,7 +70,7 @@ def test_all_frequencies_positive_and_pairs_ordered():
     for iso, p in ((N14, P14), (N15, P15)):
         ts = transition_set(p, B470, iso)
         assert all(f > 0 for f in ts.frequencies.values())
-        assert set(ts.frequencies) == set(known_labels(iso))
+        assert tuple(ts.frequencies) == known_labels(iso)
 
 
 def test_fdq_equals_f5_minus_f4():
