@@ -6,7 +6,7 @@ extraction of the coupling parameters from measured line sets, and
 Ramsey-fringe detuning analysis.
 """
 
-from .eigensolve import EigenSystem, EigensolveError, eigh, jacobi_eigh
+from .eigensolve import EigensolveError, eigh, jacobi_eigh
 from .extraction import (
     AnisotropyResult,
     FitResult,
@@ -58,7 +58,6 @@ from .spin_core import (
     N15,
     CouplingParams,
     FieldConfig,
-    HamiltonianMatrix,
     IsotopeSpec,
     SpinOperators,
     StateLabel,
@@ -68,7 +67,6 @@ from .spin_core import (
 )
 from .transitions import (
     AmbiguousLabelingError,
-    LabeledLevel,
     TransitionSet,
     isotopic_d_shift,
     label_states,

@@ -59,11 +59,10 @@ EXIT_TABLE = {
 
 
 def _field(args) -> FieldConfig:
-    theta = getattr(args, "theta_deg", None)
-    if theta is not None:
-        if getattr(args, "b", None) is None:
+    if args.theta_deg is not None:
+        if args.b is None:
             raise ConfigError("--theta-deg requires --b (field magnitude)")
-        return FieldConfig.from_polar(args.b, math.radians(theta))
+        return FieldConfig.from_polar(args.b, math.radians(args.theta_deg))
     if args.bz is None:
         raise ConfigError("either --bz or (--b with --theta-deg) is required")
     return FieldConfig(bz=args.bz, bx=args.bx)
@@ -95,7 +94,7 @@ def _params(args, iso: IsotopeSpec, temperature: float):
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text + ("" if text.endswith("\n") else "\n"), encoding="utf-8")
     else:
         print(text)
@@ -198,9 +197,7 @@ def cmd_angular_scan(args) -> int:
     transition = "fdq" if iso.name == "N14" else "f7"
     beta = perturbation.beta_coefficient(params, args.bz, transition)
     thetas = np.linspace(0.0, args.theta_max_deg, args.steps)
-    f0 = float(
-        perturbation.exact_transition(params, iso, args.bz, 0.0, transition, dtype=np.longdouble)
-    )
+    f0 = float(transition_set(params, FieldConfig(bz=args.bz), iso, np.longdouble)[transition])
     rows = []
     for theta_deg in thetas:
         shift = float(
@@ -272,8 +269,6 @@ def _sigma_for(label: str) -> float:
 
 def cmd_synth(args) -> int:
     iso = get_isotope(args.isotope)
-    if args.preset is None:
-        raise ConfigError("synth requires --preset")
     presets.resolve_preset(args.preset)
     if args.bz is None:
         raise ConfigError("--bz is required")
@@ -357,18 +352,24 @@ def cmd_ramsey(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, *, isotope_required=True):
-    sub.add_argument("--isotope", required=isotope_required, help="n14 or n15")
-    sub.add_argument("--preset", help="named parameter preset (table1_297K)")
-    sub.add_argument("--params", help="JSON file with d, q, a_par, a_perp [, gamma_n]")
-    sub.add_argument("--bz", type=float, default=None, help="axial field, Gauss")
-    sub.add_argument("--bx", type=float, default=0.0, help="transverse field, Gauss")
-    sub.add_argument("--b", type=float, default=None, help="field magnitude, Gauss")
-    sub.add_argument("--theta-deg", type=float, default=None, help="misalignment angle, degrees")
-    sub.add_argument("--temp", type=float, default=presets.T_REF_K, help="temperature, K")
-    sub.add_argument("--out", help="output file (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--seed", type=int, default=0)
+# Flags that several subcommands share.  Each subcommand registers only
+# the ones it reads, so argparse refuses the rest (exit 2) instead of
+# accepting and then ignoring them.
+COMMON_FLAGS = {
+    "--isotope": dict(required=True, help="n14 or n15"),
+    "--preset": dict(help="named parameter preset (table1_297K)"),
+    "--params": dict(help="JSON file with d, q, a_par, a_perp [, gamma_n]"),
+    "--bz": dict(type=float, default=None, help="axial field, Gauss"),
+    "--bx": dict(type=float, default=0.0, help="transverse field, Gauss"),
+    "--b": dict(type=float, default=None, help="field magnitude, Gauss"),
+    "--theta-deg": dict(type=float, default=None, help="misalignment angle, degrees"),
+    "--temp": dict(type=float, default=presets.T_REF_K, help="temperature, K"),
+    "--out": dict(help="output file (default: stdout)"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--seed": dict(type=int, default=0),
+}
+SOURCE = ("--preset", "--params")
+FIELD = ("--bz", "--bx", "--b", "--theta-deg")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,47 +380,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("transitions", help="exact-diagonalization line table")
-    _add_common(s)
-    s.set_defaults(func=cmd_transitions)
+    def add(name, help, func, *flags, **defaults):
+        # No prefix matching: synth would take --temp for --temps.
+        s = subs.add_parser(name, help=help, allow_abbrev=False)
+        for flag in flags:
+            s.add_argument(flag, **COMMON_FLAGS[flag])
+        s.set_defaults(func=func, **defaults)
+        return s
 
-    s = subs.add_parser("fit", help="extract coupling parameters from measurements")
-    _add_common(s)
+    add("transitions", "exact-diagonalization line table", cmd_transitions,
+        "--isotope", *SOURCE, *FIELD, "--temp", "--out", "--format")
+
+    s = add("fit", "extract coupling parameters from measurements", cmd_fit,
+            "--isotope", *SOURCE, "--bz", "--out", "--format", format="json")
     s.add_argument("--measurements", required=True, help="measurement CSV file")
     s.add_argument("--thermal", action="store_true", help="append degree-4 thermal models")
     s.add_argument("--fix", action="append", help="pin a fit parameter at its guess value")
-    s.set_defaults(func=cmd_fit, format="json")
 
-    s = subs.add_parser("thermal", help="same as fit --thermal")
-    _add_common(s)
+    s = add("thermal", "same as fit --thermal", cmd_fit,
+            "--isotope", *SOURCE, "--bz", "--out", "--format", format="json", thermal=True)
     s.add_argument("--measurements", required=True, help="measurement CSV file")
     s.add_argument("--fix", action="append", help="pin a fit parameter at its guess value")
-    s.set_defaults(func=cmd_fit, format="json", thermal=True)
 
-    s = subs.add_parser("angular-scan", help="fdq/f7 shift vs misalignment angle")
-    _add_common(s)
+    s = add("angular-scan", "fdq/f7 shift vs misalignment angle", cmd_angular_scan,
+            "--isotope", *SOURCE, "--bz", "--temp", "--out", "--format")
     s.add_argument("--theta-max-deg", type=float, default=0.5)
     s.add_argument("--steps", type=int, default=11)
-    s.set_defaults(func=cmd_angular_scan)
 
-    s = subs.add_parser("perturb-check", help="perturbation-vs-exact tripwire")
-    _add_common(s, isotope_required=False)
+    s = add("perturb-check", "perturbation-vs-exact tripwire (preset parameters)",
+            cmd_perturb_check, "--temp", "--out")
+    s.add_argument("--isotope", help="n14 or n15 (default: both)")
     s.add_argument("--bz-min", type=float, default=300.0)
     s.add_argument("--bz-max", type=float, default=600.0)
     s.add_argument("--bz-steps", type=int, default=7)
     s.add_argument("--bx-max", type=float, default=1.0)
     s.add_argument("--bx-steps", type=int, default=5)
     s.add_argument("--tolerance-hz", type=float, default=DEFAULT_NOISE_TOLERANCE_HZ)
-    s.set_defaults(func=cmd_perturb_check, format="json")
 
-    s = subs.add_parser("synth", help="generate a synthetic measurement CSV")
-    _add_common(s)
+    s = add("synth", "generate a synthetic measurement CSV", cmd_synth,
+            "--isotope", "--bz", "--out", "--seed")
+    s.add_argument("--preset", required=True, help=COMMON_FLAGS["--preset"]["help"])
     s.add_argument("--temps", default="297", help="comma-separated temperatures, K")
     s.add_argument("--noise-scale", type=float, default=1.0, help="0 for noiseless")
-    s.set_defaults(func=cmd_synth)
 
-    s = subs.add_parser("ramsey", help="synthesize and fit Ramsey fringes end to end")
-    _add_common(s)
+    s = add("ramsey", "synthesize and fit Ramsey fringes end to end", cmd_ramsey,
+            "--isotope", *SOURCE, *FIELD, "--temp", "--out", "--seed")
     s.add_argument("--transition", default="f1")
     s.add_argument("--detune-khz", type=float, default=4.0)
     s.add_argument("--t2-star-ms", type=float, default=1.0)
@@ -433,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trace-out", help="write the synthesized trace CSV here")
     s.add_argument("--trace-in", help="fit an existing trace CSV instead")
     s.add_argument("--f-rf-khz", type=float, default=None, help="drive frequency for --trace-in")
-    s.set_defaults(func=cmd_ramsey, format="json")
 
     return parser
 

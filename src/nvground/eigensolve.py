@@ -9,8 +9,6 @@ the sub-Hz angular-shift validations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _SYMMETRY_RTOL = 1e-12
@@ -19,14 +17,6 @@ _JACOBI_MAX_SWEEPS = 100
 
 class EigensolveError(RuntimeError):
     """Jacobi iteration failed to converge within the sweep cap."""
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
@@ -42,12 +32,9 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     # Largest-magnitude component of each eigenvector made positive
-    # (first index wins ties), so repeated runs agree bit for bit.
-    for j in range(vectors.shape[1]):
-        k = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[k, j] < 0:
-            vectors[:, j] = -vectors[:, j]
-    return vectors
+    # (argmax: first index wins ties), so repeated runs agree bit for bit.
+    k = np.argmax(np.abs(vectors), axis=0)
+    return np.where(vectors[k, np.arange(vectors.shape[1])] < 0, -vectors, vectors)
 
 
 def _offdiag_frobenius(a: np.ndarray):
@@ -118,8 +105,8 @@ def jacobi_eigh(m: np.ndarray, rel_tol: float | None = None, max_sweeps: int = _
     return values[order], v[:, order]
 
 
-def eigh(m: np.ndarray, force_jacobi: bool = False) -> EigenSystem:
-    """Eigendecomposition with ascending eigenvalues and canonical signs.
+def eigh(m: np.ndarray, force_jacobi: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(values ascending, eigenvector columns) with canonical signs.
 
     float64 input is routed to LAPACK (np.linalg.eigh); any other float
     dtype, or force_jacobi=True, uses the Jacobi sweep.  Output is
@@ -132,4 +119,4 @@ def eigh(m: np.ndarray, force_jacobi: bool = False) -> EigenSystem:
         values, vectors = jacobi_eigh(m)
     else:
         values, vectors = np.linalg.eigh(m)
-    return EigenSystem(values=values, vectors=_canonical_signs(vectors))
+    return values, _canonical_signs(vectors)

@@ -154,16 +154,13 @@ _RESTART_RTOL = 1e-7
 # propagated through the chi^2), which caps how small an objective spread
 # is meaningful; 1e-7 stays well above it while pinning parameters far
 # beyond statistical precision.
-_FIT_OPTIONS = OptimOptions(
-    initial_simplex_scale=1e-5, zero_coordinate_step=1e-3, tol_f=1e-7, tol_x=1e-9
-)
+_FIT_OPTIONS = OptimOptions(initial_simplex_scale=1e-5, tol_f=1e-7, tol_x=1e-9)
 
 
 def extract_params(
     ms: MeasurementSet,
     guess: ParamVector,
     fixed: tuple[str, ...] = (),
-    options: OptimOptions | None = None,
 ) -> FitResult:
     """Least-squares extraction of the coupling parameters at one temperature.
 
@@ -198,13 +195,12 @@ def extract_params(
             ) from err
         return weighted_objective(model, measured, sigmas)
 
-    opts = options or _FIT_OPTIONS
     start = full[free]
     iterations = evals = 0
     result = None
     previous_f = None
     for _ in range(1 + MAX_RESTARTS):
-        result = nelder_mead(objective, start, opts)
+        result = nelder_mead(objective, start, _FIT_OPTIONS)
         iterations += result.iterations
         evals += result.n_evals
         start = result.x_min

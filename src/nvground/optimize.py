@@ -25,16 +25,18 @@ class RankDeficientError(np.linalg.LinAlgError):
     """Polynomial design matrix is (numerically) rank deficient."""
 
 
+# Absolute initial-simplex bump for a zero coordinate.
+_ZERO_STEP = 1e-3
+
+
 @dataclass(frozen=True)
 class OptimOptions:
     """Nelder-Mead settings; defaults give deterministic tight convergence."""
 
     initial_simplex_scale: float = 1e-3   # fractional bump per coordinate
-    zero_coordinate_step: float = 1e-3    # absolute bump for zero coordinates
     tol_f: float = 1e-12                  # relative objective spread
     tol_x: float = 1e-10                  # relative simplex extent
     max_iter: int = 20000
-    record_history: bool = False
 
     def __post_init__(self):
         if self.tol_f <= 0 or self.tol_x <= 0:
@@ -48,7 +50,6 @@ class OptimResult:
     iterations: int
     n_evals: int
     converged: bool
-    history: list[float] | None = None
 
 
 def nelder_mead(objective, x0, options: OptimOptions | None = None) -> OptimResult:
@@ -83,18 +84,15 @@ def nelder_mead(objective, x0, options: OptimOptions | None = None) -> OptimResu
     simplex = np.tile(x0, (n + 1, 1))
     for i in range(n):
         step = opts.initial_simplex_scale * x0[i]
-        simplex[i + 1, i] += step if step != 0 else opts.zero_coordinate_step
+        simplex[i + 1, i] += step if step != 0 else _ZERO_STEP
     values = np.array([f0] + [f(simplex[i + 1]) for i in range(n)])
 
-    history = [f0] if opts.record_history else None
     iterations = 0
     converged = False
     while iterations < opts.max_iter:
         order = np.argsort(values, kind="stable")
         simplex = simplex[order]
         values = values[order]
-        if history is not None:
-            history.append(values[0])
 
         # Both spreads must collapse: the objective spread alone goes to
         # zero when vertices straddle a minimum symmetrically.
@@ -144,7 +142,6 @@ def nelder_mead(objective, x0, options: OptimOptions | None = None) -> OptimResu
         iterations=iterations,
         n_evals=evals,
         converged=converged,
-        history=history,
     )
 
 

@@ -79,28 +79,24 @@ class FieldModel:
     transition: str
 
 
-def _as_set(freqs: dict[str, float], iso: IsotopeSpec, bz: float, bx: float) -> TransitionSet:
-    """Nuclear-line formula values, plus fdq for 14NV, with their level pairs."""
+def _as_set(freqs: dict[str, float], iso: IsotopeSpec) -> TransitionSet:
+    """Nuclear-line formula values, plus fdq for 14NV."""
     lines = LINES[iso.name]
     if "fdq" in lines:
         a, b = lines["fdq"].minus
         freqs = {**freqs, "fdq": freqs[a] - freqs[b]}
-    pairs = {name: lines[name].levels for name in freqs}
-    return TransitionSet(frequencies=freqs, pairs=pairs, isotope=iso.name, bz=bz, bx=bx)
+    return TransitionSet(frequencies=freqs, isotope=iso.name)
 
 
-def nuclear_freqs_2nd(ctx: PerturbationContext, iso: IsotopeSpec) -> TransitionSet:
-    """Lowest-order nuclear frequencies in A_perp^2/F+- at Bx = 0."""
-    ctx.require_margin()
-    if ctx.bx != 0:
-        raise ValueError("lowest-order formulas hold on axis; got Bx != 0")
+def _second_order(ctx: PerturbationContext, iso: IsotopeSpec) -> dict[str, float]:
+    """The lowest-order terms, also the leading terms of nuclear_freqs_full."""
     p = ctx.params
     fp, fm = ctx.f_plus, ctx.f_minus
     w = p.a_perp * p.a_perp
     if iso.name == "N14":
         q, a = abs(p.q), abs(p.a_par)
         gn = p.gamma_n * ctx.bz
-        freqs = {
+        return {
             "f1": q + gn - w / fm,
             "f2": q - gn - w / fp,
             "f3": q - a + gn,
@@ -108,15 +104,21 @@ def nuclear_freqs_2nd(ctx: PerturbationContext, iso: IsotopeSpec) -> TransitionS
             "f5": q + a + gn + w / fp,
             "f6": q - a - gn,
         }
-    else:
-        a = p.a_par
-        gn = abs(p.gamma_n) * ctx.bz
-        freqs = {
-            "f7": gn + (w / 2) * (1 / fm - 1 / fp),
-            "f8": a - gn - (w / 2) / fm,
-            "f9": a + gn - (w / 2) / fp,
-        }
-    return _as_set(freqs, iso, ctx.bz, ctx.bx)
+    a = p.a_par
+    gn = abs(p.gamma_n) * ctx.bz
+    return {
+        "f7": gn + (w / 2) * (1 / fm - 1 / fp),
+        "f8": a - gn - (w / 2) / fm,
+        "f9": a + gn - (w / 2) / fp,
+    }
+
+
+def nuclear_freqs_2nd(ctx: PerturbationContext, iso: IsotopeSpec) -> TransitionSet:
+    """Lowest-order nuclear frequencies in A_perp^2/F+- at Bx = 0."""
+    ctx.require_margin()
+    if ctx.bx != 0:
+        raise ValueError("lowest-order formulas hold on axis; got Bx != 0")
+    return _as_set(_second_order(ctx, iso), iso)
 
 
 def nuclear_freqs_full(ctx: PerturbationContext, iso: IsotopeSpec) -> TransitionSet:
@@ -125,6 +127,7 @@ def nuclear_freqs_full(ctx: PerturbationContext, iso: IsotopeSpec) -> Transition
     The Bx^2 brackets use magnitudes of Q and A_par in their small
     denominators; they blow up when |Q| approaches |A_par| (14NV) or when
     the nuclear Zeeman splitting vanishes (15NV f7), and these cases raise.
+    Each line is its nuclear_freqs_2nd value plus the higher-order terms.
     """
     ctx.require_margin()
     p = ctx.params
@@ -133,29 +136,29 @@ def nuclear_freqs_full(ctx: PerturbationContext, iso: IsotopeSpec) -> Transition
     x = (p.gamma_e * ctx.bx) ** 2 / 2
     fp2, fm2 = fp * fp, fm * fm
     sum_inv_sq = (1 / fp + 1 / fm) ** 2
+    f = _second_order(ctx, iso)
     if iso.name == "N14":
         q, a = abs(p.q), abs(p.a_par)
-        gn = p.gamma_n * ctx.bz
         d_lo, d_hi = q - a, q + a
         if x != 0 and (q < 1e-9 or abs(d_lo) < 1e-9 or abs(d_hi) < 1e-9):
             raise ValueError("Q +- A_par too small for the transverse-field terms")
         freqs = {
-            "f1": q + gn - w / fm
+            "f1": f["f1"]
             - w * (d_lo / fm2 + (2 * q - a) / fp2)
             + x * (w * (3 / q) * sum_inv_sq - a * (1 / fm2 - 1 / fp2)),
-            "f2": q - gn - w / fp
+            "f2": f["f2"]
             - w * ((2 * q - a) / fm2 + d_lo / fp2)
             + x * (w * (3 / q) * sum_inv_sq + a * (1 / fm2 - 1 / fp2)),
-            "f3": q - a + gn
+            "f3": f["f3"]
             - w * (2 * q - a) / fm2
             + x * (w * (2 / d_lo + 1 / d_hi) / fm2 + a / fm2),
-            "f4": q + a - gn + w / fm
+            "f4": f["f4"]
             - w * q / fm2
             + x * (w * (1 / d_lo + 2 / d_hi) / fm2 - a / fm2),
-            "f5": q + a + gn + w / fp
+            "f5": f["f5"]
             - w * q / fp2
             + x * (w * (1 / d_lo + 2 / d_hi) / fp2 - a / fp2),
-            "f6": q - a - gn
+            "f6": f["f6"]
             - w * (2 * q - a) / fp2
             + x * (w * (2 / d_lo + 1 / d_hi) / fp2 + a / fp2),
         }
@@ -165,20 +168,26 @@ def nuclear_freqs_full(ctx: PerturbationContext, iso: IsotopeSpec) -> Transition
         if x != 0 and (abs(a) < 1e-9 or abs(gn) < 1e-9):
             raise ValueError("A_par or gamma_n Bz too small for the transverse-field terms")
         freqs = {
-            "f7": gn
-            + (w / 2) * (1 / fm - 1 / fp)
+            "f7": f["f7"]
             + (w / 4) * (a / fm2 - a / fp2)
             + (x * ((w / gn) * sum_inv_sq - a * (1 / fm2 - 1 / fp2)) if x != 0 else 0.0),
-            "f8": a - gn
-            - (w / 2) / fm
+            "f8": f["f8"]
             - (w / 4) * (a / fm2)
             + (x * (w / a - a) / fm2 if x != 0 else 0.0),
-            "f9": a + gn
-            - (w / 2) / fp
+            "f9": f["f9"]
             - (w / 4) * (a / fp2)
             + (x * (w / a - a) / fp2 if x != 0 else 0.0),
         }
-    return _as_set(freqs, iso, ctx.bz, ctx.bx)
+    return _as_set(freqs, iso)
+
+
+def _ms0_baseline(p: CouplingParams, bz: float, transition: str) -> float:
+    """Nuclear Zeeman baseline of fdq (2 |gamma_n| Bz) or f7 (|gamma_n| Bz),
+    after checking the validity margin and the transition name."""
+    PerturbationContext(params=p, bz=bz).require_margin()
+    if transition not in ("fdq", "f7"):
+        raise ValueError(f"transition must be 'fdq' or 'f7', got {transition!r}")
+    return (2 if transition == "fdq" else 1) * abs(p.gamma_n) * bz
 
 
 def beta_coefficient(p: CouplingParams, bz: float, transition: str) -> AngularResponse:
@@ -188,56 +197,29 @@ def beta_coefficient(p: CouplingParams, bz: float, transition: str) -> AngularRe
     transverse electron Zeeman coupling; f7 through a fourth-order term in
     A_perp that is resonantly enhanced by the small nuclear splitting.
     """
-    ctx = PerturbationContext(params=p, bz=bz)
-    ctx.require_margin()
+    baseline = _ms0_baseline(p, bz, transition)
     denom = (p.d * p.d - (p.gamma_e * bz) ** 2) ** 2
     if transition == "fdq":
         beta = -(p.gamma_e / abs(p.gamma_n)) * (
             4 * abs(p.a_par) * p.d * (p.gamma_e * bz) ** 2 / denom
         )
-        baseline = 2 * abs(p.gamma_n) * bz
-    elif transition == "f7":
-        beta = (p.gamma_e / p.gamma_n) ** 2 * (4 * p.a_perp**2 * p.d**2 / denom)
-        baseline = abs(p.gamma_n) * bz
     else:
-        raise ValueError(f"transition must be 'fdq' or 'f7', got {transition!r}")
+        beta = (p.gamma_e / p.gamma_n) ** 2 * (4 * p.a_perp**2 * p.d**2 / denom)
     return AngularResponse(beta=beta, baseline_khz=baseline, transition=transition)
 
 
 def fdq_f7_field_model(p: CouplingParams, bz: float, transition: str) -> FieldModel:
     """Field model of the ms = 0 manifold lines (nuclear Zeeman + A_perp^2)."""
-    ctx = PerturbationContext(params=p, bz=bz)
-    ctx.require_margin()
+    baseline = _ms0_baseline(p, bz, transition)
     frac = (p.gamma_e / abs(p.gamma_n)) * p.a_perp**2 / (p.d**2 - (p.gamma_e * bz) ** 2)
     if transition == "fdq":
-        baseline = 2 * abs(p.gamma_n) * bz
         frac = -frac
-    elif transition == "f7":
-        baseline = abs(p.gamma_n) * bz
-    else:
-        raise ValueError(f"transition must be 'fdq' or 'f7', got {transition!r}")
     return FieldModel(
         freq_khz=baseline * (1 + frac),
         fractional_correction=frac,
         baseline_khz=baseline,
         transition=transition,
     )
-
-
-def exact_transition(
-    p: CouplingParams,
-    iso: IsotopeSpec,
-    bz: float,
-    bx: float,
-    label: str,
-    dtype=np.float64,
-    nuclear_transverse: bool = True,
-):
-    """One named frequency from exact diagonalization (dtype selectable)."""
-    ts = transition_set(
-        p, FieldConfig(bz=bz, bx=bx), iso, dtype=dtype, nuclear_transverse=nuclear_transverse
-    )
-    return ts[label]
 
 
 def exact_angular_shift(
@@ -254,14 +236,12 @@ def exact_angular_shift(
     Uses extended precision by default: at low field the fdq shift sits
     around 1e-8 kHz, beneath double-precision eigenvalue noise.
     """
-    bx = bz * math.tan(theta_rad)
-    f_tilted = exact_transition(
-        p, iso, bz, bx, transition, dtype=dtype, nuclear_transverse=nuclear_transverse
-    )
-    f_axial = exact_transition(
-        p, iso, bz, 0.0, transition, dtype=dtype, nuclear_transverse=nuclear_transverse
-    )
-    return f_tilted - f_axial
+
+    def line(bx: float):
+        field = FieldConfig(bz=bz, bx=bx)
+        return transition_set(p, field, iso, dtype, nuclear_transverse)[transition]
+
+    return line(bz * math.tan(theta_rad)) - line(0.0)
 
 
 def exact_beta_estimates(

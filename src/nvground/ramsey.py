@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimize import FitConvergenceError, OptimOptions, nelder_mead
+from .optimize import FitConvergenceError, nelder_mead
 
 # Signal model: offset + amp * exp(-tau/T2*) * cos(2 pi delta tau + phase)
 
@@ -127,11 +127,7 @@ def _canonicalize(delta, t2, amp, phase, offset):
     return delta, t2, amp, phase, offset
 
 
-def fit_fringes(
-    trace: RamseyTrace,
-    guess: RamseyFit | None = None,
-    options: OptimOptions | None = None,
-) -> RamseyFit:
+def fit_fringes(trace: RamseyTrace, guess: RamseyFit | None = None) -> RamseyFit:
     """Least-squares fringe fit for (delta, T2*, amp, phase, offset).
 
     Requires at least 3 oscillation periods in the trace span and 4
@@ -165,7 +161,7 @@ def fit_fringes(
     x0 = np.array(
         [guess.delta_khz, guess.t2_star_s, guess.amplitude, guess.phase, guess.offset]
     )
-    result = nelder_mead(objective, x0, options)
+    result = nelder_mead(objective, x0)
     if not result.converged:
         raise FitConvergenceError(
             f"fringe fit did not converge in {result.iterations} iterations"

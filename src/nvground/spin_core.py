@@ -116,15 +116,6 @@ class SpinOperators:
     s_minus: np.ndarray
 
 
-@dataclass(frozen=True)
-class HamiltonianMatrix:
-    """Dense real symmetric Hamiltonian (kHz) with its basis labeling."""
-
-    matrix: np.ndarray
-    basis_labels: tuple[StateLabel, ...]
-    isotope: IsotopeSpec
-
-
 def spin_matrices(s: float, dtype=np.float64) -> SpinOperators:
     """Spin operators for spin s in the Sz eigenbasis ordered m = s ... -s.
 
@@ -220,8 +211,8 @@ def build_hamiltonian(
     iso: IsotopeSpec,
     dtype=np.float64,
     nuclear_transverse: bool = True,
-) -> HamiltonianMatrix:
-    """Full ground-state Hamiltonian including the transverse field terms.
+) -> np.ndarray:
+    """Full ground-state Hamiltonian (d, d) in the basis_labels(iso) order.
 
     H = D Sz^2 + Q Iz^2 + A_par Sz Iz + gamma_e Bz Sz - gamma_n Bz Iz
         + (A_perp/2)(S+ I- + S- I+) + gamma_e Bx Sx - gamma_n Bx Ix
@@ -238,5 +229,4 @@ def build_hamiltonian(
     """
     if iso.name == "N15" and p.q != 0.0:
         raise ValueError("N15 has nuclear spin 1/2: Q must be exactly 0")
-    h = _assemble(p, f.bz, f.bx, iso, dtype=dtype, nuclear_transverse=nuclear_transverse)
-    return HamiltonianMatrix(matrix=h, basis_labels=basis_labels(iso), isotope=iso)
+    return _assemble(p, f.bz, f.bx, iso, dtype=dtype, nuclear_transverse=nuclear_transverse)

@@ -15,18 +15,20 @@ from typing import Mapping
 
 import numpy as np
 
-from .eigensolve import EigenSystem, eigh
+from .eigensolve import eigh
 from .spin_core import (
     ISOTOPES,
     CouplingParams,
     FieldConfig,
     IsotopeSpec,
     StateLabel,
+    basis_labels,
     build_hamiltonian,
 )
 
-# Below this squared-overlap threshold (or on label collisions) the
-# dominant-component assignment is rejected as ambiguous.
+# Below this squared overlap the dominant-component assignment is
+# rejected as ambiguous.  Kept above 0.5, which makes the assignment a
+# bijection (see label_states).
 OVERLAP_THRESHOLD = 0.6
 
 
@@ -106,66 +108,64 @@ def nuclear_labels(iso: IsotopeSpec) -> tuple[str, ...]:
     )
 
 
-@dataclass(frozen=True)
-class LabeledLevel:
-    """One eigenlevel with its dominant basis label and squared overlap."""
+def _level_pairs(iso: IsotopeSpec):
+    """The transition_set lines as arrays: their names, the basis indices
+    a and b of their two levels, and (row, minuend row, subtrahend row)
+    for each line that is a difference of two others (fdq).
+    """
+    names = known_labels(iso)
+    lines = [LINES[iso.name][name] for name in names]
+    index = {label: k for k, label in enumerate(basis_labels(iso))}
+    a, b = np.array([[index[s] for s in line.levels] for line in lines]).T
+    minus = tuple(
+        (row, names.index(line.minus[0]), names.index(line.minus[1]))
+        for row, line in enumerate(lines)
+        if line.minus
+    )
+    return names, a, b, minus
 
-    label: StateLabel
-    energy: float
-    overlap: float
+
+_LEVEL_PAIRS = {name: _level_pairs(iso) for name, iso in ISOTOPES.items()}
 
 
 @dataclass(frozen=True)
 class TransitionSet:
-    """Named transition frequencies (kHz) at one field point.
-
-    ``pairs`` records the (upper, lower) state labels behind each entry,
-    upper meaning the higher-energy level.
-    """
+    """Named transition frequencies (kHz) at one field point."""
 
     frequencies: Mapping[str, float]
-    pairs: Mapping[str, tuple[StateLabel, StateLabel]]
     isotope: str
-    bz: float
-    bx: float
 
     def __getitem__(self, label: str) -> float:
         return self.frequencies[label]
 
-    def __contains__(self, label: str) -> bool:
-        return label in self.frequencies
 
+def label_states(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Level energies and squared overlaps in basis order.
 
-def label_states(
-    es: EigenSystem,
-    labels: tuple[StateLabel, ...],
-    threshold: float = OVERLAP_THRESHOLD,
-) -> tuple[LabeledLevel, ...]:
-    """Assign each eigenvector the basis label of its largest squared component.
-
-    Raises AmbiguousLabelingError when any overlap falls below ``threshold``
-    or two eigenvectors claim the same label, which happens near level
+    Eigenvector j belongs to the basis state of its largest squared
+    component, so energies[k] is the eigenvalue whose eigenvector is
+    dominated by basis state k.  Raises AmbiguousLabelingError when an
+    overlap falls below OVERLAP_THRESHOLD, which happens near level
     anti-crossings (gamma_e * Bz approaching D).
     """
-    weights = es.vectors * es.vectors
-    out = []
-    claimed: dict[StateLabel, int] = {}
-    for j in range(weights.shape[1]):
-        k = int(np.argmax(weights[:, j]))
-        overlap = float(weights[k, j])
-        label = labels[k]
-        if overlap < threshold:
-            raise AmbiguousLabelingError(
-                f"eigenstate {j} has max squared overlap {overlap:.3f} < "
-                f"{threshold} (closest label {label})"
-            )
-        if label in claimed:
-            raise AmbiguousLabelingError(
-                f"eigenstates {claimed[label]} and {j} both map to label {label}"
-            )
-        claimed[label] = j
-        out.append(LabeledLevel(label=label, energy=es.values[j], overlap=overlap))
-    return tuple(out)
+    weights = vectors * vectors
+    k = np.argmax(weights, axis=0)
+    overlaps = weights[k, np.arange(len(k))]
+    low = np.flatnonzero(overlaps < OVERLAP_THRESHOLD)
+    if low.size:
+        j = low[0]
+        raise AmbiguousLabelingError(
+            f"eigenstate {j} has max squared overlap {overlaps[j]:.3f} < "
+            f"{OVERLAP_THRESHOLD} (closest basis state {k[j]})"
+        )
+    # No two eigenvectors can share a dominant basis state: each row of the
+    # orthogonal eigenvector matrix has unit norm, so it cannot hold two
+    # squared entries >= OVERLAP_THRESHOLD > 0.5.  k is a permutation.
+    energies = np.empty_like(values)
+    energies[k] = values
+    by_basis = np.empty_like(overlaps)
+    by_basis[k] = overlaps
+    return energies, by_basis
 
 
 def transition_set(
@@ -178,24 +178,16 @@ def transition_set(
     """All named transitions from exact diagonalization at one field point."""
     h = build_hamiltonian(p, f, iso, dtype=dtype, nuclear_transverse=nuclear_transverse)
     try:
-        levels = label_states(eigh(h.matrix), h.basis_labels)
+        energies, _ = label_states(*eigh(h))
     except AmbiguousLabelingError as err:
         raise AmbiguousLabelingError(
             f"at Bz = {f.bz} G, Bx = {f.bx} G ({iso.name}): {err}"
         ) from err
-    energy = {lv.label: lv.energy for lv in levels}
-    freqs: dict[str, float] = {}
-    pairs: dict[str, tuple[StateLabel, StateLabel]] = {}
-    for name, line in LINES[iso.name].items():
-        if line.levels is None:
-            continue  # difference rows are left to line_values
-        a, b = line.levels
-        pairs[name] = (a, b) if energy[a] >= energy[b] else (b, a)
-        if line.minus:
-            freqs[name] = freqs[line.minus[0]] - freqs[line.minus[1]]
-        else:
-            freqs[name] = abs(energy[a] - energy[b])
-    return TransitionSet(frequencies=freqs, pairs=pairs, isotope=iso.name, bz=f.bz, bx=f.bx)
+    names, a, b, minus = _LEVEL_PAIRS[iso.name]
+    freqs = np.abs(energies[a] - energies[b])
+    for row, i, j in minus:
+        freqs[row] = freqs[i] - freqs[j]
+    return TransitionSet(frequencies=dict(zip(names, freqs)), isotope=iso.name)
 
 
 def line_values(ts: TransitionSet) -> dict[str, float]:

@@ -163,6 +163,23 @@ def test_perturb_check_refuses_empty_grid(capsys, flag):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["perturb-check", "--isotope", "n14", "--params", "odd.json", "--format", "csv"],
+        ["synth", "--isotope", "n14", "--preset", "table1_297K", "--bz", "470", "--bx", "5"],
+        ["synth", "--isotope", "n14", "--preset", "table1_297K", "--bz", "470", "--temp", "77"],
+        ["synth", "--isotope", "n14", "--bz", "470"],
+        ["ramsey", "--isotope", "n14", "--preset", "table1_297K", "--bz", "470", "--format", "csv"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_refused(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 def test_synth_deterministic_and_fit_roundtrip(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -10,15 +10,15 @@ def random_symmetric(rng, n=9, scale=1e6):
 
 
 def test_exchange_matrix():
-    es = eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(es.values, [-1.0, 1.0])
+    values, _ = eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.allclose(values, [-1.0, 1.0])
 
 
 def test_diagonal_input():
-    es = eigh(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(es.values, [1.0, 2.0, 3.0])
+    values, vectors = eigh(np.diag([3.0, 1.0, 2.0]))
+    assert np.allclose(values, [1.0, 2.0, 3.0])
     # permuted-identity eigenvectors
-    assert np.allclose(np.abs(es.vectors), np.eye(3)[:, [1, 2, 0]])
+    assert np.allclose(np.abs(vectors), np.eye(3)[:, [1, 2, 0]])
 
 
 @pytest.mark.parametrize("force_jacobi", [False, True])
@@ -27,44 +27,44 @@ def test_random_matrices_invariants(force_jacobi):
     n_cases = 100 if not force_jacobi else 25
     for _ in range(n_cases):
         a = random_symmetric(rng)
-        es = eigh(a, force_jacobi=force_jacobi)
+        values, vectors = eigh(a, force_jacobi=force_jacobi)
         scale = np.max(np.abs(a))
         # residual oracle computed directly from the definition
-        resid = np.max(np.abs(a @ es.vectors - es.vectors * es.values))
+        resid = np.max(np.abs(a @ vectors - vectors * values))
         assert resid <= 1e-9 * scale
-        gram = es.vectors.T @ es.vectors
+        gram = vectors.T @ vectors
         assert np.max(np.abs(gram - np.eye(a.shape[0]))) <= 1e-10
-        assert np.all(np.diff(es.values) >= 0)
+        assert np.all(np.diff(values) >= 0)
 
 
 def test_trace_and_frobenius_identities():
     rng = np.random.default_rng(11)
     for _ in range(20):
         a = random_symmetric(rng)
-        es = eigh(a)
+        values, _ = eigh(a)
         norm = np.linalg.norm(a)
-        assert abs(np.sum(es.values) - np.trace(a)) <= 1e-9 * np.max(np.abs(a))
-        assert abs(np.sum(es.values**2) - norm**2) <= 1e-9 * norm**2
+        assert abs(np.sum(values) - np.trace(a)) <= 1e-9 * np.max(np.abs(a))
+        assert abs(np.sum(values**2) - norm**2) <= 1e-9 * norm**2
 
 
 def test_shift_property():
     rng = np.random.default_rng(3)
     a = random_symmetric(rng)
     c = rng.uniform(-1e5, 1e5)
-    es = eigh(a)
-    es_shifted = eigh(a + c * np.eye(9))
-    assert np.allclose(es_shifted.values, es.values + c, rtol=0, atol=1e-9 * np.max(np.abs(a)))
+    values, _ = eigh(a)
+    shifted, _ = eigh(a + c * np.eye(9))
+    assert np.allclose(shifted, values + c, rtol=0, atol=1e-9 * np.max(np.abs(a)))
 
 
 def test_deterministic_and_sign_convention():
     rng = np.random.default_rng(5)
     a = random_symmetric(rng)
-    e1, e2 = eigh(a), eigh(a)
-    assert np.array_equal(e1.values, e2.values)
-    assert np.array_equal(e1.vectors, e2.vectors)
+    (values1, vectors1), (values2, vectors2) = eigh(a), eigh(a)
+    assert np.array_equal(values1, values2)
+    assert np.array_equal(vectors1, vectors2)
     for j in range(a.shape[0]):
-        k = np.argmax(np.abs(e1.vectors[:, j]))
-        assert e1.vectors[k, j] > 0
+        k = np.argmax(np.abs(vectors1[:, j]))
+        assert vectors1[k, j] > 0
 
 
 def test_jacobi_matches_lapack():
@@ -79,12 +79,12 @@ def test_jacobi_matches_lapack():
 def test_longdouble_path_uses_extended_precision():
     c = np.longdouble("1e-5")
     a = np.array([[1, c], [c, 2]], dtype=np.longdouble)
-    es = eigh(a)
-    assert es.values.dtype == np.longdouble
+    values, _ = eigh(a)
+    assert values.dtype == np.longdouble
     one = np.longdouble(1)
     analytic = (3 * one - np.sqrt(one + 4 * c * c)) / 2
     # agreement well below float64 eps demonstrates the extended path
-    assert abs(es.values[0] - analytic) < np.longdouble("5e-18")
+    assert abs(values[0] - analytic) < np.longdouble("5e-18")
 
 
 def test_rejects_bad_input():
@@ -101,6 +101,6 @@ def test_jacobi_sweep_cap_raises():
 
 
 def test_zero_matrix():
-    es = eigh(np.zeros((4, 4)), force_jacobi=True)
-    assert np.all(es.values == 0)
-    assert np.allclose(es.vectors, np.eye(4))
+    values, vectors = eigh(np.zeros((4, 4)), force_jacobi=True)
+    assert np.all(values == 0)
+    assert np.allclose(vectors, np.eye(4))

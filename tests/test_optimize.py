@@ -69,14 +69,6 @@ def test_iteration_cap_flags_nonconvergence():
     assert res.iterations == 3
 
 
-def test_history_recording():
-    res = nelder_mead(
-        lambda x: (x[0] - 1.0) ** 2, [0.0], OptimOptions(record_history=True)
-    )
-    assert res.history is not None
-    assert res.history[-1] <= res.history[1]
-
-
 def test_options_validation():
     with pytest.raises(ValueError):
         OptimOptions(tol_f=0.0)

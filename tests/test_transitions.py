@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvground.eigensolve import eigh
 from nvground.presets import TABLE3, params_at
@@ -9,9 +11,11 @@ from nvground.spin_core import (
     CouplingParams,
     FieldConfig,
     StateLabel,
+    basis_labels,
     build_hamiltonian,
 )
 from nvground.transitions import (
+    OVERLAP_THRESHOLD,
     AmbiguousLabelingError,
     isotopic_d_shift,
     known_labels,
@@ -28,15 +32,37 @@ B470 = FieldConfig(bz=470.0)
 def test_labeling_diagonal_hamiltonian():
     p0 = CouplingParams(d=P14.d, q=P14.q, a_par=P14.a_par, a_perp=0.0, gamma_n=P14.gamma_n)
     h = build_hamiltonian(p0, B470, N14)
-    levels = label_states(eigh(h.matrix), h.basis_labels)
-    assert all(lv.overlap == pytest.approx(1.0, abs=1e-12) for lv in levels)
-    assert sorted(lv.label for lv in levels) == sorted(h.basis_labels)
+    energies, overlaps = label_states(*eigh(h))
+    assert overlaps == pytest.approx(1.0, abs=1e-12)
+    # basis order: each level sits on its own diagonal entry
+    assert energies == pytest.approx(np.diag(h), rel=1e-14)
 
 
 def test_labeling_clean_at_operating_field():
-    h = build_hamiltonian(P14, B470, N14)
-    levels = label_states(eigh(h.matrix), h.basis_labels)
-    assert min(lv.overlap for lv in levels) > 0.999
+    _, overlaps = label_states(*eigh(build_hamiltonian(P14, B470, N14)))
+    assert overlaps.min() > 0.999
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    iso=st.sampled_from([N14, N15]),
+    bz=st.floats(0.0, 2000.0),
+    bx=st.floats(0.0, 5.0),
+)
+def test_labeling_is_a_bijection_or_refused(iso, bz, bx):
+    values, vectors = eigh(build_hamiltonian(params_at(iso), FieldConfig(bz=bz, bx=bx), iso))
+    weights = vectors * vectors
+    try:
+        energies, overlaps = label_states(values, vectors)
+    except AmbiguousLabelingError:
+        assert weights.max(axis=0).min() < OVERLAP_THRESHOLD
+        return
+    assert np.array_equal(np.sort(energies), values)
+    assert np.all(overlaps >= OVERLAP_THRESHOLD)
+    # energies[k] belongs to the eigenvector that weighs most on basis state k
+    owner = np.argmax(weights, axis=1)
+    assert np.array_equal(energies, values[owner])
+    assert np.array_equal(overlaps, weights[np.arange(len(owner)), owner])
 
 
 def test_labeling_ambiguous_near_anticrossing():
@@ -104,11 +130,11 @@ def test_mw_monotonicity_near_470():
         assert hi[f"fminus_{mi}"] < lo[f"fminus_{mi}"]
 
 
-def test_pairs_metadata():
-    ts = transition_set(P14, B470, N14)
-    upper, lower = ts.pairs["f1"]
-    assert {upper, lower} == {StateLabel(0, 0.0), StateLabel(0, 1.0)}
-    assert upper == StateLabel(0, 0.0)  # (0,+1) lies below (0,0) here
+def test_f1_upper_level_at_470():
+    energies, _ = label_states(*eigh(build_hamiltonian(P14, B470, N14)))
+    labels = basis_labels(N14)
+    # (0,+1) lies below (0,0) here, so (0,0) is the upper level of f1
+    assert energies[labels.index(StateLabel(0, 1.0))] < energies[labels.index(StateLabel(0, 0.0))]
 
 
 def test_isotopic_d_shift_identity_and_zero():
