@@ -120,7 +120,7 @@ def cmd_transitions(args) -> int:
             | ({"df_dt_hz_per_k": round(float(s), 6)} if with_slopes else {})
             for l, f, s in rows
         ]
-        _emit(args, io.dump_json({"config": _config_dict(args), "rows": json_rows}, None))
+        _emit(args, io.dump_json({"config": _config_dict(args), "rows": json_rows}))
     else:
         lines = ["transition,freq_khz" + (",df_dt_hz_per_k" if with_slopes else "")]
         for l, f, s in rows:
@@ -146,7 +146,8 @@ def _fit_record(temperature: float, fit) -> dict:
     }
 
 
-def _thermal_summary(models: dict[str, PolynomialModel], t_ref: float = 297.0) -> dict:
+def _thermal_summary(models: dict[str, PolynomialModel]) -> dict:
+    t_ref = presets.T_REF_K
     out = {}
     for name, model in models.items():
         out[name] = {
@@ -181,7 +182,7 @@ def cmd_fit(args) -> int:
                 lines.append(f"{fmt_g(rec['temperature_K'])},{name},{fmt_g(value)}")
         _emit(args, "\n".join(lines))
     else:
-        _emit(args, io.dump_json(payload, None))
+        _emit(args, io.dump_json(payload))
     return EXIT_OK
 
 
@@ -217,7 +218,7 @@ def cmd_angular_scan(args) -> int:
                 for t, f, fs in rows
             ],
         }
-        _emit(args, io.dump_json(payload, None))
+        _emit(args, io.dump_json(payload))
     else:
         lines = [
             f"# transition={transition} bz_G={fmt_g(args.bz)} "
@@ -249,7 +250,7 @@ def cmd_perturb_check(args) -> int:
         }
         failures += [f"{iso.name}:{k}" for k, v in worst.items() if v > tolerance_khz]
     report["pass"] = not failures
-    _emit(args, io.dump_json(report, None))
+    _emit(args, io.dump_json(report))
     if failures:
         raise TripwireError(f"residual above {args.tolerance_hz} Hz for {failures}")
     return EXIT_OK
@@ -295,7 +296,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ramsey(args) -> int:
-    iso = get_isotope(args.isotope)
     if args.trace_in:
         trace = io.read_trace(args.trace_in)
         if args.f_rf_khz is None:
@@ -310,8 +310,11 @@ def cmd_ramsey(args) -> int:
                 ramsey.frequency_from_detuning(args.f_rf_khz, fit.delta_khz, args.sign), 6
             ),
         }
-        _emit(args, io.dump_json(payload, None))
+        _emit(args, io.dump_json(payload))
         return EXIT_OK
+    if args.isotope is None:
+        raise ConfigError("--isotope is required when synthesizing a trace")
+    iso = get_isotope(args.isotope)
     params, _ = _params(args, iso, args.temp)
     if args.bz is None:
         raise ConfigError("--bz is required")
@@ -348,7 +351,7 @@ def cmd_ramsey(args) -> int:
         "f_recovered_khz": round(f_recovered, 6),
         "recovery_error_hz": round(1e3 * (f_recovered - f_true), 6),
     }
-    _emit(args, io.dump_json(payload, None))
+    _emit(args, io.dump_json(payload))
     return EXIT_OK
 
 
@@ -424,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--noise-scale", type=float, default=1.0, help="0 for noiseless")
 
     s = add("ramsey", "synthesize and fit Ramsey fringes end to end", cmd_ramsey,
-            "--isotope", *SOURCE, *FIELD, "--temp", "--out", "--seed")
+            *SOURCE, *FIELD, "--temp", "--out", "--seed")
+    s.add_argument("--isotope", help="n14 or n15 (not needed with --trace-in)")
     s.add_argument("--transition", default="f1")
     s.add_argument("--detune-khz", type=float, default=4.0)
     s.add_argument("--t2-star-ms", type=float, default=1.0)

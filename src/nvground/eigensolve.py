@@ -105,17 +105,17 @@ def jacobi_eigh(m: np.ndarray, rel_tol: float | None = None, max_sweeps: int = _
     return values[order], v[:, order]
 
 
-def eigh(m: np.ndarray, force_jacobi: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values ascending, eigenvector columns) with canonical signs.
 
     float64 input is routed to LAPACK (np.linalg.eigh); any other float
-    dtype, or force_jacobi=True, uses the Jacobi sweep.  Output is
-    deterministic for identical input.
+    dtype uses the Jacobi sweep.  Output is deterministic for identical
+    input.
     """
     m = _check_symmetric(m)
     if m.dtype.kind != "f":
         m = m.astype(np.float64)
-    if force_jacobi or m.dtype != np.float64:
+    if m.dtype != np.float64:
         values, vectors = jacobi_eigh(m)
     else:
         values, vectors = np.linalg.eigh(m)

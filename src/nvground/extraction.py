@@ -25,6 +25,12 @@ from .optimize import (
 from .spin_core import GAMMA_E_KHZ_PER_G, CouplingParams, FieldConfig, IsotopeSpec
 from .transitions import AmbiguousLabelingError, known_labels, line_values, transition_set
 
+# Thermal models are polynomials of this degree in (T - T_REF_K); line
+# table slopes are central differences over +-SLOPE_STEP_K.
+T_REF_K = 297.0
+THERMAL_DEGREE = 4
+SLOPE_STEP_K = 1.0
+
 # Hyperfine decomposition scales (kHz): contact term per unit |cs|^2 eta,
 # dipolar term per unit |cp|^2 eta.
 FERMI_CONTACT_SCALE_KHZ = 1.811e6
@@ -49,8 +55,6 @@ class MeasurementSet:
     temperature: float
     isotope: IsotopeSpec
     entries: tuple[MeasurementEntry, ...]
-    sample: str = ""
-    nominal_bz: float | None = None
 
     def __post_init__(self):
         valid = set(known_labels(self.isotope))
@@ -97,7 +101,7 @@ class ParamVector:
         gamma_n = GAMMA_E_KHZ_PER_G / self.gamma_ratio
         params = CouplingParams(
             d=self.d,
-            q=self.q if self.isotope == "N14" else 0.0,
+            q=self.q,
             a_par=self.a_par,
             a_perp=self.a_perp,
             gamma_n=gamma_n,
@@ -234,23 +238,21 @@ def extract_params(
 # Coupling parameters whose temperature dependence is physical (field
 # quantities gamma_e_b* drift with the magnet, not the diamond).
 THERMAL_PARAMS = {
-    "N14": ("d", "q", "a_par", "a_perp", "gamma_ratio"),
-    "N15": ("d", "a_par", "a_perp", "gamma_ratio"),
+    iso: tuple(name for name in names if name not in ("gamma_e_bz", "gamma_e_bx"))
+    for iso, names in PARAM_FIELDS.items()
 }
 
 MIN_THERMAL_POINTS = 5
 MIN_THERMAL_SPAN_K = 100.0
 
 
-def thermal_models(
-    series: list[tuple[float, FitResult]], degree: int = 4, t0: float = 297.0
-) -> dict[str, PolynomialModel]:
-    """Fit each extracted parameter's temperature dependence to a polynomial."""
+def thermal_models(series: list[tuple[float, FitResult]]) -> dict[str, PolynomialModel]:
+    """Fit each parameter's temperature dependence: THERMAL_DEGREE about T_REF_K."""
     if not series:
         raise ValueError("empty fit series")
     temps = np.array([t for t, _ in series], dtype=float)
-    if len(temps) < max(MIN_THERMAL_POINTS, degree + 1):
-        raise ValueError(f"need at least {max(MIN_THERMAL_POINTS, degree + 1)} temperatures")
+    if len(temps) < MIN_THERMAL_POINTS:
+        raise ValueError(f"need at least {MIN_THERMAL_POINTS} temperatures")
     if temps.max() - temps.min() < MIN_THERMAL_SPAN_K:
         raise ValueError(
             f"temperature span {temps.max() - temps.min():.0f} K below "
@@ -262,7 +264,7 @@ def thermal_models(
     models = {}
     for name in THERMAL_PARAMS[iso]:
         values = np.array([getattr(series[i][1].params, name) for i in order])
-        models[name] = polyfit_weighted(temps[order], values, ones, degree, t0)
+        models[name] = polyfit_weighted(temps[order], values, ones, THERMAL_DEGREE, T_REF_K)
     return models
 
 
@@ -333,29 +335,21 @@ class TransitionTable:
 
 
 def params_from_models(
-    models: dict[str, PolynomialModel], iso: IsotopeSpec, temperature: float, t0: float = 297.0
+    models: dict[str, PolynomialModel], iso: IsotopeSpec, temperature: float
 ) -> CouplingParams:
-    """Evaluate thermal models at a temperature, with 15NV A_perp tied to A_par.
-
-    The tie applies whenever the a_perp model carries no temperature
-    dependence of its own: a_perp(T) = a_perp(t0) * a_par(T)/a_par(t0).
-    """
+    """Evaluate thermal models at a temperature (q is 0 when absent)."""
     for name, model in models.items():
         if not model.covers(temperature):
             raise ValueError(
                 f"temperature {temperature} K outside the {name} model range "
                 f"[{model.t_min}, {model.t_max}] K"
             )
-    d = models["d"].value(temperature)
-    a_par = models["a_par"].value(temperature)
-    q = models["q"].value(temperature) if "q" in models else 0.0
-    a_perp_model = models["a_perp"]
-    if iso.name == "N15" and a_perp_model.derivative(t0) == 0.0:
-        a_perp = a_perp_model.value(t0) * (a_par / models["a_par"].value(t0))
-    else:
-        a_perp = a_perp_model.value(temperature)
     return CouplingParams(
-        d=d, q=q if iso.name == "N14" else 0.0, a_par=a_par, a_perp=a_perp, gamma_n=iso.gamma_n
+        d=models["d"].value(temperature),
+        q=models["q"].value(temperature) if "q" in models else 0.0,
+        a_par=models["a_par"].value(temperature),
+        a_perp=models["a_perp"].value(temperature),
+        gamma_n=iso.gamma_n,
     )
 
 
@@ -364,14 +358,14 @@ def transition_table(
     temperature: float,
     bz: float,
     iso: IsotopeSpec,
-    dt: float = 1.0,
 ) -> TransitionTable:
     """Exact-diagonalization line table with dT slopes.
 
-    Slopes are central differences over +-dt.  Within dt of the ends of
-    the models' common range the stencil is clipped to the range, so the
-    slope there is one-sided.
+    Slopes are central differences over +-SLOPE_STEP_K.  Within that
+    step of the ends of the models' common range the stencil is clipped
+    to the range, so the slope there is one-sided.
     """
+    dt = SLOPE_STEP_K
     field = FieldConfig(bz=bz)
 
     def lines_at(t: float) -> dict[str, float]:

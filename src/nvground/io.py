@@ -122,9 +122,6 @@ def read_trace(path: str | Path) -> RamseyTrace:
         raise ConfigError(str(err)) from err
 
 
-def dump_json(payload: dict, path: str | Path | None) -> str:
-    """Serialize a report deterministically; write it if a path is given."""
-    text = json.dumps(payload, indent=2, sort_keys=False, allow_nan=False)
-    if path is not None:
-        Path(path).write_text(text + "\n", encoding="utf-8")
-    return text
+def dump_json(payload: dict) -> str:
+    """Serialize a report deterministically."""
+    return json.dumps(payload, indent=2, sort_keys=False, allow_nan=False)

@@ -228,20 +228,23 @@ def exact_angular_shift(
     bz: float,
     theta_rad: float,
     transition: str,
-    dtype=np.longdouble,
     nuclear_transverse: bool = True,
 ):
     """f(theta) - f(0) at fixed Bz, with Bx = Bz tan(theta).
 
-    Uses extended precision by default: at low field the fdq shift sits
+    Uses extended precision (longdouble): at low field the fdq shift sits
     around 1e-8 kHz, beneath double-precision eigenvalue noise.
     """
 
     def line(bx: float):
         field = FieldConfig(bz=bz, bx=bx)
-        return transition_set(p, field, iso, dtype, nuclear_transverse)[transition]
+        return transition_set(p, field, iso, np.longdouble, nuclear_transverse)[transition]
 
     return line(bz * math.tan(theta_rad)) - line(0.0)
+
+
+# Angles (degrees) small enough for the theta^2 term to dominate the shift.
+BETA_THETAS_DEG = (0.02, 0.05, 0.1)
 
 
 def exact_beta_estimates(
@@ -249,16 +252,15 @@ def exact_beta_estimates(
     iso: IsotopeSpec,
     bz: float,
     transition: str,
-    thetas_deg=(0.02, 0.05, 0.1),
 ) -> np.ndarray:
-    """Quadratic-law coefficients 2*shift/(theta^2 * baseline) per angle.
+    """Quadratic-law coefficients 2*shift/(theta^2 * baseline) per BETA_THETAS_DEG angle.
 
     The exact side drops the transverse nuclear Zeeman term, matching the
     Hamiltonian the beta formulas expand.
     """
     baseline = beta_coefficient(p, bz, transition).baseline_khz
     out = []
-    for theta_deg in thetas_deg:
+    for theta_deg in BETA_THETAS_DEG:
         theta = math.radians(theta_deg)
         shift = exact_angular_shift(p, iso, bz, theta, transition, nuclear_transverse=False)
         out.append(float(2 * shift / (theta * theta * baseline)))

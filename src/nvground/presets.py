@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .extraction import params_from_models
+from .extraction import THERMAL_DEGREE, T_REF_K, params_from_models
 from .optimize import PolynomialModel
 from .spin_core import CouplingParams, IsotopeSpec, get_isotope
 
-T_REF_K = 297.0
 T_RANGE_K = (77.0, 400.0)
 
 PRESET_NAMES = ("table1_297K",)
@@ -34,13 +33,21 @@ class ParamPreset:
         c1 = self.slope or 0.0
         c2 = (self.curvature or 0.0) / 2.0
         return PolynomialModel(
-            coeffs=(self.value, c1, c2, 0.0, 0.0),
+            coeffs=(self.value, c1, c2) + (0.0,) * (THERMAL_DEGREE - 2),
             t0=T_REF_K,
             t_min=T_RANGE_K[0],
             t_max=T_RANGE_K[1],
-            residual_rms=0.0,
         )
 
+
+def _following(value: float, sigma: float, ref: ParamPreset) -> ParamPreset:
+    """A parameter without a measured temperature dependence of its own:
+    ``ref``'s polynomial scaled to ``value`` at T_REF_K."""
+    scale = value / ref.value
+    return ParamPreset(value, sigma, slope=ref.slope * scale, curvature=ref.curvature * scale)
+
+
+_A_PAR_N15 = ParamPreset(3033.3, 0.1, -0.269, 0.003, -0.00098)
 
 TABLE1: dict[str, dict[str, ParamPreset]] = {
     "N14": {
@@ -51,10 +58,9 @@ TABLE1: dict[str, dict[str, ParamPreset]] = {
     },
     "N15": {
         "d": ParamPreset(2870.38e3, 0.03e3, -72.0, 1.0, -0.40),
-        "a_par": ParamPreset(3033.3, 0.1, -0.269, 0.003, -0.00098),
-        # No measured temperature dependence; tied to a_par's fractional
-        # slope wherever a slope is needed.
-        "a_perp": ParamPreset(3680.0, 20.0),
+        "a_par": _A_PAR_N15,
+        # No measured temperature dependence; follows a_par's fractional one.
+        "a_perp": _following(3680.0, 20.0, _A_PAR_N15),
     },
 }
 
@@ -113,10 +119,7 @@ def thermal_presets(isotope: str | IsotopeSpec) -> dict[str, PolynomialModel]:
 
 
 def params_at(isotope: str | IsotopeSpec, temperature: float = T_REF_K) -> CouplingParams:
-    """Coupling parameters evaluated at ``temperature`` from the presets.
-
-    For N15, a_perp follows a_par's fractional temperature dependence.
-    """
+    """Coupling parameters evaluated at ``temperature`` from the presets."""
     iso = isotope if isinstance(isotope, IsotopeSpec) else get_isotope(isotope)
     return params_from_models(thermal_presets(iso), iso, temperature)
 

@@ -36,19 +36,14 @@ class IsotopeSpec:
     name: str
     nuclear_spin: float
     gamma_n: float  # kHz/G, signed
-    hilbert_dim: int
 
-    def __post_init__(self):
-        expected = 3 * round(2 * self.nuclear_spin + 1)
-        if self.hilbert_dim != expected:
-            raise ValueError(
-                f"hilbert_dim {self.hilbert_dim} inconsistent with nuclear spin "
-                f"{self.nuclear_spin} (expected {expected})"
-            )
+    @property
+    def hilbert_dim(self) -> int:
+        return 3 * round(2 * self.nuclear_spin + 1)
 
 
-N14 = IsotopeSpec(name="N14", nuclear_spin=1.0, gamma_n=GAMMA_N14_KHZ_PER_G, hilbert_dim=9)
-N15 = IsotopeSpec(name="N15", nuclear_spin=0.5, gamma_n=GAMMA_N15_KHZ_PER_G, hilbert_dim=6)
+N14 = IsotopeSpec(name="N14", nuclear_spin=1.0, gamma_n=GAMMA_N14_KHZ_PER_G)
+N15 = IsotopeSpec(name="N15", nuclear_spin=0.5, gamma_n=GAMMA_N15_KHZ_PER_G)
 
 ISOTOPES = {"N14": N14, "N15": N15}
 

@@ -155,8 +155,7 @@ def test_criterion_5_second_order_n15_within_10hz():
     strict=True,
     reason="spec defect: the lowest-order 14NV formulas omit "
     "A_perp^2 (Q, A_par)/F^2 cross terms worth 14-39 Hz over Bz 300-600 G "
-    "(e.g. f2 at 470 G sits 23 Hz from exact); 0.01 kHz is unattainable. "
-    "See notes/decisions.md.",
+    "(e.g. f2 at 470 G sits 23 Hz from exact); 0.01 kHz is unattainable.",
 )
 def test_criterion_5_second_order_n14_within_10hz():
     worst = max(residuals_vs_exact(params_at("N14"), N14, BZ_GRID, [0.0], order="2nd").values())

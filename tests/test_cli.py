@@ -293,6 +293,24 @@ def test_ramsey_trace_file_roundtrip(tmp_path, capsys):
     assert payload["delta_fit_khz"] == pytest.approx(4.0, abs=1e-3)
 
 
+def test_ramsey_trace_in_needs_no_isotope(tmp_path, capsys):
+    trace_path = tmp_path / "trace.csv"
+    write_trace(trace_path, synthesize(3.0, 1e-3, 0.5, 0.0, 1.0, np.linspace(0.0, 2e-3, 200)))
+    code, out = run(capsys, "ramsey", "--trace-in", str(trace_path), "--f-rf-khz", "100")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["isotope"] is None
+    assert payload["f_recovered_khz"] == pytest.approx(97.0, abs=1e-3)
+
+
+def test_ramsey_synthesis_without_isotope_is_a_config_error(capsys):
+    code = main(["ramsey", "--preset", "table1_297K", "--bz", "470"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --isotope is required when synthesizing a trace\n"
+
+
 def test_ramsey_flat_trace_is_a_config_error(tmp_path, capsys):
     trace_path = tmp_path / "flat.csv"
     write_trace(trace_path, RamseyTrace(times=np.linspace(0.0, 1e-3, 100), signal=np.ones(100)))

@@ -13,6 +13,7 @@ from nvground.extraction import (
     thermal_models,
     transition_table,
 )
+from nvground.optimize import PolynomialModel
 from nvground.presets import MW_SIGMA_KHZ, TABLE3, params_at, thermal_presets
 from nvground.spin_core import N14, N15, FieldConfig
 from nvground.transitions import transition_set
@@ -225,6 +226,17 @@ def test_params_from_models_tie_for_n15():
     p_cold = params_from_models(models, N15, 150.0)
     p_ref = params_from_models(models, N15, 297.0)
     assert p_cold.a_perp / p_ref.a_perp == pytest.approx(p_cold.a_par / p_ref.a_par, rel=1e-12)
+
+
+def test_params_from_models_evaluates_models_as_given():
+    # The 15NV A_perp tie lives in the presets; a hand-built model set with
+    # a constant A_perp keeps it constant.
+    models = dict(thermal_presets("N15"))
+    models["a_perp"] = PolynomialModel(coeffs=(3700.0,), t0=297.0, t_min=77.0, t_max=400.0)
+    for t in (77.0, 150.0, 297.0, 400.0):
+        p = params_from_models(models, N15, t)
+        assert p.a_perp == 3700.0
+        assert p.a_par == models["a_par"].value(t)
 
 
 def test_d_fractional_dependence_matches_between_isotopes():

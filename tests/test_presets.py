@@ -30,18 +30,25 @@ def test_preset_models_match_quoted_fractional_derivatives():
         assert model.fractional_derivative_ppm(297.0) == pytest.approx(ppm, rel=0.01)
 
 
+# Temperatures probed against the thermal models: a fine grid over the
+# preset range plus the CLI's usual points.
+GRID_K = np.concatenate([np.linspace(77.0, 400.0, 647), [78.5, 297.0, 399.5]])
+
+
 def test_n15_a_perp_tied_to_a_par():
-    p_cold = params_at("N15", 200.0)
-    p_ref = params_at("N15", 297.0)
-    assert p_cold.a_perp / p_ref.a_perp == pytest.approx(
-        p_cold.a_par / p_ref.a_par, rel=1e-12
-    )
+    assert params_at("N15", 297.0).a_perp == 3680.0
+    a_par_ref = params_at("N15", 297.0).a_par
+    for t in GRID_K:
+        p = params_at("N15", float(t))
+        # The tie as a formula: A_perp scales with A_par from 3680 kHz at 297 K.
+        tied = 3680.0 * (p.a_par / a_par_ref)
+        assert abs(p.a_perp - tied) <= 1e-15 * abs(tied)
 
 
 @pytest.mark.parametrize("iso", ["N14", "N15"])
 def test_params_at_equals_params_from_models(iso):
     models = thermal_presets(iso)
-    for t in np.concatenate([np.linspace(77.0, 400.0, 647), [78.5, 297.0, 399.5]]):
+    for t in GRID_K:
         assert params_at(iso, float(t)) == params_from_models(models, get_isotope(iso), float(t))
 
 

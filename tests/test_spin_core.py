@@ -49,9 +49,7 @@ def test_spin_matrices_rejects_bad_spin():
 def test_isotope_specs():
     assert N14.hilbert_dim == 9 and N15.hilbert_dim == 6
     assert N14.gamma_n > 0 and N15.gamma_n < 0
-    assert N14.hilbert_dim == 3 * round(2 * N14.nuclear_spin + 1)
-    with pytest.raises(ValueError):
-        IsotopeSpec(name="bad", nuclear_spin=1.0, gamma_n=0.3, hilbert_dim=6)
+    assert IsotopeSpec(name="spin-3/2", nuclear_spin=1.5, gamma_n=0.3).hilbert_dim == 12
     assert get_isotope("n15") is N15
     with pytest.raises(ValueError):
         get_isotope("n13")
