@@ -8,6 +8,7 @@ perturb-check, synth, ramsey.  Exit codes: 0 ok, 2 config/parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -375,7 +376,9 @@ SOURCE = ("--preset", "--params")
 FIELD = ("--bz", "--bx", "--b", "--theta-deg")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="nvground",
         description="NV ground-state spin toolkit: transition frequencies, "

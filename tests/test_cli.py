@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nvground.cli import main
+from nvground.cli import build_parser, main
 from nvground.io import (
     MeasurementRow,
     read_measurements,
@@ -21,6 +21,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_gives_the_same_output(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    argv = [
+        "transitions", "--isotope", "n14", "--preset", "table1_297K", "--bz", "470",
+        "--format", "json", "--out", str(path),
+    ]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append(path.read_bytes())
+        path.unlink()
+    assert outputs[0] == outputs[1]
+    # A refused argv leaves nothing behind for the next call.
+    assert main([*argv, "--seed", "3"]) == 2
+    assert not path.exists()
+    assert main(argv) == 0
+    assert path.read_bytes() == outputs[0]
 
 
 def test_transitions_table_values(capsys):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvground.eigensolve import EigensolveError, eigh, jacobi_eigh
+from nvground.presets import params_at
+from nvground.spin_core import N14, N15, FieldConfig, build_hamiltonian
 
 
 def random_symmetric(rng, n=9, scale=1e6):
@@ -95,10 +99,63 @@ def test_rejects_bad_input():
         eigh(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_input(dtype, bad):
+    m = np.eye(3, dtype=dtype)
+    m[1, 2] = m[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        eigh(m)
+    with pytest.raises(ValueError, match="non-finite"):
+        jacobi_eigh(m)
+
+
 def test_jacobi_sweep_cap_raises():
     a = random_symmetric(np.random.default_rng(0), n=6)
     with pytest.raises(EigensolveError):
         jacobi_eigh(a, max_sweeps=1, rel_tol=1e-18)
+
+
+def test_jacobi_converged_by_the_last_allowed_sweep():
+    # One rotation diagonalizes a 2x2 matrix: convergence is checked
+    # after the final sweep too, not only before each one.
+    values, vectors = jacobi_eigh(np.array([[1.0, 1e-3], [1e-3, 2.0]]), max_sweeps=1)
+    assert np.allclose(values, np.linalg.eigvalsh([[1.0, 1e-3], [1e-3, 2.0]]), rtol=0, atol=1e-15)
+    values, vectors = jacobi_eigh(np.diag([2.0, 1.0, 3.0]), max_sweeps=0)
+    assert values.tolist() == [1.0, 2.0, 3.0]
+    assert np.array_equal(vectors, np.eye(3)[:, [1, 0, 2]])
+
+
+def test_jacobi_zero_pairs_are_exact_no_ops():
+    # Block-diagonal input: rotations inside one block leave the other
+    # block's entries and eigenvectors untouched, bit for bit.
+    a = np.zeros((5, 5), dtype=np.longdouble)
+    a[:3, :3] = random_symmetric(np.random.default_rng(2), n=3)
+    a[3:, 3:] = [[4.0, 0.0], [0.0, -1.0]]
+    values, vectors = jacobi_eigh(a)
+    assert {-1.0, 4.0} <= set(values.tolist())
+    assert np.array_equal(vectors[3:, :][:, values == 4.0].ravel(), [1.0, 0.0])
+    assert np.array_equal(vectors[:3, :][:, values == 4.0].ravel(), [0.0, 0.0, 0.0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    iso=st.sampled_from([N14, N15]),
+    temp=st.floats(77.0, 400.0),
+    bz=st.floats(0.5, 2000.0),
+    bx=st.floats(0.0, 5.0),
+)
+def test_longdouble_jacobi_on_nv_hamiltonians(iso, temp, bz, bx):
+    h = build_hamiltonian(params_at(iso, temp), FieldConfig(bz=bz, bx=bx), iso, dtype=np.longdouble)
+    values, vectors = jacobi_eigh(h)
+    scale = np.max(np.abs(h))
+    assert np.max(np.abs(h @ vectors - vectors * values)) <= 1e-17 * scale
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(h.shape[0]))) <= 1e-17
+    assert np.all(np.diff(values) >= 0)
+    reference = np.linalg.eigvalsh(h.astype(np.float64))
+    assert np.allclose(values.astype(np.float64), reference, rtol=0, atol=1e-12 * scale)
+    # Four sweeps always suffice on these matrices.
+    assert np.array_equal(jacobi_eigh(h, max_sweeps=4)[0], values)
 
 
 def test_zero_matrix():
