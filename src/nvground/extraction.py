@@ -23,13 +23,11 @@ from .optimize import (
     weighted_objective,
 )
 from .spin_core import GAMMA_E_KHZ_PER_G, CouplingParams, FieldConfig, IsotopeSpec
-from .transitions import AmbiguousLabelingError, known_labels, line_values, transition_set
+from .transitions import AmbiguousLabelingError, known_labels, line_slopes, transition_set
 
-# Thermal models are polynomials of this degree in (T - T_REF_K); line
-# table slopes are central differences over +-SLOPE_STEP_K.
+# Thermal models are polynomials of this degree in (T - T_REF_K).
 T_REF_K = 297.0
 THERMAL_DEGREE = 4
-SLOPE_STEP_K = 1.0
 
 # Hyperfine decomposition scales (kHz): contact term per unit |cs|^2 eta,
 # dipolar term per unit |cp|^2 eta.
@@ -359,30 +357,11 @@ def transition_table(
     bz: float,
     iso: IsotopeSpec,
 ) -> TransitionTable:
-    """Exact-diagonalization line table with dT slopes.
-
-    Slopes are central differences over +-SLOPE_STEP_K.  Within that
-    step of the ends of the models' common range the stencil is clipped
-    to the range, so the slope there is one-sided.
-    """
-    dt = SLOPE_STEP_K
-    field = FieldConfig(bz=bz)
-
-    def lines_at(t: float) -> dict[str, float]:
-        return line_values(transition_set(params_from_models(models, iso, t), field, iso))
-
-    centre = lines_at(temperature)
-    t_min = max(m.t_min for m in models.values())
-    t_max = min(m.t_max for m in models.values())
-    if t_min <= temperature - dt and temperature + dt <= t_max:
-        t_lo, t_hi, span = temperature - dt, temperature + dt, 2 * dt
-    else:
-        t_lo, t_hi = max(temperature - dt, t_min), min(temperature + dt, t_max)
-        span = t_hi - t_lo
-    hi = lines_at(t_hi)
-    lo = lines_at(t_lo)
-    rows = tuple(
-        (label, float(f), float(1e3 * (hi[label] - lo[label]) / span))
-        for label, f in centre.items()
-    )
+    """Exact-diagonalization line table with exact dT slopes from the same
+    solve: the field does not depend on T, so the rates are the models'
+    derivatives (transitions.line_slopes)."""
+    params = params_from_models(models, iso, temperature)
+    rates = replace(params, **{name: m.derivative(temperature) for name, m in models.items()})
+    freqs, slopes = line_slopes(params, rates, FieldConfig(bz=bz), iso)
+    rows = tuple((label, float(f), float(1e3 * slopes[label])) for label, f in freqs.items())
     return TransitionTable(temperature=temperature, bz=bz, isotope=iso.name, rows=rows)

@@ -127,19 +127,16 @@ def _canonicalize(delta, t2, amp, phase, offset):
     return delta, t2, amp, phase, offset
 
 
-def fit_fringes(trace: RamseyTrace, guess: RamseyFit | None = None) -> RamseyFit:
+def fit_fringes(trace: RamseyTrace) -> RamseyFit:
     """Least-squares fringe fit for (delta, T2*, amp, phase, offset).
 
-    Requires at least 3 oscillation periods in the trace span and 4
-    samples per period at the guessed detuning.
+    Starts from initial_guess, and requires at least 3 oscillation
+    periods in the trace span and 4 samples per period at its detuning.
     """
-    if guess is None:
-        guess = initial_guess(trace)
+    guess = initial_guess(trace)
     t, s = trace.times, trace.signal
     span = float(t[-1] - t[0])
     f_hz = guess.delta_khz * 1e3
-    if f_hz <= 0:
-        raise NonIdentifiableTraceError("guess detuning must be positive")
     if span * f_hz < 3.0:
         raise UndersampledTraceError(
             f"trace spans {span * f_hz:.2f} periods at {guess.delta_khz} kHz; need >= 3"

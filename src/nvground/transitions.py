@@ -140,10 +140,10 @@ class TransitionSet:
 
 
 def label_states(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Level energies and squared overlaps in basis order.
+    """Level energies and eigenvectors in basis order.
 
     Eigenvector j belongs to the basis state of its largest squared
-    component, so energies[k] is the eigenvalue whose eigenvector is
+    component, so level k (energies[k], vectors[:, k]) is the eigenpair
     dominated by basis state k.  Raises AmbiguousLabelingError when an
     overlap falls below OVERLAP_THRESHOLD, which happens near level
     anti-crossings (gamma_e * Bz approaching D).
@@ -151,9 +151,8 @@ def label_states(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, n
     weights = vectors * vectors
     k = np.argmax(weights, axis=0)
     overlaps = weights[k, np.arange(len(k))]
-    low = np.flatnonzero(overlaps < OVERLAP_THRESHOLD)
-    if low.size:
-        j = low[0]
+    if overlaps.min() < OVERLAP_THRESHOLD:
+        j = np.flatnonzero(overlaps < OVERLAP_THRESHOLD)[0]
         raise AmbiguousLabelingError(
             f"eigenstate {j} has max squared overlap {overlaps[j]:.3f} < "
             f"{OVERLAP_THRESHOLD} (closest basis state {k[j]})"
@@ -161,11 +160,32 @@ def label_states(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, n
     # No two eigenvectors can share a dominant basis state: each row of the
     # orthogonal eigenvector matrix has unit norm, so it cannot hold two
     # squared entries >= OVERLAP_THRESHOLD > 0.5.  k is a permutation.
-    energies = np.empty_like(values)
-    energies[k] = values
-    by_basis = np.empty_like(overlaps)
-    by_basis[k] = overlaps
-    return energies, by_basis
+    energies, basis_vectors = np.empty_like(values), np.empty_like(vectors)
+    energies[k], basis_vectors[:, k] = values, vectors
+    return energies, basis_vectors
+
+
+def _levels(p: CouplingParams, f: FieldConfig, iso: IsotopeSpec, **build):
+    """label_states of H at one field point; a refusal names the field."""
+    try:
+        return label_states(*eigh(build_hamiltonian(p, f, iso, **build)))
+    except AmbiguousLabelingError as err:
+        where = f"at Bz = {f.bz} G, Bx = {f.bx} G ({iso.name})"
+        raise AmbiguousLabelingError(f"{where}: {err}") from err
+
+
+def _line_maps(iso: IsotopeSpec, energies: np.ndarray, *shifts: np.ndarray) -> list:
+    """TransitionSets of basis-order ``energies`` (|E_a - E_b| per level
+    pair, then the fdq row), then of each of ``shifts`` (level derivatives)
+    mapped alike with the sign of E_a - E_b."""
+    names, a, b, minus = _LEVEL_PAIRS[iso.name]
+    gaps = energies[a] - energies[b]
+    sets = []
+    for values in (np.abs(gaps), *(np.sign(gaps) * (s[a] - s[b]) for s in shifts)):
+        for row, i, j in minus:
+            values[row] = values[i] - values[j]
+        sets.append(TransitionSet(frequencies=dict(zip(names, values)), isotope=iso.name))
+    return sets
 
 
 def transition_set(
@@ -176,18 +196,20 @@ def transition_set(
     nuclear_transverse: bool = True,
 ) -> TransitionSet:
     """All named transitions from exact diagonalization at one field point."""
-    h = build_hamiltonian(p, f, iso, dtype=dtype, nuclear_transverse=nuclear_transverse)
-    try:
-        energies, _ = label_states(*eigh(h))
-    except AmbiguousLabelingError as err:
-        raise AmbiguousLabelingError(
-            f"at Bz = {f.bz} G, Bx = {f.bx} G ({iso.name}): {err}"
-        ) from err
-    names, a, b, minus = _LEVEL_PAIRS[iso.name]
-    freqs = np.abs(energies[a] - energies[b])
-    for row, i, j in minus:
-        freqs[row] = freqs[i] - freqs[j]
-    return TransitionSet(frequencies=dict(zip(names, freqs)), isotope=iso.name)
+    energies, _ = _levels(p, f, iso, dtype=dtype, nuclear_transverse=nuclear_transverse)
+    return _line_maps(iso, energies)[0]
+
+
+def line_slopes(p: CouplingParams, rates: CouplingParams, f: FieldConfig, iso: IsotopeSpec):
+    """line_values at (p, f) and their derivatives along ``rates`` (dD, dQ,
+    dA_par, dA_perp, say per kelvin, at a fixed field), from one
+    diagonalization: H is linear in those four, so level k moves by
+    v_k^T dH v_k (Hellmann-Feynman; Feynman, Phys. Rev. 56, 340, 1939).
+    """
+    energies, vectors = _levels(p, f, iso)
+    dh = build_hamiltonian(rates, FieldConfig(bz=0.0), iso)
+    shifts = np.sum(vectors * (dh @ vectors), axis=0)
+    return tuple(line_values(ts) for ts in _line_maps(iso, energies, shifts))
 
 
 def line_values(ts: TransitionSet) -> dict[str, float]:

@@ -25,6 +25,9 @@ from nvground.perturbation import (
     residuals_vs_exact,
 )
 from nvground.presets import (
+    A_PAR_ISOTOPE_RATIO,
+    GAMMA_N_ISOTOPE_RATIO,
+    GAMMA_RATIO_N14,
     MW_SIGMA_KHZ,
     TABLE3,
     params_at,
@@ -260,12 +263,15 @@ def test_criterion_6_monte_carlo_pulls():
 
 def test_criterion_7_ratio_estimators():
     est = ratio_estimators(transition_set(params_at("N14"), B470, N14))
-    gamma_ok = abs(est["gamma_ratio"] / 9113.9 - 1) < 0.002
+    gamma_ok = abs(est["gamma_ratio"] / GAMMA_RATIO_N14 - 1) < 0.002
     gn_ratio = abs(N15.gamma_n / N14.gamma_n)
     apar_ratio = abs(params_at("N15").a_par / params_at("N14").a_par)
-    ratios_ok = abs(gn_ratio / 1.40285 - 1) < 1e-4 and abs(apar_ratio / 1.40096 - 1) < 1e-4
+    ratios_ok = (
+        abs(gn_ratio / GAMMA_N_ISOTOPE_RATIO - 1) < 1e-4
+        and abs(apar_ratio / A_PAR_ISOTOPE_RATIO - 1) < 1e-4
+    )
     report(
-        "criterion 7: gamma_e/gamma_n from line combinations within 0.2% of 9113.9; "
+        f"criterion 7: gamma_e/gamma_n from line combinations within 0.2% of {GAMMA_RATIO_N14}; "
         "isotope ratios within 0.01%",
         gamma_ok and ratios_ok,
         f"gamma ratio {est['gamma_ratio']:.2f}, gn ratio {gn_ratio:.6f}, "

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,9 @@ from nvground.extraction import (
     transition_table,
 )
 from nvground.optimize import PolynomialModel
-from nvground.presets import MW_SIGMA_KHZ, TABLE3, params_at, thermal_presets
+from nvground.presets import GAMMA_RATIO_N14, MW_SIGMA_KHZ, TABLE3, params_at, thermal_presets
 from nvground.spin_core import N14, N15, FieldConfig
-from nvground.transitions import transition_set
+from nvground.transitions import line_values, transition_set
 
 FIT_LABELS_N14 = ["f1", "f2", "f3", "f4", "f5", "f6", "fplus_+1", "fminus_+1"]
 FIT_LABELS_N15 = ["f7", "f8", "f9", "fplus_+1/2", "fminus_+1/2"]
@@ -68,7 +70,7 @@ def test_noiseless_roundtrip_n14():
     assert fit.params.a_par == pytest.approx(truth.a_par, abs=0.01)
     assert fit.params.a_perp == pytest.approx(truth.a_perp, abs=0.5)
     assert fit.params.d == pytest.approx(truth.d, abs=1.0)
-    assert fit.params.gamma_ratio == pytest.approx(9113.9, abs=0.5)
+    assert fit.params.gamma_ratio == pytest.approx(GAMMA_RATIO_N14, abs=0.5)
 
 
 def test_noiseless_roundtrip_n15():
@@ -205,15 +207,34 @@ def test_transition_table_slopes_n15():
     assert tbl.slope("f7") == pytest.approx(-0.31, abs=0.04)
 
 
-@pytest.mark.parametrize("iso", [N14, N15])
-@pytest.mark.parametrize("temp,t_lo,t_hi", [(77.0, 77.0, 78.0), (297.0, 296.0, 298.0), (400.0, 399.0, 400.0)])
-def test_transition_table_slope_stencil(iso, temp, t_lo, t_hi):
-    # central difference inside the preset range, one-sided at its ends
-    tbl = transition_table(thermal_presets(iso), temp, 470.0, iso)
-    hi = transition_set(params_at(iso, t_hi), FieldConfig(bz=470.0), iso)
-    lo = transition_set(params_at(iso, t_lo), FieldConfig(bz=470.0), iso)
-    for label in hi.frequencies:
-        assert tbl.slope(label) == 1e3 * (hi[label] - lo[label]) / (t_hi - t_lo)
+def test_transition_table_abstract_n14_fractional_slope():
+    # the abstract's +0.52(1) ppm/K for 14NV mI -1 <-> +1 (f1 - f2)
+    tbl = transition_table(thermal_presets("N14"), 297.0, 470.0, N14)
+    ppm_per_k = 1e3 * tbl.slope("f1-f2") / tbl.freq("f1-f2")  # Hz/K over kHz
+    assert ppm_per_k == pytest.approx(0.52, abs=0.01)
+
+
+@pytest.mark.parametrize("iso", [N14, N15], ids=["N14", "N15"])
+@pytest.mark.parametrize("bz", [100.0, 470.0, 900.0])
+@pytest.mark.parametrize("temp", [77.0, 78.0, 297.0, 399.0, 400.0])
+def test_transition_table_slopes_match_longdouble_stencil(iso, bz, temp):
+    # A +-1 K longdouble central difference on range-extended copies of the
+    # models: two-sided at the range ends too, where the table's own
+    # models stop.  Every table row, difference rows included.
+    models = {name: replace(m, t_min=0.0, t_max=1000.0) for name, m in thermal_presets(iso).items()}
+    hi, lo = (
+        line_values(
+            transition_set(
+                params_from_models(models, iso, temp + step), FieldConfig(bz=bz), iso,
+                dtype=np.longdouble,
+            )
+        )
+        for step in (1.0, -1.0)
+    )
+    tbl = transition_table(thermal_presets(iso), temp, bz, iso)
+    assert [row[0] for row in tbl.rows] == list(hi)
+    for label, _, slope in tbl.rows:
+        assert slope == pytest.approx(float(1e3 * (hi[label] - lo[label]) / 2), abs=1e-4)
 
 
 def test_transition_table_range_check():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvground.eigensolve import eigh
-from nvground.presets import TABLE3, params_at
+from nvground.presets import GAMMA_RATIO_N14, TABLE3, params_at
 from nvground.spin_core import (
     N14,
     N15,
@@ -32,15 +32,15 @@ B470 = FieldConfig(bz=470.0)
 def test_labeling_diagonal_hamiltonian():
     p0 = CouplingParams(d=P14.d, q=P14.q, a_par=P14.a_par, a_perp=0.0, gamma_n=P14.gamma_n)
     h = build_hamiltonian(p0, B470, N14)
-    energies, overlaps = label_states(*eigh(h))
-    assert overlaps == pytest.approx(1.0, abs=1e-12)
+    energies, vectors = label_states(*eigh(h))
+    assert np.diagonal(vectors) ** 2 == pytest.approx(1.0, abs=1e-12)
     # basis order: each level sits on its own diagonal entry
     assert energies == pytest.approx(np.diag(h), rel=1e-14)
 
 
 def test_labeling_clean_at_operating_field():
-    _, overlaps = label_states(*eigh(build_hamiltonian(P14, B470, N14)))
-    assert overlaps.min() > 0.999
+    _, vectors = label_states(*eigh(build_hamiltonian(P14, B470, N14)))
+    assert (np.diagonal(vectors) ** 2).min() > 0.999
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -53,16 +53,16 @@ def test_labeling_is_a_bijection_or_refused(iso, bz, bx):
     values, vectors = eigh(build_hamiltonian(params_at(iso), FieldConfig(bz=bz, bx=bx), iso))
     weights = vectors * vectors
     try:
-        energies, overlaps = label_states(values, vectors)
+        energies, by_basis = label_states(values, vectors)
     except AmbiguousLabelingError:
         assert weights.max(axis=0).min() < OVERLAP_THRESHOLD
         return
     assert np.array_equal(np.sort(energies), values)
-    assert np.all(overlaps >= OVERLAP_THRESHOLD)
-    # energies[k] belongs to the eigenvector that weighs most on basis state k
+    assert np.all(np.diagonal(by_basis) ** 2 >= OVERLAP_THRESHOLD)
+    # level k is the eigenpair whose vector weighs most on basis state k
     owner = np.argmax(weights, axis=1)
     assert np.array_equal(energies, values[owner])
-    assert np.array_equal(overlaps, weights[np.arange(len(owner)), owner])
+    assert np.array_equal(by_basis, vectors[:, owner])
 
 
 def test_labeling_ambiguous_near_anticrossing():
@@ -158,7 +158,7 @@ def test_isotopic_d_shift_from_exact_diag_at_475():
 def test_ratio_estimators_against_exact_diag():
     ts = transition_set(P14, B470, N14)
     est = ratio_estimators(ts)
-    assert est["gamma_ratio"] == pytest.approx(9113.9, rel=0.002)
+    assert est["gamma_ratio"] == pytest.approx(GAMMA_RATIO_N14, rel=0.002)
     assert est["gamma_n_bz"] == pytest.approx((ts["f3"] - ts["f6"]) / 2, abs=1e-12)
     # the 6-line mean for |Q| carries a second-order A_perp^2 bias of
     # A_perp^2 (|Q| - |A_par|/2)(1/F-^2 + 1/F+^2) ~ 12.7 Hz at 470 G
