@@ -22,23 +22,35 @@ class EigensolveError(RuntimeError):
 
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
+    """``m`` (a matrix or a stack of them), refused if any matrix has a
+    non-finite entry or is asymmetric beyond _SYMMETRY_RTOL of its max|m|."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = np.max(np.abs(m)) if m.size else 0.0
-    if not scale < np.inf:  # false for inf and NaN
+    mt = m.swapaxes(-2, -1)
+    # The common case, exactly symmetric and finite, in two cheap passes.
+    if (m == mt).all() and np.isfinite(m).all():
+        return m
+    scale = np.abs(m).max(axis=(-2, -1))
+    if not (scale < np.inf).all():  # false for inf and NaN
         raise ValueError("matrix has non-finite entries")
-    asym = np.max(np.abs(m - m.T)) if m.size else 0.0
-    if asym > _SYMMETRY_RTOL * max(scale, 1e-300):
-        raise ValueError(f"matrix is not symmetric: max|M - M.T| = {asym:g}")
+    asym = np.abs(m - mt).max(axis=(-2, -1))
+    bad = asym > _SYMMETRY_RTOL * np.maximum(scale, 1e-300)
+    if bad.any():
+        raise ValueError(f"matrix is not symmetric: max|M - M.T| = {asym[bad].flat[0]:g}")
     return m
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     # Largest-magnitude component of each eigenvector made positive
     # (argmax: first index wins ties), so repeated runs agree bit for bit.
-    k = np.argmax(np.abs(vectors), axis=0)
-    return np.where(vectors[k, np.arange(vectors.shape[1])] < 0, -vectors, vectors)
+    # Negates in place: ``vectors`` is a fresh solver output.
+    n = vectors.shape[-1]
+    flat = vectors.reshape(-1, n, n)
+    k = np.abs(flat).argmax(axis=1)
+    lead = flat[np.arange(len(flat))[:, None], k, np.arange(n)]
+    np.negative(flat, out=flat, where=(lead < 0)[:, None, :])
+    return flat.reshape(vectors.shape)
 
 
 def _offdiag_frobenius(a: np.ndarray):
@@ -69,6 +81,15 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(rounds)
 
 
+def _rotation(app, aqq, apq, one):
+    # Stable rotation choice (smaller angle root, t = +-1 at theta = +-0);
+    # hypot keeps theta^2 from overflowing.  Scalars or arrays alike.
+    theta = (aqq - app) / (2 * apq)
+    t = np.copysign(one / (np.abs(theta) + np.hypot(theta, one)), theta)
+    c = one / np.hypot(t, one)
+    return c, t * c
+
+
 def jacobi_eigh(m: np.ndarray, rel_tol: float | None = None, max_sweeps: int = _JACOBI_MAX_SWEEPS):
     """Round-robin Jacobi diagonalization preserving the input dtype.
 
@@ -83,6 +104,8 @@ def jacobi_eigh(m: np.ndarray, rel_tol: float | None = None, max_sweeps: int = _
     Returns (eigenvalues ascending, eigenvector columns), unsorted signs.
     """
     a = _check_symmetric(m).copy()
+    if a.ndim != 2:
+        raise ValueError(f"jacobi_eigh takes one matrix, got shape {a.shape}")
     if a.dtype.kind != "f":
         a = a.astype(np.float64)
     dtype = a.dtype
@@ -106,13 +129,15 @@ def jacobi_eigh(m: np.ndarray, rel_tol: float | None = None, max_sweeps: int = _
                 if not k.size:
                     continue
                 p, q, apq = p[k], q[k], apq[k]
-            # Stable rotation choice (smaller angle root, t = +-1 at theta
-            # = +-0); hypot keeps theta^2 from overflowing.
-            d = a.diagonal()
-            theta = (d[q] - d[p]) / (2 * apq)
-            t = np.copysign(one / (np.abs(theta) + np.hypot(theta, one)), theta)
-            c = one / np.hypot(t, one)
-            s = t * c
+            if p.size == 1:
+                # One pair (most rounds on axial matrices): scalar angle
+                # and scalar stores into J, several times cheaper than the
+                # same arithmetic on one-element arrays.
+                p, q = p[0], q[0]
+                c, s = _rotation(a[p, p], a[q, q], apq[0], one)
+            else:
+                d = a.diagonal()
+                c, s = _rotation(d[p], d[q], apq, one)
             j = eye.copy()
             j[p, p] = c
             j[q, q] = c
@@ -133,17 +158,21 @@ def jacobi_eigh(m: np.ndarray, rel_tol: float | None = None, max_sweeps: int = _
 
 
 def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values ascending, eigenvector columns) with canonical signs.
+    """(values ascending, eigenvector columns) with canonical signs, for one
+    matrix (d, d) or a stack (..., d, d), like np.linalg.eigh.
 
-    float64 input is routed to LAPACK (np.linalg.eigh); any other float
-    dtype uses the round-robin Jacobi sweep.  Output is deterministic for
-    identical input.
+    float64 input goes to LAPACK (np.linalg.eigh, one call for the whole
+    stack); any other float dtype uses the round-robin Jacobi sweep, one
+    jacobi_eigh call per matrix.  Output is deterministic for identical
+    input, and each matrix of a stack gets the same bits as alone.
     """
     m = np.asarray(m)
     if m.dtype.kind != "f":
         m = m.astype(np.float64)
-    if m.dtype != np.float64:
-        values, vectors = jacobi_eigh(m)
-    else:
+    if m.dtype == np.float64:
         values, vectors = np.linalg.eigh(_check_symmetric(m))
+    else:
+        values, vectors = np.empty(m.shape[:-1], m.dtype), np.empty_like(m)
+        for i in np.ndindex(m.shape[:-2]):  # jacobi_eigh checks each matrix
+            values[i], vectors[i] = jacobi_eigh(m[i])
     return values, _canonical_signs(vectors)

@@ -18,9 +18,9 @@ from .optimize import (
     FitConvergenceError,
     OptimOptions,
     PolynomialModel,
+    _weighted_objective_of,
     nelder_mead,
     polyfit_weighted,
-    weighted_objective,
 )
 from .spin_core import GAMMA_E_KHZ_PER_G, CouplingParams, FieldConfig, IsotopeSpec
 from .transitions import AmbiguousLabelingError, known_labels, line_slopes, transition_set
@@ -92,8 +92,8 @@ class ParamVector:
         return np.array([getattr(self, name) for name in self.fields()], dtype=float)
 
     def with_array(self, values) -> "ParamVector":
-        updates = dict(zip(self.fields(), (float(v) for v in values)))
-        return replace(self, **updates)
+        updates = zip(self.fields(), np.asarray(values, dtype=float).tolist())
+        return type(self)(**vars(self) | dict(updates))
 
     def to_physical(self) -> tuple[CouplingParams, FieldConfig]:
         gamma_n = GAMMA_E_KHZ_PER_G / self.gamma_ratio
@@ -139,8 +139,8 @@ class FitResult:
 def model_frequencies(vec: ParamVector, iso: IsotopeSpec, labels) -> np.ndarray:
     """Forward model: exact-diagonalization frequencies for the fit labels."""
     params, field = vec.to_physical()
-    ts = transition_set(params, field, iso)
-    return np.array([ts[label] for label in labels], dtype=float)
+    freqs = transition_set(params, field, iso).frequencies
+    return np.array([freqs[label] for label in labels], dtype=float)
 
 
 # The simplex is rebuilt at the current best vertex and rerun until a
@@ -182,7 +182,7 @@ def extract_params(
         )
     labels = [e.label for e in ms.entries]
     measured = np.array([e.freq_khz for e in ms.entries])
-    sigmas = np.array([e.sigma_khz for e in ms.entries])
+    chi2 = _weighted_objective_of(measured, [e.sigma_khz for e in ms.entries])
     full = guess.as_array()
 
     def objective(xfree: np.ndarray) -> float:
@@ -195,7 +195,7 @@ def extract_params(
             raise AmbiguousLabelingError(
                 f"labeling failed at trial point {dict(zip(fields, x))}: {err}"
             ) from err
-        return weighted_objective(model, measured, sigmas)
+        return chi2(model)
 
     start = full[free]
     iterations = evals = 0

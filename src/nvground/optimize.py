@@ -148,14 +148,27 @@ def nelder_mead(objective, x0, options: OptimOptions | None = None) -> OptimResu
 def weighted_objective(model_freqs, measured, sigmas) -> float:
     """Sum of squared sigma-weighted residuals."""
     m = np.asarray(model_freqs, dtype=float)
+    if m.shape != np.shape(measured):
+        raise ValueError("model, measured and sigma vectors must have equal length")
+    return _weighted_objective_of(measured, sigmas)(m)
+
+
+def _weighted_objective_of(measured, sigmas):
+    """weighted_objective as a function of the model frequencies alone, with
+    ``measured`` and ``sigmas`` checked here, once, for an objective that is
+    evaluated many times."""
     y = np.asarray(measured, dtype=float)
     s = np.asarray(sigmas, dtype=float)
-    if not (m.shape == y.shape == s.shape):
+    if y.shape != s.shape:
         raise ValueError("model, measured and sigma vectors must have equal length")
     if np.any(s <= 0):
         raise ValueError("sigmas must be positive")
-    r = (m - y) / s
-    return float(r @ r)
+
+    def objective(model_freqs: np.ndarray) -> float:
+        r = (model_freqs - y) / s
+        return float(r @ r)
+
+    return objective
 
 
 @dataclass(frozen=True)

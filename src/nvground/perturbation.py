@@ -24,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin_core import CouplingParams, FieldConfig, IsotopeSpec
-from .transitions import LINES, TransitionSet, nuclear_labels, transition_set
+from .transitions import (
+    LINES,
+    TransitionSet,
+    known_labels,
+    nuclear_labels,
+    transition_lines,
+    transition_set,
+)
 
 # The series in 1/(D - gamma_e Bz) is trusted only this far from the
 # ground-state level anti-crossing.
@@ -281,16 +288,23 @@ def residuals_vs_exact(
     """
     formula = nuclear_freqs_full if order == "full" else nuclear_freqs_2nd
     names = nuclear_labels(iso)
+    columns = [known_labels(iso).index(name) for name in names]
+    perts, fields = [], []
+    try:
+        for bz in bz_values:
+            for bx in bx_values:
+                ctx = PerturbationContext(params=p, bz=float(bz), bx=float(bx))
+                perts.append(formula(ctx, iso))
+                fields.append(FieldConfig(bz=float(bz), bx=float(bx)))
+    finally:
+        # One exact batch over the points reached, also when the series
+        # gave up at a later point: a refusal at an earlier point comes
+        # first, as it would point by point.
+        exact = transition_lines(p, fields, iso, nuclear_transverse=False)[0]
     worst: dict[str, float] = {}
-    for bz in bz_values:
-        for bx in bx_values:
-            ctx = PerturbationContext(params=p, bz=float(bz), bx=float(bx))
-            pert = formula(ctx, iso)
-            exact = transition_set(
-                p, FieldConfig(bz=float(bz), bx=float(bx)), iso, nuclear_transverse=False
-            )
-            for name in names:
-                resid = abs(pert[name] - exact[name])
-                if resid > worst.get(name, 0.0):
-                    worst[name] = float(resid)
+    for pert, lines in zip(perts, exact):
+        for name, column in zip(names, columns):
+            resid = abs(pert[name] - lines[column])
+            if resid > worst.get(name, 0.0):
+                worst[name] = float(resid)
     return worst

@@ -146,10 +146,10 @@ def basis_labels(iso: IsotopeSpec) -> tuple[StateLabel, ...]:
 
 
 @lru_cache(maxsize=None)
-def _structure(iso_name: str, dtype_name: str):
+def _structure(iso_name: str, dtype: np.dtype):
     """Stack of the eight coefficient matrices of the full Hamiltonian."""
     iso = ISOTOPES[iso_name]
-    dtype = np.dtype(dtype_name).type
+    dtype = dtype.type
     elec = spin_matrices(1.0, dtype=dtype)
     nuc = spin_matrices(iso.nuclear_spin, dtype=dtype)
     eye_e = np.eye(3, dtype=dtype)
@@ -174,30 +174,34 @@ def _structure(iso_name: str, dtype_name: str):
     return stack
 
 
-def _assemble(
-    p: CouplingParams,
-    bz: float,
-    bx: float,
-    iso: IsotopeSpec,
-    dtype=np.float64,
-    nuclear_transverse: bool = True,
+def _hamiltonians(
+    p: CouplingParams, points, iso: IsotopeSpec, dtype=np.float64, nuclear_transverse: bool = True
 ) -> np.ndarray:
-    """Assemble H for a signed transverse field (internal; bx may be < 0)."""
-    stack = _structure(iso.name, np.dtype(dtype).name)
-    coeffs = np.array(
+    """H at each (bz, bx) field point of ``points`` (bx may be < 0) as an
+    (N, d, d) stack: one row of the eight _structure weights per point, so
+    H = sum_j c_j S_j.  matmul makes one (1, 8) @ (8, d*d) product per
+    point, so each matrix gets the same bits whatever N is."""
+    if iso.name == "N15" and p.q != 0.0:
+        raise ValueError("N15 has nuclear spin 1/2: Q must be exactly 0")
+    rows = np.array(
         [
-            p.d,
-            p.q,
-            p.a_par,
-            p.gamma_e * bz,
-            -p.gamma_n * bz,
-            p.a_perp,
-            p.gamma_e * bx,
-            -p.gamma_n * bx if nuclear_transverse else 0.0,
+            [
+                p.d,
+                p.q,
+                p.a_par,
+                p.gamma_e * bz,
+                -p.gamma_n * bz,
+                p.a_perp,
+                p.gamma_e * bx,
+                -p.gamma_n * bx if nuclear_transverse else 0.0,
+            ]
+            for bz, bx in points
         ],
         dtype=dtype,
-    )
-    return np.tensordot(coeffs, stack, axes=1)
+    ).reshape(-1, 1, 8)
+    stack = _structure(iso.name, rows.dtype)
+    n = stack.shape[-1]
+    return np.matmul(rows, stack.reshape(len(stack), -1)).reshape(-1, n, n)
 
 
 def build_hamiltonian(
@@ -222,6 +226,4 @@ def build_hamiltonian(
     interference with the A_perp pathway it rescales the f7 misalignment
     response by roughly gamma_n D / (A_perp gamma_e), about 12%.)
     """
-    if iso.name == "N15" and p.q != 0.0:
-        raise ValueError("N15 has nuclear spin 1/2: Q must be exactly 0")
-    return _assemble(p, f.bz, f.bx, iso, dtype=dtype, nuclear_transverse=nuclear_transverse)
+    return _hamiltonians(p, [(f.bz, f.bx)], iso, dtype, nuclear_transverse)[0]

@@ -22,6 +22,7 @@ from .spin_core import (
     FieldConfig,
     IsotopeSpec,
     StateLabel,
+    _hamiltonians,
     basis_labels,
     build_hamiltonian,
 )
@@ -140,52 +141,76 @@ class TransitionSet:
 
 
 def label_states(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Level energies and eigenvectors in basis order.
+    """Level energies and eigenvectors in basis order, for one eigensystem
+    ((d,), (d, d)) or a stack of them ((..., d), (..., d, d)).
 
     Eigenvector j belongs to the basis state of its largest squared
     component, so level k (energies[k], vectors[:, k]) is the eigenpair
     dominated by basis state k.  Raises AmbiguousLabelingError when an
     overlap falls below OVERLAP_THRESHOLD, which happens near level
-    anti-crossings (gamma_e * Bz approaching D).
+    anti-crossings (gamma_e * Bz approaching D); in a stack, for the first
+    refused eigensystem, whose stack index the error keeps as ``index``.
     """
+    n = vectors.shape[-1]
     weights = vectors * vectors
-    k = np.argmax(weights, axis=0)
-    overlaps = weights[k, np.arange(len(k))]
-    if overlaps.min() < OVERLAP_THRESHOLD:
-        j = np.flatnonzero(overlaps < OVERLAP_THRESHOLD)[0]
-        raise AmbiguousLabelingError(
-            f"eigenstate {j} has max squared overlap {overlaps[j]:.3f} < "
-            f"{OVERLAP_THRESHOLD} (closest basis state {k[j]})"
+    k = weights.argmax(axis=-2)
+    overlaps = weights.max(axis=-2)
+    if (overlaps < OVERLAP_THRESHOLD).any():
+        at = np.unravel_index(np.argmax(overlaps < OVERLAP_THRESHOLD), overlaps.shape)
+        err = AmbiguousLabelingError(
+            f"eigenstate {at[-1]} has max squared overlap {overlaps[at]:.3f} < "
+            f"{OVERLAP_THRESHOLD} (closest basis state {k[at]})"
         )
+        err.index = at[:-1]
+        raise err
     # No two eigenvectors can share a dominant basis state: each row of the
     # orthogonal eigenvector matrix has unit norm, so it cannot hold two
     # squared entries >= OVERLAP_THRESHOLD > 0.5.  k is a permutation.
-    energies, basis_vectors = np.empty_like(values), np.empty_like(vectors)
-    energies[k], basis_vectors[:, k] = values, vectors
+    k = k.reshape(-1, n)
+    rows = np.arange(len(k))[:, None]
+    energies = np.empty(values.shape, values.dtype)
+    basis_vectors = np.empty(vectors.shape, vectors.dtype)
+    energies.reshape(-1, n)[rows, k] = values.reshape(-1, n)
+    basis_vectors.reshape(-1, n, n)[rows, :, k] = vectors.reshape(-1, n, n).swapaxes(1, 2)
     return energies, basis_vectors
 
 
-def _levels(p: CouplingParams, f: FieldConfig, iso: IsotopeSpec, **build):
-    """label_states of H at one field point; a refusal names the field."""
+def _fill_differences(iso: IsotopeSpec, values: np.ndarray) -> np.ndarray:
+    """Per-line ``values`` (..., L) with each difference row (fdq) set from
+    its two lines."""
+    for row, i, j in _LEVEL_PAIRS[iso.name][3]:
+        values[..., row] = values[..., i] - values[..., j]
+    return values
+
+
+def transition_lines(
+    p: CouplingParams, fields, iso: IsotopeSpec, dtype=np.float64, nuclear_transverse: bool = True
+):
+    """The forward kernel: transition_set's lines at a batch of field points.
+
+    The N Hamiltonians at ``fields`` (FieldConfigs) go through one eigh
+    and one label_states call, and each point gets the same bits as in a
+    batch of one; ``dtype`` and ``nuclear_transverse`` are as in
+    build_hamiltonian.  Returns (lines (N, L) in known_labels(iso) order,
+    energies (N, d) and eigenvectors (N, d, d) in basis order).  A refusal
+    (AmbiguousLabelingError) names the first refused field point.
+    """
+    h = _hamiltonians(p, [(f.bz, f.bx) for f in fields], iso, dtype, nuclear_transverse)
     try:
-        return label_states(*eigh(build_hamiltonian(p, f, iso, **build)))
+        energies, vectors = label_states(*eigh(h))
     except AmbiguousLabelingError as err:
+        f = fields[err.index[0]]
         where = f"at Bz = {f.bz} G, Bx = {f.bx} G ({iso.name})"
         raise AmbiguousLabelingError(f"{where}: {err}") from err
+    _, a, b, _ = _LEVEL_PAIRS[iso.name]
+    # take: about half the cost of energies[:, a] on these small arrays
+    lines = _fill_differences(iso, np.abs(energies.take(a, axis=1) - energies.take(b, axis=1)))
+    return lines, energies, vectors
 
 
-def _line_maps(iso: IsotopeSpec, energies: np.ndarray, *shifts: np.ndarray) -> list:
-    """TransitionSets of basis-order ``energies`` (|E_a - E_b| per level
-    pair, then the fdq row), then of each of ``shifts`` (level derivatives)
-    mapped alike with the sign of E_a - E_b."""
-    names, a, b, minus = _LEVEL_PAIRS[iso.name]
-    gaps = energies[a] - energies[b]
-    sets = []
-    for values in (np.abs(gaps), *(np.sign(gaps) * (s[a] - s[b]) for s in shifts)):
-        for row, i, j in minus:
-            values[row] = values[i] - values[j]
-        sets.append(TransitionSet(frequencies=dict(zip(names, values)), isotope=iso.name))
-    return sets
+def _transition_set(iso: IsotopeSpec, lines: np.ndarray) -> TransitionSet:
+    names = _LEVEL_PAIRS[iso.name][0]
+    return TransitionSet(frequencies=dict(zip(names, lines)), isotope=iso.name)
 
 
 def transition_set(
@@ -195,9 +220,10 @@ def transition_set(
     dtype=np.float64,
     nuclear_transverse: bool = True,
 ) -> TransitionSet:
-    """All named transitions from exact diagonalization at one field point."""
-    energies, _ = _levels(p, f, iso, dtype=dtype, nuclear_transverse=nuclear_transverse)
-    return _line_maps(iso, energies)[0]
+    """All named transitions from exact diagonalization at one field point:
+    transition_lines for a batch of one."""
+    lines, _, _ = transition_lines(p, [f], iso, dtype, nuclear_transverse)
+    return _transition_set(iso, lines[0])
 
 
 def line_slopes(p: CouplingParams, rates: CouplingParams, f: FieldConfig, iso: IsotopeSpec):
@@ -206,10 +232,12 @@ def line_slopes(p: CouplingParams, rates: CouplingParams, f: FieldConfig, iso: I
     diagonalization: H is linear in those four, so level k moves by
     v_k^T dH v_k (Hellmann-Feynman; Feynman, Phys. Rev. 56, 340, 1939).
     """
-    energies, vectors = _levels(p, f, iso)
+    (lines,), (energies,), (vectors,) = transition_lines(p, [f], iso)
     dh = build_hamiltonian(rates, FieldConfig(bz=0.0), iso)
     shifts = np.sum(vectors * (dh @ vectors), axis=0)
-    return tuple(line_values(ts) for ts in _line_maps(iso, energies, shifts))
+    _, a, b, _ = _LEVEL_PAIRS[iso.name]
+    slopes = _fill_differences(iso, np.sign(energies[a] - energies[b]) * (shifts[a] - shifts[b]))
+    return tuple(line_values(_transition_set(iso, values)) for values in (lines, slopes))
 
 
 def line_values(ts: TransitionSet) -> dict[str, float]:

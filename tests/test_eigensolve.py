@@ -110,6 +110,53 @@ def test_rejects_non_finite_input(dtype, bad):
         jacobi_eigh(m)
 
 
+def nv_stack(dtype):
+    fields = [FieldConfig(bz=bz, bx=bx) for bz, bx in ((470.0, 0.0), (30.0, 2.0), (900.0, 0.3))]
+    return np.array([build_hamiltonian(params_at(N14), f, N14, dtype=dtype) for f in fields])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_stack_matches_each_matrix(dtype):
+    # The exchange matrix's eigenvectors tie in magnitude, so the canonical
+    # sign's first-index rule is exercised too.
+    h = nv_stack(dtype)
+    exchange = np.array([[[0.0, 1.0], [1.0, 0.0]]] * 2, dtype=dtype)
+    for stack in (h, h[:1], h.reshape(1, 3, 9, 9), exchange):
+        values, vectors = eigh(stack)
+        assert values.shape == stack.shape[:-1] and vectors.shape == stack.shape
+        assert values.dtype == vectors.dtype == dtype
+        for i in np.ndindex(stack.shape[:-2]):
+            one_values, one_vectors = eigh(stack[i])
+            assert np.array_equal(values[i], one_values)
+            assert np.array_equal(vectors[i], one_vectors)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_stack_with_one_bad_matrix_is_refused(dtype):
+    h = nv_stack(dtype)
+    h[1, 2, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        eigh(h)
+    h = nv_stack(dtype)
+    h[2, 0, 3] += 1.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        eigh(h)
+
+
+def test_stack_asymmetry_within_tolerance_is_accepted():
+    h = nv_stack(np.float64)
+    h[1, 0, 3] *= 1 + 1e-14
+    values, _ = eigh(h)
+    assert np.array_equal(values[0], eigh(h[0])[0])
+
+
+def test_jacobi_takes_one_matrix():
+    with pytest.raises(ValueError, match="one matrix"):
+        jacobi_eigh(nv_stack(np.longdouble))
+    with pytest.raises(ValueError, match="square"):
+        eigh(np.zeros((2, 2, 3), dtype=np.longdouble))
+
+
 def test_jacobi_sweep_cap_raises():
     a = random_symmetric(np.random.default_rng(0), n=6)
     with pytest.raises(EigensolveError):

@@ -1,7 +1,9 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from per_point import reference_lines
 
 from nvground.extraction import (
     InconsistentModelError,
@@ -18,7 +20,7 @@ from nvground.extraction import (
 from nvground.optimize import PolynomialModel
 from nvground.presets import GAMMA_RATIO_N14, MW_SIGMA_KHZ, TABLE3, params_at, thermal_presets
 from nvground.spin_core import N14, N15, FieldConfig
-from nvground.transitions import line_values, transition_set
+from nvground.transitions import AmbiguousLabelingError, known_labels, line_values, transition_set
 
 FIT_LABELS_N14 = ["f1", "f2", "f3", "f4", "f5", "f6", "fplus_+1", "fminus_+1"]
 FIT_LABELS_N15 = ["f7", "f8", "f9", "fplus_+1/2", "fminus_+1/2"]
@@ -121,6 +123,39 @@ def test_unknown_label_rejected():
             isotope=N15,
             entries=(MeasurementEntry("f1", 100.0, 0.1),),
         )
+
+
+def test_guess_at_the_anticrossing_is_refused():
+    # gamma_e Bz = D puts the first trial point on the level anti-crossing.
+    guess = truth_vector(N14, bz=1022.8)
+    with pytest.raises(AmbiguousLabelingError) as err:
+        extract_params(synthetic_set(N14), guess, fixed=("gamma_e_bx",))
+    text = str(err.value)
+    assert text.startswith("labeling failed at trial point {'d': ")
+    assert re.search(r"\}: at Bz = 1022\.8\d* G, Bx = 0\.0 G \(N14\): eigenstate \d+ has", text)
+
+
+@pytest.mark.parametrize("name", ["d", "gamma_e_bz"])
+def test_non_finite_guess_is_refused(name):
+    guess = replace(truth_vector(N14), **{name: float("nan")})
+    with pytest.raises(ValueError, match="must be finite"):
+        extract_params(synthetic_set(N14), guess, fixed=("gamma_e_bx",))
+
+
+@pytest.mark.parametrize("iso", [N14, N15])
+def test_model_frequencies_match_the_per_point_path(iso):
+    labels = FIT_LABELS_N14 if iso.name == "N14" else FIT_LABELS_N15
+    names = known_labels(iso)
+    truth = truth_vector(iso)
+    rng = np.random.default_rng(7)
+    for k in range(200):
+        x = truth.as_array() * (1 + 1e-4 * rng.standard_normal(len(truth.fields())))
+        if k % 2:  # half the trial points off axis: Bx = |N(0, 1)| * 0.71 G
+            x[truth.fields().index("gamma_e_bx")] = abs(rng.normal()) * 2e3
+        vec = truth.with_array(x)
+        reference = reference_lines(*vec.to_physical(), iso)
+        expected = [reference[names.index(label)] for label in labels]
+        assert np.array_equal(model_frequencies(vec, iso, labels), expected)
 
 
 def test_model_frequencies_match_forward():

@@ -16,7 +16,7 @@ from nvground.perturbation import (
     nuclear_freqs_full,
     residuals_vs_exact,
 )
-from nvground.transitions import transition_set
+from nvground.transitions import AmbiguousLabelingError, nuclear_labels, transition_set
 
 P14 = params_at("N14")
 P15 = params_at("N15")
@@ -90,6 +90,33 @@ def test_full_tracks_exact_within_tripwire():
     bx_grid = np.linspace(0.0, 1.0, 5)
     assert max(residuals_vs_exact(P14, N14, bz_grid, bx_grid).values()) < 0.020
     assert max(residuals_vs_exact(P15, N15, bz_grid, bx_grid).values()) < 0.020
+
+
+def test_residuals_match_a_point_by_point_loop():
+    # The exact side is one batch; a per-point loop over transition_set
+    # gives the same worst residuals, bit for bit (signed Bx included).
+    bz_grid, bx_grid = np.linspace(300.0, 600.0, 4), [-0.5, 0.0, 1.0]
+    for iso, p in ((N14, P14), (N15, P15)):
+        worst = {}
+        for bz in bz_grid:
+            for bx in bx_grid:
+                pert = nuclear_freqs_full(PerturbationContext(params=p, bz=bz, bx=bx), iso)
+                exact = transition_set(p, FieldConfig(bz=bz, bx=bx), iso, nuclear_transverse=False)
+                for name in nuclear_labels(iso):
+                    worst[name] = max(worst.get(name, 0.0), abs(pert[name] - exact[name]))
+        assert residuals_vs_exact(p, iso, bz_grid, bx_grid) == worst
+    assert residuals_vs_exact(P14, N14, [], [0.0]) == {}
+
+
+def test_residuals_raise_the_first_error_along_the_grid():
+    # At 0 G the N14 labeling is refused (the series still holds); at
+    # 1020 G the series refuses (the labeling still holds).
+    with pytest.raises(AmbiguousLabelingError, match=r"^at Bz = 0\.0 G, Bx = 0\.0 G \(N14\)"):
+        residuals_vs_exact(P14, N14, [0.0, 1020.0], [0.0])
+    with pytest.raises(ValidityMarginError):
+        residuals_vs_exact(P14, N14, [1020.0, 0.0], [0.0])
+    transition_set(P14, FieldConfig(bz=1020.0), N14, nuclear_transverse=False)
+    nuclear_freqs_full(ctx14(0.0), N14)
 
 
 def test_agreement_hierarchy_at_bx0():

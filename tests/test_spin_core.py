@@ -8,7 +8,7 @@ from nvground.spin_core import (
     FieldConfig,
     IsotopeSpec,
     StateLabel,
-    _assemble,
+    _hamiltonians,
     basis_labels,
     build_hamiltonian,
     get_isotope,
@@ -126,8 +126,8 @@ def test_negative_bx_normalized_and_spectrum_even():
     f = FieldConfig(bz=470.0, bx=-0.8)
     assert f.bx == 0.8
     # spectrum is even in Bx (basis change x -> -x): compare eigenvalues
-    h_plus = _assemble(p, 470.0, 0.8, N14)
-    h_minus = _assemble(p, 470.0, -0.8, N14)
+    h_plus = _hamiltonians(p, [(470.0, 0.8)], N14)[0]
+    h_minus = _hamiltonians(p, [(470.0, -0.8)], N14)[0]
     ev_plus = np.linalg.eigvalsh(h_plus)
     ev_minus = np.linalg.eigvalsh(h_minus)
     assert np.allclose(ev_plus, ev_minus, rtol=0, atol=1e-9)

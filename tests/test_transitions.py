@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from per_point import reference_lines
 
 from nvground.eigensolve import eigh
 from nvground.presets import GAMMA_RATIO_N14, TABLE3, params_at
@@ -21,6 +22,7 @@ from nvground.transitions import (
     known_labels,
     label_states,
     ratio_estimators,
+    transition_lines,
     transition_set,
 )
 
@@ -63,6 +65,80 @@ def test_labeling_is_a_bijection_or_refused(iso, bz, bx):
     owner = np.argmax(weights, axis=1)
     assert np.array_equal(energies, values[owner])
     assert np.array_equal(by_basis, vectors[:, owner])
+
+
+def test_label_states_on_a_stack_matches_each_matrix():
+    fields = [FieldConfig(bz=bz, bx=bx) for bz, bx in ((470.0, 0.0), (30.0, 2.0), (900.0, 0.3))]
+    h = np.array([build_hamiltonian(P14, f, N14) for f in fields])
+    energies, vectors = label_states(*eigh(h))
+    for i in range(len(h)):
+        one = label_states(*eigh(h[i]))
+        assert np.array_equal(energies[i], one[0])
+        assert np.array_equal(vectors[i], one[1])
+
+
+def test_label_states_stack_refusal_names_the_first_refused_matrix():
+    # Both 1022.8 G and 1023 G are refused, with different messages.
+    fields = [FieldConfig(bz=470.0), FieldConfig(bz=1022.8), FieldConfig(bz=1023.0)]
+    h = np.array([build_hamiltonian(P14, f, N14) for f in fields])
+    messages = []
+    for i in (1, 2):
+        with pytest.raises(AmbiguousLabelingError) as alone:
+            label_states(*eigh(h[i]))
+        messages.append(str(alone.value))
+    assert messages[0] != messages[1]
+    with pytest.raises(AmbiguousLabelingError) as stacked:
+        label_states(*eigh(h))
+    assert str(stacked.value) == messages[0]
+    assert stacked.value.index == (1,)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    iso=st.sampled_from([N14, N15]),
+    temp=st.floats(77.0, 400.0),
+    points=st.lists(st.tuples(st.floats(0.0, 2000.0), st.floats(0.0, 5.0)), max_size=4),
+    nuclear_transverse=st.booleans(),
+    dtype=st.sampled_from([np.float64, np.longdouble]),
+)
+# A batch whose second point sits on the anti-crossing, so a refusal is always tried.
+@example(
+    iso=N14,
+    temp=297.0,
+    points=[(470.0, 0.0), (1022.8, 0.0)],
+    nuclear_transverse=True,
+    dtype=np.float64,
+)
+def test_kernel_batches_match_the_per_point_path(iso, temp, points, nuclear_transverse, dtype):
+    p = params_at(iso, temp)
+    fields = [FieldConfig(bz=bz, bx=bx) for bz, bx in points]
+    refused = []
+    for f in fields:
+        try:
+            reference = reference_lines(p, f, iso, dtype, nuclear_transverse)
+        except AmbiguousLabelingError as err:
+            where = f"at Bz = {f.bz} G, Bx = {f.bx} G ({iso.name}): {err}"
+            refused.append(where)
+            for call in (transition_lines, transition_set):
+                with pytest.raises(AmbiguousLabelingError) as one:
+                    call(p, [f] if call is transition_lines else f, iso, dtype, nuclear_transverse)
+                assert str(one.value) == where
+            continue
+        lines, _, _ = transition_lines(p, [f], iso, dtype, nuclear_transverse)
+        assert lines.dtype == dtype
+        assert np.array_equal(lines[0], reference)
+        ts = transition_set(p, f, iso, dtype, nuclear_transverse)
+        assert np.array_equal(np.array(list(ts.frequencies.values()), dtype=dtype), reference)
+    if refused:
+        with pytest.raises(AmbiguousLabelingError) as batch:
+            transition_lines(p, fields, iso, dtype, nuclear_transverse)
+        assert str(batch.value) == refused[0]
+        return
+    batch = transition_lines(p, fields, iso, dtype, nuclear_transverse)
+    assert [len(x) for x in batch] == [len(fields)] * 3
+    for i, f in enumerate(fields):
+        for whole, one in zip(batch, transition_lines(p, [f], iso, dtype, nuclear_transverse)):
+            assert np.array_equal(whole[i], one[0])
 
 
 def test_labeling_ambiguous_near_anticrossing():
