@@ -2,7 +2,8 @@
 
 Subcommands: transitions, fit, thermal (fit --thermal), angular-scan,
 perturb-check, synth, ramsey.  Exit codes: 0 ok, 2 config/parse error,
-3 labeling ambiguity, 4 fit non-convergence, 5 validation tripwire.
+3 labeling ambiguity, 4 fit failure (no convergence or a non-finite
+objective), 5 validation tripwire.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import extraction, io, perturbation, presets, ramsey
 from .extraction import ParamVector
 from .io import ConfigError, fmt_g, fmt_khz
-from .optimize import FitConvergenceError, PolynomialModel
+from .optimize import FitConvergenceError, NonFiniteObjectiveError, PolynomialModel
 from .spin_core import (
     GAMMA_E_KHZ_PER_G,
     CouplingParams,
@@ -55,6 +56,7 @@ EXIT_TABLE = {
     ramsey.NonIdentifiableTraceError: (EXIT_CONFIG, ""),
     AmbiguousLabelingError: (EXIT_LABELING, "ambiguous state labeling: "),
     FitConvergenceError: (EXIT_FIT, ""),
+    NonFiniteObjectiveError: (EXIT_FIT, ""),
     TripwireError: (EXIT_TRIPWIRE, ""),
 }
 
@@ -200,6 +202,8 @@ def cmd_angular_scan(args) -> int:
     beta = perturbation.beta_coefficient(params, args.bz, transition)
     thetas = np.linspace(0.0, args.theta_max_deg, args.steps)
     f0 = float(transition_set(params, FieldConfig(bz=args.bz), iso, np.longdouble)[transition])
+    if f0 == 0:
+        raise ConfigError(f"{transition} is 0 at Bz = {args.bz} G; no fractional shift to scan")
     rows = []
     for theta_deg in thetas:
         shift = float(
@@ -457,7 +461,9 @@ def main(argv=None) -> int:
         # argparse already printed the message; normalize bad usage to 2
         return EXIT_CONFIG if err.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # Overflow ends in a NonFiniteObjectiveError; no warning lines before it.
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except tuple(EXIT_TABLE) as err:
         code, prefix = next(v for kind, v in EXIT_TABLE.items() if isinstance(err, kind))
         print(f"error: {prefix}{err}", file=sys.stderr)

@@ -10,7 +10,8 @@ units appear only at reporting time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,10 +56,14 @@ class MeasurementSet:
     entries: tuple[MeasurementEntry, ...]
 
     def __post_init__(self):
+        if not math.isfinite(self.temperature):
+            raise ValueError("temperature must be finite")
         valid = set(known_labels(self.isotope))
         for e in self.entries:
             if e.label not in valid:
                 raise ValueError(f"unknown transition {e.label!r} for {self.isotope.name}")
+            if not (math.isfinite(e.freq_khz) and math.isfinite(e.sigma_khz)):
+                raise ValueError(f"frequency and sigma for {e.label} must be finite")
             if e.sigma_khz <= 0:
                 raise ValueError(f"sigma for {e.label} must be positive")
 
@@ -335,7 +340,10 @@ class TransitionTable:
 def params_from_models(
     models: dict[str, PolynomialModel], iso: IsotopeSpec, temperature: float
 ) -> CouplingParams:
-    """Evaluate thermal models at a temperature (q is 0 when absent)."""
+    """Coupling coefficients from thermal models at a temperature (q is 0 when
+    absent), or their temperature rates from the models' derived()
+    polynomials.  The one map from models to CouplingParams: gamma_n is the
+    isotope's, so a gamma_ratio model is range-checked but never read."""
     for name, model in models.items():
         if not model.covers(temperature):
             raise ValueError(
@@ -358,10 +366,10 @@ def transition_table(
     iso: IsotopeSpec,
 ) -> TransitionTable:
     """Exact-diagonalization line table with exact dT slopes from the same
-    solve: the field does not depend on T, so the rates are the models'
-    derivatives (transitions.line_slopes)."""
+    solve: the field does not depend on T, so the rates are those of the
+    models' derived() polynomials (transitions.line_slopes)."""
     params = params_from_models(models, iso, temperature)
-    rates = replace(params, **{name: m.derivative(temperature) for name, m in models.items()})
+    rates = params_from_models({n: m.derived() for n, m in models.items()}, iso, temperature)
     freqs, slopes = line_slopes(params, rates, FieldConfig(bz=bz), iso)
     rows = tuple((label, float(f), float(1e3 * slopes[label])) for label, f in freqs.items())
     return TransitionTable(temperature=temperature, bz=bz, isotope=iso.name, rows=rows)

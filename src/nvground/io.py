@@ -16,7 +16,6 @@ import numpy as np
 from .extraction import MeasurementEntry, MeasurementSet
 from .ramsey import RamseyTrace
 from .spin_core import IsotopeSpec
-from .transitions import known_labels
 
 MEASUREMENT_HEADER = "temperature_K,transition,freq_khz,sigma_khz"
 TRACE_HEADER = "tau_s,signal"
@@ -64,7 +63,6 @@ def read_measurements(path: str | Path, iso: IsotopeSpec) -> list[MeasurementSet
         raise ConfigError(
             f"measurement file must start with header {MEASUREMENT_HEADER!r}"
         )
-    valid = set(known_labels(iso))
     groups: dict[float, list[MeasurementEntry]] = {}
     for n, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
@@ -72,20 +70,11 @@ def read_measurements(path: str | Path, iso: IsotopeSpec) -> list[MeasurementSet
             raise ConfigError(f"line {n}: expected 4 comma-separated fields")
         try:
             temperature = float(parts[0])
-            freq = float(parts[2])
-            sigma = float(parts[3])
+            entry = MeasurementEntry(parts[1].strip(), float(parts[2]), float(parts[3]))
+            MeasurementSet(temperature, iso, (entry,))  # MeasurementSet's checks, per line
         except ValueError as err:
             raise ConfigError(f"line {n}: {err}") from err
-        if not np.all(np.isfinite((temperature, freq, sigma))):
-            raise ConfigError(f"line {n}: values must be finite")
-        label = parts[1].strip()
-        if label not in valid:
-            raise ConfigError(
-                f"line {n}: unknown transition {label!r} for {iso.name}"
-            )
-        if sigma <= 0:
-            raise ConfigError(f"line {n}: sigma must be positive")
-        groups.setdefault(temperature, []).append(MeasurementEntry(label, freq, sigma))
+        groups.setdefault(temperature, []).append(entry)
     return [
         MeasurementSet(temperature=t, isotope=iso, entries=tuple(groups[t])) for t in sorted(groups)
     ]

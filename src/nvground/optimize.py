@@ -196,19 +196,16 @@ class PolynomialModel:
             acc = acc * dt + c
         return acc
 
+    def derived(self) -> "PolynomialModel":
+        """d/dT as a polynomial about the same t0, over the same range."""
+        coeffs = tuple(k * c for k, c in enumerate(self.coeffs) if k) or (0.0,)
+        return PolynomialModel(coeffs, self.t0, self.t_min, self.t_max)
+
     def derivative(self, t: float) -> float:
-        dt = t - self.t0
-        acc = 0.0
-        for k in range(self.degree, 0, -1):
-            acc = acc * dt + k * self.coeffs[k]
-        return acc
+        return self.derived().value(t)
 
     def second_derivative(self, t: float) -> float:
-        dt = t - self.t0
-        acc = 0.0
-        for k in range(self.degree, 1, -1):
-            acc = acc * dt + k * (k - 1) * self.coeffs[k]
-        return acc
+        return self.derived().derived().value(t)
 
     def fractional_derivative_ppm(self, t: float) -> float:
         return 1e6 * self.derivative(t) / self.value(t)

@@ -263,15 +263,15 @@ def exact_beta_estimates(
     """Quadratic-law coefficients 2*shift/(theta^2 * baseline) per BETA_THETAS_DEG angle.
 
     The exact side drops the transverse nuclear Zeeman term, matching the
-    Hamiltonian the beta formulas expand.
+    Hamiltonian the beta formulas expand.  All angles and theta = 0 are one
+    longdouble kernel batch.
     """
     baseline = beta_coefficient(p, bz, transition).baseline_khz
-    out = []
-    for theta_deg in BETA_THETAS_DEG:
-        theta = math.radians(theta_deg)
-        shift = exact_angular_shift(p, iso, bz, theta, transition, nuclear_transverse=False)
-        out.append(float(2 * shift / (theta * theta * baseline)))
-    return np.array(out)
+    thetas = [math.radians(theta_deg) for theta_deg in BETA_THETAS_DEG]
+    fields = [FieldConfig(bz=bz)] + [FieldConfig(bz=bz, bx=bz * math.tan(t)) for t in thetas]
+    lines = transition_lines(p, fields, iso, np.longdouble, nuclear_transverse=False)[0]
+    f = lines[:, known_labels(iso).index(transition)]
+    return np.array([float(2 * (fk - f[0]) / (t * t * baseline)) for fk, t in zip(f[1:], thetas)])
 
 
 def residuals_vs_exact(

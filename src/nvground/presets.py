@@ -25,15 +25,13 @@ class ParamPreset:
 
     value: float
     value_sigma: float
-    slope: float | None = None          # kHz/K
-    slope_sigma: float | None = None
-    curvature: float | None = None      # kHz/K^2
+    slope: float                # kHz/K
+    slope_sigma: float | None   # None: no measured slope of its own
+    curvature: float            # kHz/K^2
 
     def model(self) -> PolynomialModel:
-        c1 = self.slope or 0.0
-        c2 = (self.curvature or 0.0) / 2.0
         return PolynomialModel(
-            coeffs=(self.value, c1, c2) + (0.0,) * (THERMAL_DEGREE - 2),
+            coeffs=(self.value, self.slope, self.curvature / 2.0) + (0.0,) * (THERMAL_DEGREE - 2),
             t0=T_REF_K,
             t_min=T_RANGE_K[0],
             t_max=T_RANGE_K[1],
@@ -44,7 +42,7 @@ def _following(value: float, sigma: float, ref: ParamPreset) -> ParamPreset:
     """A parameter without a measured temperature dependence of its own:
     ``ref``'s polynomial scaled to ``value`` at T_REF_K."""
     scale = value / ref.value
-    return ParamPreset(value, sigma, slope=ref.slope * scale, curvature=ref.curvature * scale)
+    return ParamPreset(value, sigma, ref.slope * scale, None, ref.curvature * scale)
 
 
 _A_PAR_N15 = ParamPreset(3033.3, 0.1, -0.269, 0.003, -0.00098)

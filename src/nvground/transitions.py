@@ -208,11 +208,6 @@ def transition_lines(
     return lines, energies, vectors
 
 
-def _transition_set(iso: IsotopeSpec, lines: np.ndarray) -> TransitionSet:
-    names = _LEVEL_PAIRS[iso.name][0]
-    return TransitionSet(frequencies=dict(zip(names, lines)), isotope=iso.name)
-
-
 def transition_set(
     p: CouplingParams,
     f: FieldConfig,
@@ -223,7 +218,7 @@ def transition_set(
     """All named transitions from exact diagonalization at one field point:
     transition_lines for a batch of one."""
     lines, _, _ = transition_lines(p, [f], iso, dtype, nuclear_transverse)
-    return _transition_set(iso, lines[0])
+    return TransitionSet(dict(zip(_LEVEL_PAIRS[iso.name][0], lines[0])), iso.name)
 
 
 def line_slopes(p: CouplingParams, rates: CouplingParams, f: FieldConfig, iso: IsotopeSpec):
@@ -235,18 +230,21 @@ def line_slopes(p: CouplingParams, rates: CouplingParams, f: FieldConfig, iso: I
     (lines,), (energies,), (vectors,) = transition_lines(p, [f], iso)
     dh = build_hamiltonian(rates, FieldConfig(bz=0.0), iso)
     shifts = np.sum(vectors * (dh @ vectors), axis=0)
-    _, a, b, _ = _LEVEL_PAIRS[iso.name]
+    names, a, b, _ = _LEVEL_PAIRS[iso.name]
     slopes = _fill_differences(iso, np.sign(energies[a] - energies[b]) * (shifts[a] - shifts[b]))
-    return tuple(line_values(_transition_set(iso, values)) for values in (lines, slopes))
+    return tuple(_rows(iso.name, dict(zip(names, values))) for values in (lines, slopes))
+
+
+def _rows(isotope: str, f: Mapping[str, float]) -> dict[str, float]:
+    """Every line of the table in row order: ``f`` plus the difference rows."""
+    return {
+        name: f[name] if line.levels else f[line.minus[0]] - f[line.minus[1]]
+        for name, line in LINES[isotope].items()
+    }
 
 
 def line_values(ts: TransitionSet) -> dict[str, float]:
-    """Every line of the table in row order: ``ts`` plus the difference rows."""
-    f = ts.frequencies
-    return {
-        name: f[name] if line.levels else f[line.minus[0]] - f[line.minus[1]]
-        for name, line in LINES[ts.isotope].items()
-    }
+    return _rows(ts.isotope, ts.frequencies)
 
 
 def isotopic_d_shift(fplus14: float, fminus14: float, fplus15: float, fminus15: float) -> float:

@@ -6,6 +6,7 @@ import pytest
 from nvground.cli import build_parser, main
 from nvground.extraction import transition_table
 from nvground.io import (
+    MEASUREMENT_HEADER,
     MeasurementRow,
     read_measurements,
     read_trace,
@@ -14,7 +15,8 @@ from nvground.io import (
 )
 from nvground.presets import TABLE3, params_at, thermal_presets
 from nvground.ramsey import RamseyTrace, synthesize
-from nvground.spin_core import N14, get_isotope
+from nvground.spin_core import N14, FieldConfig, get_isotope
+from nvground.transitions import known_labels, transition_set
 
 
 def run(capsys, *argv):
@@ -156,6 +158,58 @@ def test_exit_codes(tmp_path, capsys):
     # bad usage normalizes to 2
     assert main(["transitions", "--isotope"]) == 2
     capsys.readouterr()
+
+
+@pytest.fixture
+def bad_inputs(tmp_path):
+    """Input files that each end a command in an error, under tmp_path."""
+    (tmp_path / "one.csv").write_text(
+        "temperature_K,transition,freq_khz,sigma_khz\n297,f1,5085.95,0.01\n"
+    )
+    lines = transition_set(params_at(N14), FieldConfig(bz=470.0), N14)
+    rows = [f"297,{l},{1e200 if l == 'f1' else float(lines[l])!r},0.01" for l in known_labels(N14)]
+    (tmp_path / "huge.csv").write_text("\n".join([MEASUREMENT_HEADER, *rows]) + "\n")
+    trace = synthesize(3.0, 1e-3, 0.5, 0.0, 1.0, np.linspace(0.0, 2e-3, 200))
+    write_trace(tmp_path / "huge_trace.csv", RamseyTrace(trace.times, 1e200 * trace.signal))
+    write_trace(tmp_path / "flat.csv", RamseyTrace(np.linspace(0.0, 1e-3, 100), np.ones(100)))
+    return tmp_path
+
+
+PRESET = ("--preset", "table1_297K")
+FIT = ("fit", "--isotope", "n14", *PRESET, "--bz", "470", "--measurements")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["transitions", "--isotope", "n14", "--bz", "470"], 2),
+        (["transitions", "--isotope", "n14", "--preset", "nope", "--bz", "470"], 2),
+        (["transitions", "--isotope", "n14", *PRESET, "--bz", "1022.8"], 3),
+        ([*FIT, "{dir}/one.csv"], 2),
+        ([*FIT, "{dir}/missing.csv"], 2),
+        ([*FIT, "{dir}/huge.csv"], 4),
+        (["ramsey", "--trace-in", "{dir}/huge_trace.csv", "--f-rf-khz", "100"], 4),
+        (["ramsey", "--trace-in", "{dir}/flat.csv", "--f-rf-khz", "100"], 2),
+        (["ramsey", *PRESET, "--bz", "470"], 2),
+        (["angular-scan", "--isotope", "n15", *PRESET, "--bz", "0"], 2),
+        (["angular-scan", "--isotope", "n14", *PRESET, "--bz", "0"], 3),
+        (["angular-scan", "--isotope", "n14", *PRESET, "--bz", "480", "--theta-max-deg", "3"], 2),
+        (["perturb-check", "--tolerance-hz", "0.001"], 5),
+        (["perturb-check", "--bz-max", "1024", "--bz-steps", "3"], 2),
+        (["perturb-check", "--bz-steps", "0"], 2),
+    ],
+    ids=[
+        "no-source", "unknown-preset", "gslac", "underdetermined-fit", "missing-file",
+        "huge-f1", "huge-trace", "flat-trace", "ramsey-no-isotope", "n15-zero-field",
+        "n14-zero-field", "wide-angle", "tripwire", "perturb-gslac", "empty-grid",
+    ],
+)
+def test_failures_end_in_one_error_line(bad_inputs, capsys, argv, code):
+    # Exit codes 2-5 with one stderr line, never a traceback or a warning
+    # (the suite's filterwarnings turns a warning into an uncaught error).
+    assert main([a.format(dir=bad_inputs) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_perturb_check_passes_and_trips(capsys):

@@ -1,3 +1,4 @@
+import functools
 import re
 from dataclasses import replace
 
@@ -125,6 +126,20 @@ def test_unknown_label_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "freq, sigma",
+    [(np.nan, 0.1), (100.0, np.nan), (100.0, np.inf)],
+    ids=["nan-freq", "nan-sigma", "inf-sigma"],
+)
+def test_non_finite_measurement_rejected(freq, sigma):
+    # An infinite sigma would pass the positivity check and silently drop
+    # its line from chi^2; a NaN would surface only inside the optimizer.
+    with pytest.raises(ValueError, match="finite"):
+        MeasurementSet(
+            temperature=297.0, isotope=N14, entries=(MeasurementEntry("f1", freq, sigma),)
+        )
+
+
 def test_guess_at_the_anticrossing_is_refused():
     # gamma_e Bz = D puts the first trial point on the level anti-crossing.
     guess = truth_vector(N14, bz=1022.8)
@@ -174,10 +189,14 @@ def thermal_series(iso, temps, fixed=("gamma_e_bx",)):
     return series
 
 
+@functools.lru_cache(maxsize=None)
+def fitted_models(iso):
+    """thermal_models of a noiseless 12-temperature series, 77-400 K, 470 G."""
+    return thermal_models(thermal_series(iso, np.linspace(77.0, 400.0, 12)))
+
+
 def test_thermal_models_recover_quoted_fractional_derivatives():
-    temps = np.linspace(77.0, 400.0, 12)
-    series = thermal_series(N14, temps)
-    models = thermal_models(series)
+    models = fitted_models(N14)
     assert models["q"].fractional_derivative_ppm(297.0) == pytest.approx(-7.17, rel=0.02)
     assert models["d"].fractional_derivative_ppm(297.0) == pytest.approx(-25.3, rel=0.02)
     assert models["a_par"].fractional_derivative_ppm(297.0) == pytest.approx(-91.0, rel=0.02)
@@ -272,6 +291,18 @@ def test_transition_table_slopes_match_longdouble_stencil(iso, bz, temp):
         assert slope == pytest.approx(float(1e3 * (hi[label] - lo[label]) / 2), abs=1e-4)
 
 
+@pytest.mark.parametrize("iso", [N14, N15], ids=["N14", "N15"])
+def test_transition_table_takes_fitted_models(iso):
+    # Fitted model sets carry gamma_ratio, which no coupling coefficient
+    # reads: the table is the one of the same set without it.
+    models = fitted_models(iso)
+    assert "gamma_ratio" in models
+    without = {name: m for name, m in models.items() if name != "gamma_ratio"}
+    tbl = transition_table(models, 297.0, 470.0, iso)
+    assert tbl == transition_table(without, 297.0, 470.0, iso)
+    assert tbl.slope("f1-f2" if iso is N14 else "f7") != 0.0
+
+
 def test_transition_table_range_check():
     with pytest.raises(ValueError):
         transition_table(thermal_presets("N14"), 60.0, 470.0, N14)
@@ -296,9 +327,8 @@ def test_params_from_models_evaluates_models_as_given():
 
 
 def test_d_fractional_dependence_matches_between_isotopes():
-    temps = np.linspace(77.0, 400.0, 12)
-    m14 = thermal_models(thermal_series(N14, temps))
-    m15 = thermal_models(thermal_series(N15, temps))
+    m14 = fitted_models(N14)
+    m15 = fitted_models(N15)
     f14 = m14["d"].fractional_derivative_ppm(297.0)
     f15 = m15["d"].fractional_derivative_ppm(297.0)
     assert abs(f14 - f15) < 0.2 + 0.3  # quoted uncertainties on the two slopes

@@ -4,11 +4,13 @@ import pytest
 from nvground.optimize import (
     NonFiniteObjectiveError,
     OptimOptions,
+    PolynomialModel,
     RankDeficientError,
     nelder_mead,
     polyfit_weighted,
     weighted_objective,
 )
+from nvground.presets import thermal_presets
 
 
 def test_quadratic_1d():
@@ -118,6 +120,37 @@ def test_polyfit_derivative_matches_finite_difference():
     assert m.derivative(297.0) == pytest.approx(fd, rel=1e-6)
     fd2 = (m.value(297.0 + h) - 2 * m.value(297.0) + m.value(297.0 - h)) / h**2
     assert m.second_derivative(297.0) == pytest.approx(fd2, rel=1e-4)
+
+
+def test_derived_is_the_derivative_polynomial():
+    m = PolynomialModel(coeffs=(1.0, 2.0, 3.0, 4.0, 5.0), t0=297.0, t_min=77.0, t_max=400.0)
+    d = m.derived()
+    assert d == PolynomialModel(coeffs=(2.0, 6.0, 12.0, 20.0), t0=297.0, t_min=77.0, t_max=400.0)
+    assert d.derived().coeffs == (6.0, 24.0, 60.0)
+    const = PolynomialModel(coeffs=(3.0,), t0=297.0, t_min=77.0, t_max=400.0)
+    assert const.derived().coeffs == (0.0,)
+    assert const.derivative(350.0) == const.second_derivative(350.0) == 0.0
+
+
+def test_derivatives_are_the_termwise_horner_sums():
+    # derivative and second_derivative through derived() keep the bits of
+    # Horner sums over k c_k and k (k - 1) c_k for degree-4 models.
+    def horner(terms, dt):
+        acc = 0.0
+        for term in reversed(terms):
+            acc = acc * dt + term
+        return acc
+
+    t = np.linspace(77.0, 400.0, 12)
+    y = np.random.default_rng(7).normal(size=t.size)
+    models = [polyfit_weighted(t, y, np.ones_like(t), 4, 297.0)]
+    models += [*thermal_presets("N14").values(), *thermal_presets("N15").values()]
+    for m in models:
+        c = m.coeffs
+        for t in (77.0, 150.0, 297.0, 333.3, 400.0):
+            dt = t - m.t0
+            assert m.derivative(t) == horner([k * c[k] for k in range(1, 5)], dt)
+            assert m.second_derivative(t) == horner([k * (k - 1) * c[k] for k in range(2, 5)], dt)
 
 
 def test_polyfit_weights_pull_fit():
