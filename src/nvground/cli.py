@@ -96,16 +96,18 @@ def _params(args, iso: IsotopeSpec, temperature: float):
     return params, None
 
 
-def _emit(args, text: str) -> None:
+def _report(args, payload: dict, csv_lines: list[str] | None = None) -> None:
+    """Write a report to --out or stdout: ``csv_lines`` under --format csv,
+    else JSON of ``config`` (the parsed flags) first, then ``payload``."""
+    if csv_lines is not None and args.format == "csv":
+        text = "\n".join(csv_lines)
+    else:
+        config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+        text = io.dump_json({"config": config, **payload})
     if args.out:
-        Path(args.out).write_text(text + ("" if text.endswith("\n") else "\n"), encoding="utf-8")
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
-
-
-def _config_dict(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
 def cmd_transitions(args) -> int:
@@ -117,24 +119,17 @@ def cmd_transitions(args) -> int:
         rows = extraction.transition_table(models, args.temp, field.bz, iso).rows
     else:
         rows = [(l, f, None) for l, f in line_values(transition_set(params, field, iso)).items()]
-    if args.format == "json":
-        json_rows = [
-            {"transition": l, "freq_khz": round(float(f), 6)}
-            | ({"df_dt_hz_per_k": round(float(s), 6)} if with_slopes else {})
-            for l, f, s in rows
-        ]
-        _emit(args, io.dump_json({"config": _config_dict(args), "rows": json_rows}))
-    else:
-        lines = ["transition,freq_khz" + (",df_dt_hz_per_k" if with_slopes else "")]
-        for l, f, s in rows:
-            slope = f",{fmt_g(round(float(s), 6))}" if with_slopes else ""
-            lines.append(f"{l},{fmt_khz(float(f))}{slope}")
-        _emit(args, "\n".join(lines))
+    json_rows = [
+        {"transition": l, "freq_khz": round(float(f), 6)}
+        | ({"df_dt_hz_per_k": round(float(s), 6)} if with_slopes else {})
+        for l, f, s in rows
+    ]
+    lines = ["transition,freq_khz" + (",df_dt_hz_per_k" if with_slopes else "")]
+    for l, f, s in rows:
+        slope = f",{fmt_g(round(float(s), 6))}" if with_slopes else ""
+        lines.append(f"{l},{fmt_khz(float(f))}{slope}")
+    _report(args, {"rows": json_rows}, lines)
     return EXIT_OK
-
-
-def _guess_vector(iso: IsotopeSpec, params: CouplingParams, bz: float) -> ParamVector:
-    return ParamVector.from_physical(iso.name, params, FieldConfig(bz=bz))
 
 
 def _fit_record(temperature: float, fit) -> dict:
@@ -172,20 +167,17 @@ def cmd_fit(args) -> int:
     sets = io.read_measurements(args.measurements, iso)
     if not sets:
         raise ConfigError("measurement file contains no rows")
-    guess = _guess_vector(iso, params, args.bz)
+    guess = ParamVector.from_physical(iso.name, params, FieldConfig(bz=args.bz))
     fixed = tuple(args.fix or ())
     series = [(ms.temperature, extraction.extract_params(ms, guess, fixed=fixed)) for ms in sets]
-    payload = {"config": _config_dict(args), "results": [_fit_record(t, fit) for t, fit in series]}
+    payload = {"results": [_fit_record(t, fit) for t, fit in series]}
     if args.thermal:
         payload["thermal"] = _thermal_summary(extraction.thermal_models(series))
-    if args.format == "csv":
-        lines = ["temperature_K,param,value"]
-        for rec in payload["results"]:
-            for name, value in rec["params"].items():
-                lines.append(f"{fmt_g(rec['temperature_K'])},{name},{fmt_g(value)}")
-        _emit(args, "\n".join(lines))
-    else:
-        _emit(args, io.dump_json(payload))
+    lines = ["temperature_K,param,value"]
+    for rec in payload["results"]:
+        for name, value in rec["params"].items():
+            lines.append(f"{fmt_g(rec['temperature_K'])},{name},{fmt_g(value)}")
+    _report(args, payload, lines)
     return EXIT_OK
 
 
@@ -212,27 +204,22 @@ def cmd_angular_scan(args) -> int:
             )
         )
         rows.append((float(theta_deg), f0 + shift, shift / f0))
-    if args.format == "json":
-        payload = {
-            "config": _config_dict(args),
-            "transition": transition,
-            "beta_perturbative": beta.beta,
-            "baseline_khz": beta.baseline_khz,
-            "rows": [
-                {"theta_deg": t, "f_khz": round(f, 9), "fractional_shift": fs}
-                for t, f, fs in rows
-            ],
-        }
-        _emit(args, io.dump_json(payload))
-    else:
-        lines = [
-            f"# transition={transition} bz_G={fmt_g(args.bz)} "
-            f"beta_perturbative={beta.beta:.6g} baseline_khz={fmt_khz(beta.baseline_khz)}",
-            "theta_deg,f_khz,fractional_shift",
-        ]
-        for t, f, fs in rows:
-            lines.append(f"{fmt_g(t)},{f:.9f},{fmt_g(fs)}")
-        _emit(args, "\n".join(lines))
+    payload = {
+        "transition": transition,
+        "beta_perturbative": beta.beta,
+        "baseline_khz": beta.baseline_khz,
+        "rows": [
+            {"theta_deg": t, "f_khz": round(f, 9), "fractional_shift": fs} for t, f, fs in rows
+        ],
+    }
+    lines = [
+        f"# transition={transition} bz_G={fmt_g(args.bz)} "
+        f"beta_perturbative={beta.beta:.6g} baseline_khz={fmt_khz(beta.baseline_khz)}",
+        "theta_deg,f_khz,fractional_shift",
+    ]
+    for t, f, fs in rows:
+        lines.append(f"{fmt_g(t)},{f:.9f},{fmt_g(fs)}")
+    _report(args, payload, lines)
     return EXIT_OK
 
 
@@ -244,7 +231,7 @@ def cmd_perturb_check(args) -> int:
     bz_grid = np.linspace(args.bz_min, args.bz_max, args.bz_steps)
     bx_grid = np.linspace(0.0, args.bx_max, args.bx_steps)
     tolerance_khz = args.tolerance_hz / 1e3
-    report = {"config": _config_dict(args), "tolerance_hz": args.tolerance_hz, "isotopes": {}}
+    report = {"tolerance_hz": args.tolerance_hz, "isotopes": {}}
     failures = []
     for iso in isotopes:
         params = presets.params_at(iso, args.temp)
@@ -255,7 +242,7 @@ def cmd_perturb_check(args) -> int:
         }
         failures += [f"{iso.name}:{k}" for k, v in worst.items() if v > tolerance_khz]
     report["pass"] = not failures
-    _emit(args, io.dump_json(report))
+    _report(args, report)
     if failures:
         raise TripwireError(f"residual above {args.tolerance_hz} Hz for {failures}")
     return EXIT_OK
@@ -301,62 +288,55 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ramsey(args) -> int:
+    truth = {}
     if args.trace_in:
         trace = io.read_trace(args.trace_in)
         if args.f_rf_khz is None:
             raise ConfigError("--f-rf-khz is required when fitting an existing trace")
-        fit = ramsey.fit_fringes(trace)
-        payload = {
-            "config": _config_dict(args),
-            "delta_fit_khz": round(fit.delta_khz, 9),
-            "t2_star_fit_s": fmt_g(fit.t2_star_s),
-            "rms_residual": fmt_g(fit.rms_residual),
-            "f_recovered_khz": round(
-                ramsey.frequency_from_detuning(args.f_rf_khz, fit.delta_khz, args.sign), 6
-            ),
+        f_rf, sign = args.f_rf_khz, args.sign
+    else:
+        if args.isotope is None:
+            raise ConfigError("--isotope is required when synthesizing a trace")
+        iso = get_isotope(args.isotope)
+        params, _ = _params(args, iso, args.temp)
+        if args.bz is None:
+            raise ConfigError("--bz is required")
+        ts = transition_set(params, _field(args), iso)
+        if args.transition not in ts.frequencies:
+            raise ConfigError(f"unknown transition {args.transition!r} for {iso.name}")
+        f_true = float(ts[args.transition])
+        f_rf = f_true + args.detune_khz
+        delta_true = f_rf - f_true
+        times = np.linspace(0.0, args.duration_ms * 1e-3, args.samples)
+        trace = ramsey.synthesize(
+            abs(delta_true),
+            args.t2_star_ms * 1e-3,
+            args.amp,
+            args.phase,
+            args.offset,
+            times,
+            noise_sigma=args.noise_sigma,
+            rng_seed=args.seed,
+        )
+        if args.trace_out:
+            io.write_trace(args.trace_out, trace)
+        sign = 1 if delta_true >= 0 else -1
+        truth = {
+            "f_true_khz": round(f_true, 6),
+            "f_rf_khz": round(f_rf, 6),
+            "delta_true_khz": round(abs(delta_true), 9),
         }
-        _emit(args, io.dump_json(payload))
-        return EXIT_OK
-    if args.isotope is None:
-        raise ConfigError("--isotope is required when synthesizing a trace")
-    iso = get_isotope(args.isotope)
-    params, _ = _params(args, iso, args.temp)
-    if args.bz is None:
-        raise ConfigError("--bz is required")
-    ts = transition_set(params, _field(args), iso)
-    if args.transition not in ts.frequencies:
-        raise ConfigError(f"unknown transition {args.transition!r} for {iso.name}")
-    f_true = float(ts[args.transition])
-    f_rf = f_true + args.detune_khz
-    delta_true = f_rf - f_true
-    times = np.linspace(0.0, args.duration_ms * 1e-3, args.samples)
-    trace = ramsey.synthesize(
-        abs(delta_true),
-        args.t2_star_ms * 1e-3,
-        args.amp,
-        args.phase,
-        args.offset,
-        times,
-        noise_sigma=args.noise_sigma,
-        rng_seed=args.seed,
-    )
-    if args.trace_out:
-        io.write_trace(args.trace_out, trace)
     fit = ramsey.fit_fringes(trace)
-    sign = 1 if delta_true >= 0 else -1
     f_recovered = ramsey.frequency_from_detuning(f_rf, fit.delta_khz, sign)
-    payload = {
-        "config": _config_dict(args),
-        "f_true_khz": round(f_true, 6),
-        "f_rf_khz": round(f_rf, 6),
-        "delta_true_khz": round(abs(delta_true), 9),
+    payload = truth | {
         "delta_fit_khz": round(fit.delta_khz, 9),
         "t2_star_fit_s": fmt_g(fit.t2_star_s),
         "rms_residual": fmt_g(fit.rms_residual),
         "f_recovered_khz": round(f_recovered, 6),
-        "recovery_error_hz": round(1e3 * (f_recovered - f_true), 6),
     }
-    _emit(args, io.dump_json(payload))
+    if truth:
+        payload["recovery_error_hz"] = round(1e3 * (f_recovered - f_true), 6)
+    _report(args, payload)
     return EXIT_OK
 
 

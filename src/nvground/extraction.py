@@ -17,6 +17,7 @@ import numpy as np
 
 from .optimize import (
     FitConvergenceError,
+    NonFiniteObjectiveError,
     OptimOptions,
     PolynomialModel,
     _weighted_objective_of,
@@ -59,9 +60,13 @@ class MeasurementSet:
         if not math.isfinite(self.temperature):
             raise ValueError("temperature must be finite")
         valid = set(known_labels(self.isotope))
+        seen = set()
         for e in self.entries:
             if e.label not in valid:
                 raise ValueError(f"unknown transition {e.label!r} for {self.isotope.name}")
+            if e.label in seen:
+                raise ValueError(f"{e.label} is listed twice at {self.temperature} K")
+            seen.add(e.label)
             if not (math.isfinite(e.freq_khz) and math.isfinite(e.sigma_khz)):
                 raise ValueError(f"frequency and sigma for {e.label} must be finite")
             if e.sigma_khz <= 0:
@@ -198,7 +203,7 @@ def extract_params(
             model = model_frequencies(vec, ms.isotope, labels)
         except AmbiguousLabelingError as err:
             raise AmbiguousLabelingError(
-                f"labeling failed at trial point {dict(zip(fields, x))}: {err}"
+                f"labeling failed at trial point {dict(zip(fields, x.tolist()))}: {err}"
             ) from err
         return chi2(model)
 
@@ -207,7 +212,11 @@ def extract_params(
     result = None
     previous_f = None
     for _ in range(1 + MAX_RESTARTS):
-        result = nelder_mead(objective, start, _FIT_OPTIONS)
+        try:
+            result = nelder_mead(objective, start, _FIT_OPTIONS)
+        except (NonFiniteObjectiveError, AmbiguousLabelingError) as err:
+            err.args = (f"T = {ms.temperature} K: {err}",)  # same type, so the same exit code
+            raise
         iterations += result.iterations
         evals += result.n_evals
         start = result.x_min

@@ -63,7 +63,7 @@ def read_measurements(path: str | Path, iso: IsotopeSpec) -> list[MeasurementSet
         raise ConfigError(
             f"measurement file must start with header {MEASUREMENT_HEADER!r}"
         )
-    groups: dict[float, list[MeasurementEntry]] = {}
+    sets: dict[float, MeasurementSet] = {}
     for n, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 4:
@@ -71,13 +71,12 @@ def read_measurements(path: str | Path, iso: IsotopeSpec) -> list[MeasurementSet
         try:
             temperature = float(parts[0])
             entry = MeasurementEntry(parts[1].strip(), float(parts[2]), float(parts[3]))
-            MeasurementSet(temperature, iso, (entry,))  # MeasurementSet's checks, per line
+            # Each line grows its temperature's set through MeasurementSet's checks.
+            earlier = sets[temperature].entries if temperature in sets else ()
+            sets[temperature] = MeasurementSet(temperature, iso, (*earlier, entry))
         except ValueError as err:
             raise ConfigError(f"line {n}: {err}") from err
-        groups.setdefault(temperature, []).append(entry)
-    return [
-        MeasurementSet(temperature=t, isotope=iso, entries=tuple(groups[t])) for t in sorted(groups)
-    ]
+    return [sets[t] for t in sorted(sets)]
 
 
 def write_trace(path: str | Path, trace: RamseyTrace) -> None:

@@ -235,7 +235,6 @@ def exact_angular_shift(
     bz: float,
     theta_rad: float,
     transition: str,
-    nuclear_transverse: bool = True,
 ):
     """f(theta) - f(0) at fixed Bz, with Bx = Bz tan(theta).
 
@@ -245,7 +244,7 @@ def exact_angular_shift(
 
     def line(bx: float):
         field = FieldConfig(bz=bz, bx=bx)
-        return transition_set(p, field, iso, np.longdouble, nuclear_transverse)[transition]
+        return transition_set(p, field, iso, np.longdouble)[transition]
 
     return line(bz * math.tan(theta_rad)) - line(0.0)
 
@@ -286,7 +285,9 @@ def residuals_vs_exact(
     Exact diagonalization runs without the transverse nuclear Zeeman term
     so that the comparison isolates genuine series-truncation error.
     """
-    formula = nuclear_freqs_full if order == "full" else nuclear_freqs_2nd
+    formula = {"full": nuclear_freqs_full, "2nd": nuclear_freqs_2nd}.get(order)
+    if formula is None:
+        raise ValueError(f"order must be 'full' or '2nd', not {order!r}")
     names = nuclear_labels(iso)
     columns = [known_labels(iso).index(name) for name in names]
     perts, fields = [], []

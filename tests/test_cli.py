@@ -166,9 +166,14 @@ def bad_inputs(tmp_path):
     (tmp_path / "one.csv").write_text(
         "temperature_K,transition,freq_khz,sigma_khz\n297,f1,5085.95,0.01\n"
     )
-    lines = transition_set(params_at(N14), FieldConfig(bz=470.0), N14)
-    rows = [f"297,{l},{1e200 if l == 'f1' else float(lines[l])!r},0.01" for l in known_labels(N14)]
-    (tmp_path / "huge.csv").write_text("\n".join([MEASUREMENT_HEADER, *rows]) + "\n")
+    for name, temp, f1 in (("huge.csv", 297.0, 1e200), ("cold.csv", 77.0, None),
+                           ("cold_huge.csv", 77.0, 1e200)):
+        lines = transition_set(params_at(N14, temp), FieldConfig(bz=470.0), N14)
+        rows = [
+            f"{temp:g},{l},{f1 if l == 'f1' and f1 else float(lines[l])!r},0.01"
+            for l in known_labels(N14)
+        ]
+        (tmp_path / name).write_text("\n".join([MEASUREMENT_HEADER, *rows]) + "\n")
     trace = synthesize(3.0, 1e-3, 0.5, 0.0, 1.0, np.linspace(0.0, 2e-3, 200))
     write_trace(tmp_path / "huge_trace.csv", RamseyTrace(trace.times, 1e200 * trace.signal))
     write_trace(tmp_path / "flat.csv", RamseyTrace(np.linspace(0.0, 1e-3, 100), np.ones(100)))
@@ -180,36 +185,99 @@ FIT = ("fit", "--isotope", "n14", *PRESET, "--bz", "470", "--measurements")
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, names",
     [
-        (["transitions", "--isotope", "n14", "--bz", "470"], 2),
-        (["transitions", "--isotope", "n14", "--preset", "nope", "--bz", "470"], 2),
-        (["transitions", "--isotope", "n14", *PRESET, "--bz", "1022.8"], 3),
-        ([*FIT, "{dir}/one.csv"], 2),
-        ([*FIT, "{dir}/missing.csv"], 2),
-        ([*FIT, "{dir}/huge.csv"], 4),
-        (["ramsey", "--trace-in", "{dir}/huge_trace.csv", "--f-rf-khz", "100"], 4),
-        (["ramsey", "--trace-in", "{dir}/flat.csv", "--f-rf-khz", "100"], 2),
-        (["ramsey", *PRESET, "--bz", "470"], 2),
-        (["angular-scan", "--isotope", "n15", *PRESET, "--bz", "0"], 2),
-        (["angular-scan", "--isotope", "n14", *PRESET, "--bz", "0"], 3),
-        (["angular-scan", "--isotope", "n14", *PRESET, "--bz", "480", "--theta-max-deg", "3"], 2),
-        (["perturb-check", "--tolerance-hz", "0.001"], 5),
-        (["perturb-check", "--bz-max", "1024", "--bz-steps", "3"], 2),
-        (["perturb-check", "--bz-steps", "0"], 2),
+        (["transitions", "--isotope", "n14", "--bz", "470"], 2, ""),
+        (["transitions", "--isotope", "n14", "--preset", "nope", "--bz", "470"], 2, ""),
+        (["transitions", "--isotope", "n14", *PRESET, "--bz", "1022.8"], 3, ""),
+        ([*FIT, "{dir}/one.csv"], 2, ""),
+        ([*FIT, "{dir}/missing.csv"], 2, ""),
+        ([*FIT, "{dir}/huge.csv"], 4, ""),
+        ([*FIT, "{dir}/cold_huge.csv"], 4, "T = 77.0 K: objective returned inf at ["),
+        (["fit", "--isotope", "n14", *PRESET, "--bz", "1022.8", "--measurements", "{dir}/cold.csv"],
+         3, "T = 77.0 K: labeling failed at trial point {'d': 2870280.0, "),
+        (["ramsey", "--trace-in", "{dir}/huge_trace.csv", "--f-rf-khz", "100"], 4, ""),
+        (["ramsey", "--trace-in", "{dir}/flat.csv", "--f-rf-khz", "100"], 2, ""),
+        (["ramsey", *PRESET, "--bz", "470"], 2, ""),
+        (["angular-scan", "--isotope", "n15", *PRESET, "--bz", "0"], 2, ""),
+        (["angular-scan", "--isotope", "n14", *PRESET, "--bz", "0"], 3, ""),
+        (["angular-scan", "--isotope", "n14", *PRESET, "--bz", "480", "--theta-max-deg", "3"], 2, ""),
+        (["perturb-check", "--tolerance-hz", "0.001"], 5, ""),
+        (["perturb-check", "--bz-max", "1024", "--bz-steps", "3"], 2, ""),
+        (["perturb-check", "--bz-steps", "0"], 2, ""),
     ],
     ids=[
         "no-source", "unknown-preset", "gslac", "underdetermined-fit", "missing-file",
-        "huge-f1", "huge-trace", "flat-trace", "ramsey-no-isotope", "n15-zero-field",
-        "n14-zero-field", "wide-angle", "tripwire", "perturb-gslac", "empty-grid",
+        "huge-f1", "cold-huge-f1", "gslac-fit-guess", "huge-trace", "flat-trace",
+        "ramsey-no-isotope", "n15-zero-field", "n14-zero-field", "wide-angle", "tripwire",
+        "perturb-gslac", "empty-grid",
     ],
 )
-def test_failures_end_in_one_error_line(bad_inputs, capsys, argv, code):
+def test_failures_end_in_one_error_line(bad_inputs, capsys, argv, code, names):
     # Exit codes 2-5 with one stderr line, never a traceback or a warning
     # (the suite's filterwarnings turns a warning into an uncaught error).
+    # A fit failure names the temperature it happened at.
     assert main([a.format(dir=bad_inputs) for a in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert names in err
+
+
+@pytest.fixture(scope="module")
+def report_inputs(tmp_path_factory):
+    """A noiseless N14 series (one and five temperatures) and a Ramsey trace."""
+    d = tmp_path_factory.mktemp("reports")
+    for name, temps in (("one.csv", "297"), ("series.csv", "77,150,225,297,400")):
+        assert main(
+            ["synth", "--isotope", "n14", *PRESET, "--bz", "470", "--temps", temps,
+             "--noise-scale", "0", "--out", str(d / name)]
+        ) == 0
+    write_trace(d / "trace.csv", synthesize(3.0, 1e-3, 0.5, 0.0, 1.0, np.linspace(0.0, 2e-3, 200)))
+    return d
+
+
+TRANSITIONS = ("transitions", "--isotope", "n14", *PRESET, "--bz", "470")
+ANGULAR = ("angular-scan", "--isotope", "n15", *PRESET, "--bz", "480", "--steps", "3")
+FIXED = ("--fix", "gamma_e_bx")
+
+
+@pytest.mark.parametrize(
+    "argv, csv_header",
+    [
+        (TRANSITIONS, "transition,freq_khz,df_dt_hz_per_k"),
+        ([*TRANSITIONS, "--format", "json"], None),
+        ([*FIT, "{dir}/one.csv", *FIXED], None),
+        (["thermal", *FIT[1:], "{dir}/series.csv", *FIXED], None),
+        (ANGULAR, "# transition=f7 bz_G=480 beta_perturbative="),
+        ([*ANGULAR, "--format", "json"], None),
+        (["perturb-check"], None),
+        (["ramsey", "--isotope", "n14", *PRESET, "--bz", "470"], None),
+        (["ramsey", "--trace-in", "{dir}/trace.csv", "--f-rf-khz", "100"], None),
+    ],
+    ids=[
+        "transitions-csv", "transitions-json", "fit", "thermal", "angular-csv", "angular-json",
+        "perturb-check", "ramsey", "ramsey-trace-in",
+    ],
+)
+def test_every_report_goes_through_one_writer(report_inputs, tmp_path, capsys, argv, csv_header):
+    argv = [a.format(dir=report_inputs) for a in argv]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "report"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    if csv_header is None:
+        # The same report as on stdout; only the config's --out differs.
+        report, shown = json.loads(text), json.loads(printed)
+        assert next(iter(report)) == "config"
+        assert shown["config"]["out"] is None
+        shown["config"]["out"] = str(path)
+        assert report == shown
+    else:
+        assert text == printed
+        assert text.splitlines()[0].startswith(csv_header)
 
 
 def test_perturb_check_passes_and_trips(capsys):
@@ -421,6 +489,11 @@ def test_measurement_csv_rejects_bad_rows(tmp_path):
         read_measurements(path, N14)
     path.write_text("temperature_K,transition,freq_khz,sigma_khz\n297,f1,nan,0.1\n")
     with pytest.raises(ValueError, match="finite"):
+        read_measurements(path, N14)
+    path.write_text(
+        "temperature_K,transition,freq_khz,sigma_khz\n297,f1,5.0,0.1\n77,f1,5.1,0.1\n297,f1,5.2,0.1\n"
+    )
+    with pytest.raises(ValueError, match="^line 4: f1 is listed twice at 297.0 K$"):
         read_measurements(path, N14)
     path.write_text("wrong,header\n")
     with pytest.raises(ValueError):

@@ -140,13 +140,23 @@ def test_non_finite_measurement_rejected(freq, sigma):
         )
 
 
+def test_repeated_transition_rejected():
+    # FitResult.residuals is keyed by label, so a second f1 row would be
+    # fitted but its residual never reported.
+    entries = (MeasurementEntry("f1", 5085.95, 0.01), MeasurementEntry("f2", 4799.65, 0.01))
+    with pytest.raises(ValueError, match="^f1 is listed twice at 297.0 K$"):
+        MeasurementSet(297.0, N14, (*entries, MeasurementEntry("f1", 5086.95, 0.01)))
+
+
 def test_guess_at_the_anticrossing_is_refused():
     # gamma_e Bz = D puts the first trial point on the level anti-crossing.
     guess = truth_vector(N14, bz=1022.8)
     with pytest.raises(AmbiguousLabelingError) as err:
         extract_params(synthetic_set(N14), guess, fixed=("gamma_e_bx",))
     text = str(err.value)
-    assert text.startswith("labeling failed at trial point {'d': ")
+    # The temperature leads; the trial point prints as plain floats.
+    assert text.startswith("T = 297.0 K: labeling failed at trial point {'d': 2870")
+    assert "np.float64" not in text
     assert re.search(r"\}: at Bz = 1022\.8\d* G, Bx = 0\.0 G \(N14\): eigenstate \d+ has", text)
 
 

@@ -128,6 +128,12 @@ def test_agreement_hierarchy_at_bx0():
                 assert full[label] <= second[label] + 1e-9
 
 
+@pytest.mark.parametrize("order", ["ful", "second", "", None])
+def test_residuals_refuse_an_unknown_order(order):
+    with pytest.raises(ValueError, match="order must be 'full' or '2nd'"):
+        residuals_vs_exact(P14, N14, [470.0], [0.0], order=order)
+
+
 def test_aperp_zero_full_residual_floor():
     # with A_perp = 0 only the expansion of the electron Bx coupling in
     # A_par/F remains; both isotopes sit below 0.2 Hz
