@@ -31,7 +31,6 @@ from .optimize import (
 from .perturbation import (
     AngularResponse,
     FieldModel,
-    PerturbationContext,
     ValidityMarginError,
     beta_coefficient,
     exact_angular_shift,

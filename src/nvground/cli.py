@@ -160,6 +160,8 @@ def _thermal_summary(models: dict[str, PolynomialModel]) -> dict:
 
 
 def cmd_fit(args) -> int:
+    if args.thermal and args.format == "csv":
+        raise ConfigError("the thermal models have no CSV form; use --format json")
     iso = get_isotope(args.isotope)
     params, _ = _params(args, iso, presets.T_REF_K)
     if args.bz is None:
@@ -287,7 +289,19 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+# The ramsey flags that only a --trace-in fit reads.  It reads these and
+# --out; a synthesized trace reads every other flag.
+TRACE_IN_FLAGS = {"trace_in", "f_rf_khz", "sign"}
+
+
 def cmd_ramsey(args) -> int:
+    defaults = vars(build_parser().parse_args(["ramsey"]))
+    given = {k for k, v in vars(args).items() if v != defaults[k]}
+    unread = given - TRACE_IN_FLAGS - {"out"} if args.trace_in else given & TRACE_IN_FLAGS
+    if unread:
+        flags = ", ".join(sorted("--" + k.replace("_", "-") for k in unread))
+        mode = "--trace-in fit" if args.trace_in else "synthesized trace"
+        raise ConfigError(f"a {mode} does not read {flags}")
     truth = {}
     if args.trace_in:
         trace = io.read_trace(args.trace_in)

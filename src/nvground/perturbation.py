@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import CouplingParams, FieldConfig, IsotopeSpec
+from .spin_core import N14, N15, CouplingParams, FieldConfig, IsotopeSpec
 from .transitions import (
     LINES,
-    TransitionSet,
     known_labels,
     nuclear_labels,
     transition_lines,
@@ -43,37 +42,11 @@ class ValidityMarginError(ValueError):
 
 
 @dataclass(frozen=True)
-class PerturbationContext:
-    """Coupling parameters plus field, with F+- = D +- gamma_e Bz cached."""
-
-    params: CouplingParams
-    bz: float
-    bx: float = 0.0
-
-    @property
-    def f_plus(self) -> float:
-        return self.params.d + self.params.gamma_e * self.bz
-
-    @property
-    def f_minus(self) -> float:
-        return self.params.d - self.params.gamma_e * self.bz
-
-    def require_margin(self):
-        limit = VALIDITY_FACTOR * abs(self.params.a_perp)
-        if min(abs(self.f_minus), abs(self.f_plus)) <= limit:
-            raise ValidityMarginError(
-                f"|D - gamma_e Bz| = {abs(self.f_minus):.1f} kHz is within "
-                f"{VALIDITY_FACTOR} x |A_perp| = {limit:.1f} kHz of the anti-crossing"
-            )
-
-
-@dataclass(frozen=True)
 class AngularResponse:
     """Quadratic misalignment law: shift = 0.5 * beta * theta^2 * baseline."""
 
     beta: float
     baseline_khz: float
-    transition: str
 
 
 @dataclass(frozen=True)
@@ -83,26 +56,34 @@ class FieldModel:
     freq_khz: float
     fractional_correction: float
     baseline_khz: float
-    transition: str
 
 
-def _as_set(freqs: dict[str, float], iso: IsotopeSpec) -> TransitionSet:
+def _require_margin(p: CouplingParams, bz: float) -> None:
+    f_minus = p.d - p.gamma_e * bz
+    limit = VALIDITY_FACTOR * abs(p.a_perp)
+    if min(abs(f_minus), abs(p.d + p.gamma_e * bz)) <= limit:
+        raise ValidityMarginError(
+            f"|D - gamma_e Bz| = {abs(f_minus):.1f} kHz is within "
+            f"{VALIDITY_FACTOR} x |A_perp| = {limit:.1f} kHz of the anti-crossing"
+        )
+
+
+def _with_fdq(freqs: dict[str, float], iso: IsotopeSpec) -> dict[str, float]:
     """Nuclear-line formula values, plus fdq for 14NV."""
     lines = LINES[iso.name]
     if "fdq" in lines:
         a, b = lines["fdq"].minus
-        freqs = {**freqs, "fdq": freqs[a] - freqs[b]}
-    return TransitionSet(frequencies=freqs, isotope=iso.name)
+        freqs["fdq"] = freqs[a] - freqs[b]
+    return freqs
 
 
-def _second_order(ctx: PerturbationContext, iso: IsotopeSpec) -> dict[str, float]:
+def _second_order(p: CouplingParams, iso: IsotopeSpec, bz: float) -> dict[str, float]:
     """The lowest-order terms, also the leading terms of nuclear_freqs_full."""
-    p = ctx.params
-    fp, fm = ctx.f_plus, ctx.f_minus
+    fp, fm = p.d + p.gamma_e * bz, p.d - p.gamma_e * bz
     w = p.a_perp * p.a_perp
     if iso.name == "N14":
         q, a = abs(p.q), abs(p.a_par)
-        gn = p.gamma_n * ctx.bz
+        gn = p.gamma_n * bz
         return {
             "f1": q + gn - w / fm,
             "f2": q - gn - w / fp,
@@ -112,7 +93,7 @@ def _second_order(ctx: PerturbationContext, iso: IsotopeSpec) -> dict[str, float
             "f6": q - a - gn,
         }
     a = p.a_par
-    gn = abs(p.gamma_n) * ctx.bz
+    gn = abs(p.gamma_n) * bz
     return {
         "f7": gn + (w / 2) * (1 / fm - 1 / fp),
         "f8": a - gn - (w / 2) / fm,
@@ -120,15 +101,15 @@ def _second_order(ctx: PerturbationContext, iso: IsotopeSpec) -> dict[str, float
     }
 
 
-def nuclear_freqs_2nd(ctx: PerturbationContext, iso: IsotopeSpec) -> TransitionSet:
-    """Lowest-order nuclear frequencies in A_perp^2/F+- at Bx = 0."""
-    ctx.require_margin()
-    if ctx.bx != 0:
-        raise ValueError("lowest-order formulas hold on axis; got Bx != 0")
-    return _as_set(_second_order(ctx, iso), iso)
+def nuclear_freqs_2nd(p: CouplingParams, iso: IsotopeSpec, bz: float) -> dict[str, float]:
+    """Lowest-order nuclear frequencies in A_perp^2/F+- on axis (Bx = 0)."""
+    _require_margin(p, bz)
+    return _with_fdq(_second_order(p, iso, bz), iso)
 
 
-def nuclear_freqs_full(ctx: PerturbationContext, iso: IsotopeSpec) -> TransitionSet:
+def nuclear_freqs_full(
+    p: CouplingParams, iso: IsotopeSpec, bz: float, bx: float
+) -> dict[str, float]:
     """Second- plus fourth-order nuclear frequencies, including Bx^2 terms.
 
     The Bx^2 brackets use magnitudes of Q and A_par in their small
@@ -136,14 +117,13 @@ def nuclear_freqs_full(ctx: PerturbationContext, iso: IsotopeSpec) -> Transition
     the nuclear Zeeman splitting vanishes (15NV f7), and these cases raise.
     Each line is its nuclear_freqs_2nd value plus the higher-order terms.
     """
-    ctx.require_margin()
-    p = ctx.params
-    fp, fm = ctx.f_plus, ctx.f_minus
+    _require_margin(p, bz)
+    fp, fm = p.d + p.gamma_e * bz, p.d - p.gamma_e * bz
     w = p.a_perp * p.a_perp
-    x = (p.gamma_e * ctx.bx) ** 2 / 2
+    x = (p.gamma_e * bx) ** 2 / 2
     fp2, fm2 = fp * fp, fm * fm
     sum_inv_sq = (1 / fp + 1 / fm) ** 2
-    f = _second_order(ctx, iso)
+    f = _second_order(p, iso, bz)
     if iso.name == "N14":
         q, a = abs(p.q), abs(p.a_par)
         d_lo, d_hi = q - a, q + a
@@ -171,7 +151,7 @@ def nuclear_freqs_full(ctx: PerturbationContext, iso: IsotopeSpec) -> Transition
         }
     else:
         a = p.a_par
-        gn = abs(p.gamma_n) * ctx.bz
+        gn = abs(p.gamma_n) * bz
         if x != 0 and (abs(a) < 1e-9 or abs(gn) < 1e-9):
             raise ValueError("A_par or gamma_n Bz too small for the transverse-field terms")
         freqs = {
@@ -185,13 +165,13 @@ def nuclear_freqs_full(ctx: PerturbationContext, iso: IsotopeSpec) -> Transition
             - (w / 4) * (a / fp2)
             + (x * (w / a - a) / fp2 if x != 0 else 0.0),
         }
-    return _as_set(freqs, iso)
+    return _with_fdq(freqs, iso)
 
 
 def _ms0_baseline(p: CouplingParams, bz: float, transition: str) -> float:
     """Nuclear Zeeman baseline of fdq (2 |gamma_n| Bz) or f7 (|gamma_n| Bz),
     after checking the validity margin and the transition name."""
-    PerturbationContext(params=p, bz=bz).require_margin()
+    _require_margin(p, bz)
     if transition not in ("fdq", "f7"):
         raise ValueError(f"transition must be 'fdq' or 'f7', got {transition!r}")
     return (2 if transition == "fdq" else 1) * abs(p.gamma_n) * bz
@@ -212,20 +192,17 @@ def beta_coefficient(p: CouplingParams, bz: float, transition: str) -> AngularRe
         )
     else:
         beta = (p.gamma_e / p.gamma_n) ** 2 * (4 * p.a_perp**2 * p.d**2 / denom)
-    return AngularResponse(beta=beta, baseline_khz=baseline, transition=transition)
+    return AngularResponse(beta=beta, baseline_khz=baseline)
 
 
 def fdq_f7_field_model(p: CouplingParams, bz: float, transition: str) -> FieldModel:
-    """Field model of the ms = 0 manifold lines (nuclear Zeeman + A_perp^2)."""
+    """Field model of the ms = 0 manifold lines (nuclear Zeeman + A_perp^2):
+    the lowest-order fdq (14NV) or f7 (15NV) over its nuclear Zeeman baseline."""
     baseline = _ms0_baseline(p, bz, transition)
-    frac = (p.gamma_e / abs(p.gamma_n)) * p.a_perp**2 / (p.d**2 - (p.gamma_e * bz) ** 2)
-    if transition == "fdq":
-        frac = -frac
+    iso = N14 if transition == "fdq" else N15
+    freq = _with_fdq(_second_order(p, iso, bz), iso)[transition]
     return FieldModel(
-        freq_khz=baseline * (1 + frac),
-        fractional_correction=frac,
-        baseline_khz=baseline,
-        transition=transition,
+        freq_khz=freq, fractional_correction=freq / baseline - 1, baseline_khz=baseline
     )
 
 
@@ -285,18 +262,21 @@ def residuals_vs_exact(
     Exact diagonalization runs without the transverse nuclear Zeeman term
     so that the comparison isolates genuine series-truncation error.
     """
-    formula = {"full": nuclear_freqs_full, "2nd": nuclear_freqs_2nd}.get(order)
-    if formula is None:
+    if order not in ("full", "2nd"):
         raise ValueError(f"order must be 'full' or '2nd', not {order!r}")
     names = nuclear_labels(iso)
     columns = [known_labels(iso).index(name) for name in names]
     perts, fields = [], []
     try:
-        for bz in bz_values:
-            for bx in bx_values:
-                ctx = PerturbationContext(params=p, bz=float(bz), bx=float(bx))
-                perts.append(formula(ctx, iso))
-                fields.append(FieldConfig(bz=float(bz), bx=float(bx)))
+        for bz in map(float, bz_values):
+            for bx in map(float, bx_values):
+                if order == "full":
+                    perts.append(nuclear_freqs_full(p, iso, bz, bx))
+                else:
+                    perts.append(nuclear_freqs_2nd(p, iso, bz))
+                    if bx != 0:
+                        raise ValueError("lowest-order formulas hold on axis; got Bx != 0")
+                fields.append(FieldConfig(bz=bz, bx=bx))
     finally:
         # One exact batch over the points reached, also when the series
         # gave up at a later point: a refusal at an earlier point comes

@@ -68,11 +68,11 @@ class CouplingParams:
     q: float
     a_par: float
     a_perp: float
+    gamma_n: float
     gamma_e: float = GAMMA_E_KHZ_PER_G
-    gamma_n: float = GAMMA_N14_KHZ_PER_G
 
     def __post_init__(self):
-        vals = (self.d, self.q, self.a_par, self.a_perp, self.gamma_e, self.gamma_n)
+        vals = (self.d, self.q, self.a_par, self.a_perp, self.gamma_n, self.gamma_e)
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("coupling parameters must be finite")
         if self.gamma_e <= 0:

@@ -175,6 +175,7 @@ def bad_inputs(tmp_path):
         ]
         (tmp_path / name).write_text("\n".join([MEASUREMENT_HEADER, *rows]) + "\n")
     trace = synthesize(3.0, 1e-3, 0.5, 0.0, 1.0, np.linspace(0.0, 2e-3, 200))
+    write_trace(tmp_path / "trace.csv", trace)
     write_trace(tmp_path / "huge_trace.csv", RamseyTrace(trace.times, 1e200 * trace.signal))
     write_trace(tmp_path / "flat.csv", RamseyTrace(np.linspace(0.0, 1e-3, 100), np.ones(100)))
     return tmp_path
@@ -182,6 +183,21 @@ def bad_inputs(tmp_path):
 
 PRESET = ("--preset", "table1_297K")
 FIT = ("fit", "--isotope", "n14", *PRESET, "--bz", "470", "--measurements")
+# Each asks for an output the command cannot give or passes flags it
+# would not read.
+REFUSED = {
+    "thermal-csv": ([*FIT, "{dir}/cold.csv", "--thermal", "--format", "csv"],
+                    "the thermal models have no CSV form"),
+    "thermal-cmd-csv": (["thermal", *FIT[1:], "{dir}/cold.csv", "--format", "csv"],
+                        "the thermal models have no CSV form"),
+    "ramsey-synth-trace-in-flags": (
+        ["ramsey", "--isotope", "n14", *PRESET, "--bz", "470", "--sign", "-1", "--f-rf-khz", "5"],
+        "a synthesized trace does not read --f-rf-khz, --sign"),
+    "ramsey-trace-in-synth-flags": (
+        ["ramsey", "--trace-in", "{dir}/trace.csv", "--f-rf-khz", "5090", "--isotope", "n15",
+         "--bz", "100", "--transition", "f7", "--samples", "3"],
+        "a --trace-in fit does not read --bz, --isotope, --samples, --transition"),
+}
 
 
 @pytest.mark.parametrize(
@@ -205,12 +221,13 @@ FIT = ("fit", "--isotope", "n14", *PRESET, "--bz", "470", "--measurements")
         (["perturb-check", "--tolerance-hz", "0.001"], 5, ""),
         (["perturb-check", "--bz-max", "1024", "--bz-steps", "3"], 2, ""),
         (["perturb-check", "--bz-steps", "0"], 2, ""),
+        *((argv, 2, names) for argv, names in REFUSED.values()),
     ],
     ids=[
         "no-source", "unknown-preset", "gslac", "underdetermined-fit", "missing-file",
         "huge-f1", "cold-huge-f1", "gslac-fit-guess", "huge-trace", "flat-trace",
         "ramsey-no-isotope", "n15-zero-field", "n14-zero-field", "wide-angle", "tripwire",
-        "perturb-gslac", "empty-grid",
+        "perturb-gslac", "empty-grid", *REFUSED,
     ],
 )
 def test_failures_end_in_one_error_line(bad_inputs, capsys, argv, code, names):
@@ -314,11 +331,12 @@ def test_perturb_check_refuses_empty_grid(capsys, flag):
         ["synth", "--isotope", "n14", "--preset", "table1_297K", "--bz", "470", "--temp", "77"],
         ["synth", "--isotope", "n14", "--bz", "470"],
         ["ramsey", "--isotope", "n14", "--preset", "table1_297K", "--bz", "470", "--format", "csv"],
+        *(argv for argv, _ in REFUSED.values()),
     ],
 )
-def test_flags_a_command_does_not_read_are_refused(tmp_path, capsys, argv):
-    out = tmp_path / "out"
-    assert main(argv + ["--out", str(out)]) == 2
+def test_flags_a_command_does_not_read_are_refused(bad_inputs, capsys, argv):
+    out = bad_inputs / "out"
+    assert main([a.format(dir=bad_inputs) for a in argv] + ["--out", str(out)]) == 2
     assert capsys.readouterr().out == ""
     assert not out.exists()
 
@@ -428,8 +446,7 @@ def test_ramsey_trace_file_roundtrip(tmp_path, capsys):
     assert code == 0
     f_rf = json.loads(out)["f_rf_khz"]
     code, out = run(
-        capsys, "ramsey", "--isotope", "n14", "--trace-in", str(trace_path),
-        "--f-rf-khz", str(f_rf),
+        capsys, "ramsey", "--trace-in", str(trace_path), "--f-rf-khz", str(f_rf),
     )
     assert code == 0
     payload = json.loads(out)
@@ -457,9 +474,7 @@ def test_ramsey_synthesis_without_isotope_is_a_config_error(capsys):
 def test_ramsey_flat_trace_is_a_config_error(tmp_path, capsys):
     trace_path = tmp_path / "flat.csv"
     write_trace(trace_path, RamseyTrace(times=np.linspace(0.0, 1e-3, 100), signal=np.ones(100)))
-    code = main(
-        ["ramsey", "--isotope", "n14", "--trace-in", str(trace_path), "--f-rf-khz", "100"]
-    )
+    code = main(["ramsey", "--trace-in", str(trace_path), "--f-rf-khz", "100"])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("error:") == 1

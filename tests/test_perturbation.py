@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvground.presets import TABLE3, params_at, thermal_presets
 from nvground.spin_core import N14, N15, CouplingParams, FieldConfig
 from nvground.perturbation import (
-    PerturbationContext,
     ValidityMarginError,
     beta_coefficient,
     exact_angular_shift,
@@ -22,24 +23,24 @@ P14 = params_at("N14")
 P15 = params_at("N15")
 
 
-def ctx14(bz, bx=0.0):
-    return PerturbationContext(params=P14, bz=bz, bx=bx)
+MARGIN_1020_G = r"^\|D - gamma_e Bz\| = 10914\.0 kHz is within 50\.0 x \|A_perp\|"
 
 
-def ctx15(bz, bx=0.0):
-    return PerturbationContext(params=P15, bz=bz, bx=bx)
-
-
-def test_context_and_margin():
-    c = ctx14(470.0)
-    assert c.f_plus == pytest.approx(P14.d + P14.gamma_e * 470.0)
-    assert c.f_minus == pytest.approx(P14.d - P14.gamma_e * 470.0)
-    with pytest.raises(ValidityMarginError):
-        ctx14(1020.0).require_margin()
+def test_validity_margin():
+    # Every closed form refuses a field within 50 |A_perp| of the GSLAC.
+    for refuse in (
+        lambda: nuclear_freqs_2nd(P14, N14, 1020.0),
+        lambda: nuclear_freqs_full(P14, N14, 1020.0, 0.0),
+        lambda: beta_coefficient(P14, 1020.0, "fdq"),
+        lambda: fdq_f7_field_model(P14, 1020.0, "fdq"),
+    ):
+        with pytest.raises(ValidityMarginError, match=MARGIN_1020_G):
+            refuse()
+    nuclear_freqs_2nd(P14, N14, 970.0)
 
 
 def test_second_order_f2_matches_table():
-    ts = nuclear_freqs_2nd(ctx14(470.0), N14)
+    ts = nuclear_freqs_2nd(P14, N14, 470.0)
     q, fp = abs(P14.q), P14.d + P14.gamma_e * 470.0
     closed = q - P14.gamma_n * 470.0 - P14.a_perp**2 / fp
     assert ts["f2"] == pytest.approx(closed, rel=1e-14)
@@ -47,14 +48,15 @@ def test_second_order_f2_matches_table():
 
 
 def test_second_order_requires_on_axis():
-    with pytest.raises(ValueError):
-        nuclear_freqs_2nd(ctx14(470.0, bx=0.5), N14)
+    with pytest.raises(TypeError):
+        nuclear_freqs_2nd(P14, N14, 470.0, 0.5)
+    with pytest.raises(ValueError, match="lowest-order formulas hold on axis"):
+        residuals_vs_exact(P14, N14, [470.0], [0.0, 0.5], order="2nd")
 
 
 def test_aperp_zero_reduces_to_exact():
     p0 = CouplingParams(d=P14.d, q=P14.q, a_par=P14.a_par, a_perp=0.0, gamma_n=P14.gamma_n)
-    ctx = PerturbationContext(params=p0, bz=470.0)
-    pert = nuclear_freqs_2nd(ctx, N14)
+    pert = nuclear_freqs_2nd(p0, N14, 470.0)
     exact = transition_set(p0, FieldConfig(bz=470.0), N14)
     for label in ("f1", "f2", "f3", "f4", "f5", "f6"):
         assert pert[label] == pytest.approx(exact[label], abs=1e-9)
@@ -77,9 +79,8 @@ def test_second_order_gap_to_exact_n15():
 def test_full_formula_f3_row_structure():
     # at Bx = 0 the full f3 is the lowest-order value minus
     # A_perp^2 (2|Q| - |A_par|)/F-^2
-    ctx = ctx14(470.0)
-    full = nuclear_freqs_full(ctx, N14)
-    second = nuclear_freqs_2nd(ctx, N14)
+    full = nuclear_freqs_full(P14, N14, 470.0, 0.0)
+    second = nuclear_freqs_2nd(P14, N14, 470.0)
     q, a = abs(P14.q), abs(P14.a_par)
     fm = P14.d - P14.gamma_e * 470.0
     assert full["f3"] == pytest.approx(second["f3"] - P14.a_perp**2 * (2 * q - a) / fm**2, rel=1e-12)
@@ -100,7 +101,7 @@ def test_residuals_match_a_point_by_point_loop():
         worst = {}
         for bz in bz_grid:
             for bx in bx_grid:
-                pert = nuclear_freqs_full(PerturbationContext(params=p, bz=bz, bx=bx), iso)
+                pert = nuclear_freqs_full(p, iso, bz, bx)
                 exact = transition_set(p, FieldConfig(bz=bz, bx=bx), iso, nuclear_transverse=False)
                 for name in nuclear_labels(iso):
                     worst[name] = max(worst.get(name, 0.0), abs(pert[name] - exact[name]))
@@ -116,7 +117,24 @@ def test_residuals_raise_the_first_error_along_the_grid():
     with pytest.raises(ValidityMarginError):
         residuals_vs_exact(P14, N14, [1020.0, 0.0], [0.0])
     transition_set(P14, FieldConfig(bz=1020.0), N14, nuclear_transverse=False)
-    nuclear_freqs_full(ctx14(0.0), N14)
+    nuclear_freqs_full(P14, N14, 0.0, 0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    iso=st.sampled_from([N14, N15]),
+    temp=st.floats(77.0, 400.0),
+    bz=st.floats(300.0, 600.0),
+    bx=st.floats(0.0, 1.0),
+)
+def test_formulas_hold_over_temperature(iso, temp, bz, bx):
+    # Criterion 5's 20 Hz tripwire (checked there at 297 K only) holds
+    # over the preset range, and the ms = 0 field model is the
+    # lowest-order line itself, bit for bit.
+    p = params_at(iso, temp)
+    assert max(residuals_vs_exact(p, iso, [bz], [bx]).values()) < 0.020
+    line = "fdq" if iso is N14 else "f7"
+    assert fdq_f7_field_model(p, bz, line).freq_khz == nuclear_freqs_2nd(p, iso, bz)[line]
 
 
 def test_agreement_hierarchy_at_bx0():
@@ -232,4 +250,4 @@ def test_field_model_temperature_slopes():
 def test_full_formula_guards():
     degenerate = CouplingParams(d=P14.d, q=-2165.19, a_par=-2165.19, a_perp=-2635.0, gamma_n=P14.gamma_n)
     with pytest.raises(ValueError):
-        nuclear_freqs_full(PerturbationContext(params=degenerate, bz=470.0, bx=0.5), N14)
+        nuclear_freqs_full(degenerate, N14, 470.0, 0.5)

@@ -140,10 +140,12 @@ def test_n15_rejects_nonzero_q():
 
 
 def test_params_must_be_finite():
-    with pytest.raises(ValueError):
-        CouplingParams(d=np.nan, q=0.0, a_par=1.0, a_perp=1.0)
-    with pytest.raises(ValueError):
-        CouplingParams(d=1.0, q=0.0, a_par=1.0, a_perp=1.0, gamma_e=-1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        CouplingParams(d=np.nan, q=0.0, a_par=1.0, a_perp=1.0, gamma_n=N14.gamma_n)
+    with pytest.raises(ValueError, match="gamma_e must be positive"):
+        CouplingParams(d=1.0, q=0.0, a_par=1.0, a_perp=1.0, gamma_n=N14.gamma_n, gamma_e=-1.0)
+    with pytest.raises(TypeError, match="gamma_n"):
+        CouplingParams(d=1.0, q=0.0, a_par=1.0, a_perp=1.0)
     with pytest.raises(ValueError):
         FieldConfig(bz=np.inf)
 
