@@ -30,7 +30,7 @@ from .spin_core import (
 )
 from .transitions import (
     AmbiguousLabelingError,
-    line_values,
+    known_labels,
     mw_label,
     nuclear_labels,
     transition_set,
@@ -76,7 +76,6 @@ def _params(args, iso: IsotopeSpec, temperature: float):
     if (args.preset is None) == (args.params is None):
         raise ConfigError("exactly one of --preset or --params is required")
     if args.preset is not None:
-        presets.resolve_preset(args.preset)
         return presets.params_at(iso, temperature), presets.thermal_presets(iso)
     try:
         raw = json.loads(Path(args.params).read_text(encoding="utf-8"))
@@ -114,11 +113,11 @@ def cmd_transitions(args) -> int:
     iso = get_isotope(args.isotope)
     params, models = _params(args, iso, args.temp)
     field = _field(args)
-    with_slopes = models is not None and field.bx == 0
+    with_slopes = models is not None
     if with_slopes:
-        rows = extraction.transition_table(models, args.temp, field.bz, iso).rows
+        rows = extraction.transition_table(models, args.temp, field, iso).rows
     else:
-        rows = [(l, f, None) for l, f in line_values(transition_set(params, field, iso)).items()]
+        rows = [(l, f, None) for l, f in transition_set(params, field, iso).frequencies.items()]
     json_rows = [
         {"transition": l, "freq_khz": round(float(f), 6)}
         | ({"df_dt_hz_per_k": round(float(s), 6)} if with_slopes else {})
@@ -192,8 +191,8 @@ def cmd_angular_scan(args) -> int:
         raise ConfigError("--theta-max-deg must lie in (0, 2]")
     if args.steps < 2:
         raise ConfigError("--steps must be at least 2")
-    transition = "fdq" if iso.name == "N14" else "f7"
-    beta = perturbation.beta_coefficient(params, args.bz, transition)
+    transition = perturbation.ms0_line(iso)
+    beta = perturbation.beta_coefficient(params, iso, args.bz)
     thetas = np.linspace(0.0, args.theta_max_deg, args.steps)
     f0 = float(transition_set(params, FieldConfig(bz=args.bz), iso, np.longdouble)[transition])
     if f0 == 0:
@@ -201,9 +200,7 @@ def cmd_angular_scan(args) -> int:
     rows = []
     for theta_deg in thetas:
         shift = float(
-            perturbation.exact_angular_shift(
-                params, iso, args.bz, math.radians(theta_deg), transition
-            )
+            perturbation.exact_angular_shift(params, iso, args.bz, math.radians(theta_deg))
         )
         rows.append((float(theta_deg), f0 + shift, shift / f0))
     payload = {
@@ -264,7 +261,6 @@ def _sigma_for(label: str) -> float:
 
 def cmd_synth(args) -> int:
     iso = get_isotope(args.isotope)
-    presets.resolve_preset(args.preset)
     if args.bz is None:
         raise ConfigError("--bz is required")
     try:
@@ -295,8 +291,8 @@ TRACE_IN_FLAGS = {"trace_in", "f_rf_khz", "sign"}
 
 
 def cmd_ramsey(args) -> int:
-    defaults = vars(build_parser().parse_args(["ramsey"]))
-    given = {k for k, v in vars(args).items() if v != defaults[k]}
+    given = RAMSEY_DEFAULTS.keys() & vars(args)  # RAMSEY_FLAGS default to SUPPRESS
+    args = argparse.Namespace(**RAMSEY_DEFAULTS | vars(args))
     unread = given - TRACE_IN_FLAGS - {"out"} if args.trace_in else given & TRACE_IN_FLAGS
     if unread:
         flags = ", ".join(sorted("--" + k.replace("_", "-") for k in unread))
@@ -316,7 +312,7 @@ def cmd_ramsey(args) -> int:
         if args.bz is None:
             raise ConfigError("--bz is required")
         ts = transition_set(params, _field(args), iso)
-        if args.transition not in ts.frequencies:
+        if args.transition not in known_labels(iso):
             raise ConfigError(f"unknown transition {args.transition!r} for {iso.name}")
         f_true = float(ts[args.transition])
         f_rf = f_true + args.detune_khz
@@ -359,7 +355,9 @@ def cmd_ramsey(args) -> int:
 # accepting and then ignoring them.
 COMMON_FLAGS = {
     "--isotope": dict(required=True, help="n14 or n15"),
-    "--preset": dict(help="named parameter preset (table1_297K)"),
+    "--preset": dict(
+        choices=presets.PRESET_NAMES, metavar="PRESET", help="named parameter preset (%(choices)s)"
+    ),
     "--params": dict(help="JSON file with d, q, a_par, a_perp [, gamma_n]"),
     "--bz": dict(type=float, default=None, help="axial field, Gauss"),
     "--bx": dict(type=float, default=0.0, help="transverse field, Gauss"),
@@ -372,6 +370,30 @@ COMMON_FLAGS = {
 }
 SOURCE = ("--preset", "--params")
 FIELD = ("--bz", "--bx", "--b", "--theta-deg")
+
+# ramsey's flags.  It registers them all with default SUPPRESS, so that
+# cmd_ramsey sees which were given (also at their default value) and can
+# refuse those its mode does not read; it applies RAMSEY_DEFAULTS after.
+RAMSEY_FLAGS = {
+    **{flag: COMMON_FLAGS[flag] for flag in (*SOURCE, *FIELD, "--temp", "--out", "--seed")},
+    "--isotope": dict(help="n14 or n15 (not needed with --trace-in)"),
+    "--transition": dict(default="f1"),
+    "--detune-khz": dict(type=float, default=4.0),
+    "--t2-star-ms": dict(type=float, default=1.0),
+    "--duration-ms": dict(type=float, default=2.0),
+    "--samples": dict(type=int, default=200),
+    "--amp": dict(type=float, default=0.5),
+    "--phase": dict(type=float, default=0.0),
+    "--offset": dict(type=float, default=1.0),
+    "--noise-sigma": dict(type=float, default=0.0),
+    "--sign": dict(type=int, choices=(1, -1), default=1),
+    "--trace-out": dict(help="write the synthesized trace CSV here"),
+    "--trace-in": dict(help="fit an existing trace CSV instead"),
+    "--f-rf-khz": dict(type=float, default=None, help="drive frequency for --trace-in"),
+}
+RAMSEY_DEFAULTS = {
+    flag[2:].replace("-", "_"): spec.get("default") for flag, spec in RAMSEY_FLAGS.items()
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -423,26 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = add("synth", "generate a synthetic measurement CSV", cmd_synth,
             "--isotope", "--bz", "--out", "--seed")
-    s.add_argument("--preset", required=True, help=COMMON_FLAGS["--preset"]["help"])
+    s.add_argument("--preset", required=True, **COMMON_FLAGS["--preset"])
     s.add_argument("--temps", default="297", help="comma-separated temperatures, K")
     s.add_argument("--noise-scale", type=float, default=1.0, help="0 for noiseless")
 
-    s = add("ramsey", "synthesize and fit Ramsey fringes end to end", cmd_ramsey,
-            *SOURCE, *FIELD, "--temp", "--out", "--seed")
-    s.add_argument("--isotope", help="n14 or n15 (not needed with --trace-in)")
-    s.add_argument("--transition", default="f1")
-    s.add_argument("--detune-khz", type=float, default=4.0)
-    s.add_argument("--t2-star-ms", type=float, default=1.0)
-    s.add_argument("--duration-ms", type=float, default=2.0)
-    s.add_argument("--samples", type=int, default=200)
-    s.add_argument("--amp", type=float, default=0.5)
-    s.add_argument("--phase", type=float, default=0.0)
-    s.add_argument("--offset", type=float, default=1.0)
-    s.add_argument("--noise-sigma", type=float, default=0.0)
-    s.add_argument("--sign", type=int, choices=(1, -1), default=1)
-    s.add_argument("--trace-out", help="write the synthesized trace CSV here")
-    s.add_argument("--trace-in", help="fit an existing trace CSV instead")
-    s.add_argument("--f-rf-khz", type=float, default=None, help="drive frequency for --trace-in")
+    s = add("ramsey", "synthesize and fit Ramsey fringes end to end", cmd_ramsey)
+    for flag, spec in RAMSEY_FLAGS.items():
+        s.add_argument(flag, **spec | {"default": argparse.SUPPRESS})
 
     return parser
 

@@ -332,10 +332,10 @@ def anisotropy(a_par: float, a_perp: float, contact_reading: str = "cs2") -> Ani
 
 @dataclass(frozen=True)
 class TransitionTable:
-    """Frequencies and temperature slopes at one (T, Bz) point."""
+    """Frequencies and temperature slopes at one (T, field) point."""
 
     temperature: float
-    bz: float
+    field: FieldConfig
     isotope: str
     rows: tuple[tuple[str, float, float], ...]  # (label, kHz, Hz/K)
 
@@ -371,14 +371,14 @@ def params_from_models(
 def transition_table(
     models: dict[str, PolynomialModel],
     temperature: float,
-    bz: float,
+    field: FieldConfig,
     iso: IsotopeSpec,
 ) -> TransitionTable:
     """Exact-diagonalization line table with exact dT slopes from the same
-    solve: the field does not depend on T, so the rates are those of the
-    models' derived() polynomials (transitions.line_slopes)."""
+    solve, at any field: the field does not depend on T, so the rates are
+    those of the models' derived() polynomials (transitions.line_slopes)."""
     params = params_from_models(models, iso, temperature)
     rates = params_from_models({n: m.derived() for n, m in models.items()}, iso, temperature)
-    freqs, slopes = line_slopes(params, rates, FieldConfig(bz=bz), iso)
+    freqs, slopes = line_slopes(params, rates, field, iso)
     rows = tuple((label, float(f), float(1e3 * slopes[label])) for label, f in freqs.items())
-    return TransitionTable(temperature=temperature, bz=bz, isotope=iso.name, rows=rows)
+    return TransitionTable(temperature=temperature, field=field, isotope=iso.name, rows=rows)

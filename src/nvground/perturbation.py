@@ -23,14 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import N14, N15, CouplingParams, FieldConfig, IsotopeSpec
-from .transitions import (
-    LINES,
-    known_labels,
-    nuclear_labels,
-    transition_lines,
-    transition_set,
-)
+from .spin_core import CouplingParams, FieldConfig, IsotopeSpec, StateLabel
+from .transitions import LINES, nuclear_labels, transition_lines, transition_set
 
 # The series in 1/(D - gamma_e Bz) is trusted only this far from the
 # ground-state level anti-crossing.
@@ -168,25 +162,30 @@ def nuclear_freqs_full(
     return _with_fdq(freqs, iso)
 
 
-def _ms0_baseline(p: CouplingParams, bz: float, transition: str) -> float:
-    """Nuclear Zeeman baseline of fdq (2 |gamma_n| Bz) or f7 (|gamma_n| Bz),
-    after checking the validity margin and the transition name."""
+def ms0_line(iso: IsotopeSpec) -> str:
+    """The ms = 0 line between mI = -I and +I, the one whose temperature
+    and misalignment response the paper reports: fdq (14NV) or f7 (15NV)."""
+    ends = {StateLabel(0, -iso.nuclear_spin), StateLabel(0, iso.nuclear_spin)}
+    return next(name for name, line in LINES[iso.name].items() if set(line.levels or ()) == ends)
+
+
+def _ms0_baseline(p: CouplingParams, iso: IsotopeSpec, bz: float) -> float:
+    """Nuclear Zeeman baseline 2I |gamma_n| Bz of the ms = 0 line, after
+    checking the validity margin."""
     _require_margin(p, bz)
-    if transition not in ("fdq", "f7"):
-        raise ValueError(f"transition must be 'fdq' or 'f7', got {transition!r}")
-    return (2 if transition == "fdq" else 1) * abs(p.gamma_n) * bz
+    return 2 * iso.nuclear_spin * abs(p.gamma_n) * bz
 
 
-def beta_coefficient(p: CouplingParams, bz: float, transition: str) -> AngularResponse:
-    """Quadratic misalignment coefficient for fdq (14NV) or f7 (15NV).
+def beta_coefficient(p: CouplingParams, iso: IsotopeSpec, bz: float) -> AngularResponse:
+    """Quadratic misalignment coefficient of the ms = 0 line (ms0_line).
 
-    fdq responds through a second-order cross term of A_par with the
-    transverse electron Zeeman coupling; f7 through a fourth-order term in
-    A_perp that is resonantly enhanced by the small nuclear splitting.
+    fdq (14NV) responds through a second-order cross term of A_par with the
+    transverse electron Zeeman coupling; f7 (15NV) through a fourth-order
+    term in A_perp that is resonantly enhanced by the small nuclear splitting.
     """
-    baseline = _ms0_baseline(p, bz, transition)
+    baseline = _ms0_baseline(p, iso, bz)
     denom = (p.d * p.d - (p.gamma_e * bz) ** 2) ** 2
-    if transition == "fdq":
+    if iso.name == "N14":
         beta = -(p.gamma_e / abs(p.gamma_n)) * (
             4 * abs(p.a_par) * p.d * (p.gamma_e * bz) ** 2 / denom
         )
@@ -195,33 +194,26 @@ def beta_coefficient(p: CouplingParams, bz: float, transition: str) -> AngularRe
     return AngularResponse(beta=beta, baseline_khz=baseline)
 
 
-def fdq_f7_field_model(p: CouplingParams, bz: float, transition: str) -> FieldModel:
-    """Field model of the ms = 0 manifold lines (nuclear Zeeman + A_perp^2):
-    the lowest-order fdq (14NV) or f7 (15NV) over its nuclear Zeeman baseline."""
-    baseline = _ms0_baseline(p, bz, transition)
-    iso = N14 if transition == "fdq" else N15
-    freq = _with_fdq(_second_order(p, iso, bz), iso)[transition]
+def fdq_f7_field_model(p: CouplingParams, iso: IsotopeSpec, bz: float) -> FieldModel:
+    """Field model of the ms = 0 line (nuclear Zeeman + A_perp^2): its
+    lowest-order value over its nuclear Zeeman baseline."""
+    baseline = _ms0_baseline(p, iso, bz)
+    freq = _with_fdq(_second_order(p, iso, bz), iso)[ms0_line(iso)]
     return FieldModel(
         freq_khz=freq, fractional_correction=freq / baseline - 1, baseline_khz=baseline
     )
 
 
-def exact_angular_shift(
-    p: CouplingParams,
-    iso: IsotopeSpec,
-    bz: float,
-    theta_rad: float,
-    transition: str,
-):
-    """f(theta) - f(0) at fixed Bz, with Bx = Bz tan(theta).
+def exact_angular_shift(p: CouplingParams, iso: IsotopeSpec, bz: float, theta_rad: float):
+    """f(theta) - f(0) of the ms = 0 line at fixed Bz, with Bx = Bz tan(theta).
 
     Uses extended precision (longdouble): at low field the fdq shift sits
     around 1e-8 kHz, beneath double-precision eigenvalue noise.
     """
+    name = ms0_line(iso)
 
     def line(bx: float):
-        field = FieldConfig(bz=bz, bx=bx)
-        return transition_set(p, field, iso, np.longdouble)[transition]
+        return transition_set(p, FieldConfig(bz=bz, bx=bx), iso, np.longdouble)[name]
 
     return line(bz * math.tan(theta_rad)) - line(0.0)
 
@@ -230,23 +222,19 @@ def exact_angular_shift(
 BETA_THETAS_DEG = (0.02, 0.05, 0.1)
 
 
-def exact_beta_estimates(
-    p: CouplingParams,
-    iso: IsotopeSpec,
-    bz: float,
-    transition: str,
-) -> np.ndarray:
-    """Quadratic-law coefficients 2*shift/(theta^2 * baseline) per BETA_THETAS_DEG angle.
+def exact_beta_estimates(p: CouplingParams, iso: IsotopeSpec, bz: float) -> np.ndarray:
+    """Quadratic-law coefficients 2*shift/(theta^2 * baseline) of the ms = 0
+    line, per BETA_THETAS_DEG angle.
 
     The exact side drops the transverse nuclear Zeeman term, matching the
     Hamiltonian the beta formulas expand.  All angles and theta = 0 are one
     longdouble kernel batch.
     """
-    baseline = beta_coefficient(p, bz, transition).baseline_khz
+    baseline = _ms0_baseline(p, iso, bz)
     thetas = [math.radians(theta_deg) for theta_deg in BETA_THETAS_DEG]
     fields = [FieldConfig(bz=bz)] + [FieldConfig(bz=bz, bx=bz * math.tan(t)) for t in thetas]
     lines = transition_lines(p, fields, iso, np.longdouble, nuclear_transverse=False)[0]
-    f = lines[:, known_labels(iso).index(transition)]
+    f = lines[:, list(LINES[iso.name]).index(ms0_line(iso))]
     return np.array([float(2 * (fk - f[0]) / (t * t * baseline)) for fk, t in zip(f[1:], thetas)])
 
 
@@ -265,7 +253,7 @@ def residuals_vs_exact(
     if order not in ("full", "2nd"):
         raise ValueError(f"order must be 'full' or '2nd', not {order!r}")
     names = nuclear_labels(iso)
-    columns = [known_labels(iso).index(name) for name in names]
+    columns = [list(LINES[iso.name]).index(name) for name in names]
     perts, fields = [], []
     try:
         for bz in map(float, bz_values):

@@ -121,8 +121,3 @@ def params_at(isotope: str | IsotopeSpec, temperature: float = T_REF_K) -> Coupl
     iso = isotope if isinstance(isotope, IsotopeSpec) else get_isotope(isotope)
     return params_from_models(thermal_presets(iso), iso, temperature)
 
-
-def resolve_preset(name: str) -> None:
-    """Validate a preset name (only table1_297K ships)."""
-    if name not in PRESET_NAMES:
-        raise ValueError(f"unknown preset {name!r}; available: {PRESET_NAMES}")

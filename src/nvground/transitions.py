@@ -53,7 +53,8 @@ def mw_label(sign: int, mi: float) -> str:
 @dataclass(frozen=True)
 class Line:
     """A named line: the splitting of two levels, the difference of two
-    other lines, or both (fdq is f1 - f2 and connects (0, -1) and (0, +1)).
+    other lines, or both (fdq connects (0, -1) and (0, +1), and its value is
+    f1 - f2).
     """
 
     levels: tuple[StateLabel, StateLabel] | None = None
@@ -96,7 +97,7 @@ LINES = {name: _line_table(iso) for name, iso in ISOTOPES.items()}
 
 
 def known_labels(iso: IsotopeSpec) -> tuple[str, ...]:
-    """The lines transition_set computes: all but the pure difference rows."""
+    """The lines between two levels: every row but the pure difference rows."""
     return tuple(name for name, line in LINES[iso.name].items() if line.levels)
 
 
@@ -109,24 +110,27 @@ def nuclear_labels(iso: IsotopeSpec) -> tuple[str, ...]:
     )
 
 
-def _level_pairs(iso: IsotopeSpec):
-    """The transition_set lines as arrays: their names, the basis indices
-    a and b of their two levels, and (row, minuend row, subtrahend row)
-    for each line that is a difference of two others (fdq).
+def _row_map(iso: IsotopeSpec):
+    """The table as arrays: every row name, the basis indices a and b of
+    the splittings (every row that is no difference of two others), and the
+    (splittings, rows) matrix of 0/+-1 that turns the splittings into the
+    rows.  Each column has at most two nonzero entries, so the product is
+    exact: a splitting row is its splitting, a difference row is x - y.
     """
-    names = known_labels(iso)
-    lines = [LINES[iso.name][name] for name in names]
+    lines = LINES[iso.name]
+    splits = [name for name, line in lines.items() if not line.minus]
     index = {label: k for k, label in enumerate(basis_labels(iso))}
-    a, b = np.array([[index[s] for s in line.levels] for line in lines]).T
-    minus = tuple(
-        (row, names.index(line.minus[0]), names.index(line.minus[1]))
-        for row, line in enumerate(lines)
-        if line.minus
-    )
-    return names, a, b, minus
+    a, b = np.array([[index[s] for s in lines[name].levels] for name in splits]).T
+    rows = np.zeros((len(splits), len(lines)))
+    for col, (name, line) in enumerate(lines.items()):
+        plus, minus = line.minus or (name, None)
+        rows[splits.index(plus), col] = 1
+        if minus:
+            rows[splits.index(minus), col] = -1
+    return tuple(lines), a, b, rows
 
 
-_LEVEL_PAIRS = {name: _level_pairs(iso) for name, iso in ISOTOPES.items()}
+_ROW_MAP = {name: _row_map(iso) for name, iso in ISOTOPES.items()}
 
 
 @dataclass(frozen=True)
@@ -175,14 +179,6 @@ def label_states(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, n
     return energies, basis_vectors
 
 
-def _fill_differences(iso: IsotopeSpec, values: np.ndarray) -> np.ndarray:
-    """Per-line ``values`` (..., L) with each difference row (fdq) set from
-    its two lines."""
-    for row, i, j in _LEVEL_PAIRS[iso.name][3]:
-        values[..., row] = values[..., i] - values[..., j]
-    return values
-
-
 def transition_lines(
     p: CouplingParams, fields, iso: IsotopeSpec, dtype=np.float64, nuclear_transverse: bool = True
 ):
@@ -202,9 +198,9 @@ def transition_lines(
         f = fields[err.index[0]]
         where = f"at Bz = {f.bz} G, Bx = {f.bx} G ({iso.name})"
         raise AmbiguousLabelingError(f"{where}: {err}") from err
-    _, a, b, _ = _LEVEL_PAIRS[iso.name]
+    _, a, b, rows = _ROW_MAP[iso.name]
     # take: about half the cost of energies[:, a] on these small arrays
-    lines = _fill_differences(iso, np.abs(energies.take(a, axis=1) - energies.take(b, axis=1)))
+    lines = np.abs(energies.take(a, axis=1) - energies.take(b, axis=1)) @ rows
     return lines, energies, vectors
 
 
@@ -218,33 +214,22 @@ def transition_set(
     """All named transitions from exact diagonalization at one field point:
     transition_lines for a batch of one."""
     lines, _, _ = transition_lines(p, [f], iso, dtype, nuclear_transverse)
-    return TransitionSet(dict(zip(_LEVEL_PAIRS[iso.name][0], lines[0])), iso.name)
+    return TransitionSet(dict(zip(_ROW_MAP[iso.name][0], lines[0])), iso.name)
 
 
 def line_slopes(p: CouplingParams, rates: CouplingParams, f: FieldConfig, iso: IsotopeSpec):
-    """line_values at (p, f) and their derivatives along ``rates`` (dD, dQ,
-    dA_par, dA_perp, say per kelvin, at a fixed field), from one
-    diagonalization: H is linear in those four, so level k moves by
-    v_k^T dH v_k (Hellmann-Feynman; Feynman, Phys. Rev. 56, 340, 1939).
+    """Every row of the table at (p, f) and its derivative along ``rates``
+    (dD, dQ, dA_par, dA_perp, say per kelvin, at a fixed field), as two
+    dicts, from one diagonalization: H is linear in those four, so level k
+    moves by v_k^T dH v_k (Hellmann-Feynman; Feynman, Phys. Rev. 56, 340,
+    1939).
     """
     (lines,), (energies,), (vectors,) = transition_lines(p, [f], iso)
     dh = build_hamiltonian(rates, FieldConfig(bz=0.0), iso)
     shifts = np.sum(vectors * (dh @ vectors), axis=0)
-    names, a, b, _ = _LEVEL_PAIRS[iso.name]
-    slopes = _fill_differences(iso, np.sign(energies[a] - energies[b]) * (shifts[a] - shifts[b]))
-    return tuple(_rows(iso.name, dict(zip(names, values))) for values in (lines, slopes))
-
-
-def _rows(isotope: str, f: Mapping[str, float]) -> dict[str, float]:
-    """Every line of the table in row order: ``f`` plus the difference rows."""
-    return {
-        name: f[name] if line.levels else f[line.minus[0]] - f[line.minus[1]]
-        for name, line in LINES[isotope].items()
-    }
-
-
-def line_values(ts: TransitionSet) -> dict[str, float]:
-    return _rows(ts.isotope, ts.frequencies)
+    names, a, b, rows = _ROW_MAP[iso.name]
+    slopes = (np.sign(energies[a] - energies[b]) * (shifts[a] - shifts[b])) @ rows
+    return dict(zip(names, lines)), dict(zip(names, slopes))
 
 
 def isotopic_d_shift(fplus14: float, fminus14: float, fplus15: float, fminus15: float) -> float:

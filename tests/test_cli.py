@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from nvground.io import (
 )
 from nvground.presets import TABLE3, params_at, thermal_presets
 from nvground.ramsey import RamseyTrace, synthesize
-from nvground.spin_core import N14, FieldConfig, get_isotope
+from nvground.spin_core import N14, N15, FieldConfig, get_isotope
 from nvground.transitions import known_labels, transition_set
 
 
@@ -111,8 +112,25 @@ def test_transitions_slopes_at_range_ends(capsys, iso, temp):
     assert code == 0
     slopes = {r["transition"]: r["df_dt_hz_per_k"] for r in json.loads(out)["rows"]}
     spec = get_isotope(iso)
-    tbl = transition_table(thermal_presets(spec), temp, 470.0, spec)
+    tbl = transition_table(thermal_presets(spec), temp, FieldConfig(bz=470.0), spec)
     assert slopes == {label: round(slope, 6) for label, _, slope in tbl.rows}
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (("--bz", "470", "--bx", "0.3"), FieldConfig(bz=470.0, bx=0.3)),
+        (("--b", "470", "--theta-deg", "0.5"), FieldConfig.from_polar(470.0, math.radians(0.5))),
+    ],
+    ids=["bx", "polar"],
+)
+def test_transitions_slopes_at_any_field(capsys, flags, field):
+    # A preset source gives the slope column off axis too.
+    code, out = run(capsys, "transitions", "--isotope", "n15", *PRESET, *flags, "--format", "json")
+    assert code == 0
+    tbl = transition_table(thermal_presets(N15), 297.0, field, N15)
+    rows = [(r["transition"], r["df_dt_hz_per_k"]) for r in json.loads(out)["rows"]]
+    assert rows == [(label, round(slope, 6)) for label, _, slope in tbl.rows]
 
 
 def test_transitions_polar_field_equivalent(capsys):
@@ -197,6 +215,14 @@ REFUSED = {
         ["ramsey", "--trace-in", "{dir}/trace.csv", "--f-rf-khz", "5090", "--isotope", "n15",
          "--bz", "100", "--transition", "f7", "--samples", "3"],
         "a --trace-in fit does not read --bz, --isotope, --samples, --transition"),
+    # Flags given at their default value are given all the same.
+    "ramsey-synth-default-sign": (
+        ["ramsey", "--isotope", "n14", *PRESET, "--bz", "470", "--sign", "1"],
+        "a synthesized trace does not read --sign"),
+    "ramsey-trace-in-default-flags": (
+        ["ramsey", "--trace-in", "{dir}/trace.csv", "--f-rf-khz", "5090", "--samples", "200",
+         "--temp", "297"],
+        "a --trace-in fit does not read --samples, --temp"),
 }
 
 
@@ -204,7 +230,6 @@ REFUSED = {
     "argv, code, names",
     [
         (["transitions", "--isotope", "n14", "--bz", "470"], 2, ""),
-        (["transitions", "--isotope", "n14", "--preset", "nope", "--bz", "470"], 2, ""),
         (["transitions", "--isotope", "n14", *PRESET, "--bz", "1022.8"], 3, ""),
         ([*FIT, "{dir}/one.csv"], 2, ""),
         ([*FIT, "{dir}/missing.csv"], 2, ""),
@@ -224,7 +249,7 @@ REFUSED = {
         *((argv, 2, names) for argv, names in REFUSED.values()),
     ],
     ids=[
-        "no-source", "unknown-preset", "gslac", "underdetermined-fit", "missing-file",
+        "no-source", "gslac", "underdetermined-fit", "missing-file",
         "huge-f1", "cold-huge-f1", "gslac-fit-guess", "huge-trace", "flat-trace",
         "ramsey-no-isotope", "n15-zero-field", "n14-zero-field", "wide-angle", "tripwire",
         "perturb-gslac", "empty-grid", *REFUSED,

@@ -21,8 +21,9 @@ from nvground.extraction import (
 from nvground.optimize import PolynomialModel
 from nvground.presets import GAMMA_RATIO_N14, MW_SIGMA_KHZ, TABLE3, params_at, thermal_presets
 from nvground.spin_core import N14, N15, FieldConfig
-from nvground.transitions import AmbiguousLabelingError, known_labels, line_values, transition_set
+from nvground.transitions import LINES, AmbiguousLabelingError, transition_set
 
+B470 = FieldConfig(bz=470.0)
 FIT_LABELS_N14 = ["f1", "f2", "f3", "f4", "f5", "f6", "fplus_+1", "fminus_+1"]
 FIT_LABELS_N15 = ["f7", "f8", "f9", "fplus_+1/2", "fminus_+1/2"]
 
@@ -170,7 +171,7 @@ def test_non_finite_guess_is_refused(name):
 @pytest.mark.parametrize("iso", [N14, N15])
 def test_model_frequencies_match_the_per_point_path(iso):
     labels = FIT_LABELS_N14 if iso.name == "N14" else FIT_LABELS_N15
-    names = known_labels(iso)
+    names = list(LINES[iso.name])
     truth = truth_vector(iso)
     rng = np.random.default_rng(7)
     for k in range(200):
@@ -258,7 +259,7 @@ def test_anisotropy_literal_reading_is_inconsistent():
 
 
 def test_transition_table_slopes_n14():
-    tbl = transition_table(thermal_presets("N14"), 297.0, 470.0, N14)
+    tbl = transition_table(thermal_presets("N14"), 297.0, B470, N14)
     assert tbl.slope("f4") == pytest.approx(-232.8, abs=2.0)
     assert tbl.slope("f3-f6") == pytest.approx(0.0, abs=0.01)
     assert tbl.slope("f1-f2") == pytest.approx(0.149, abs=0.016)
@@ -266,14 +267,14 @@ def test_transition_table_slopes_n14():
 
 
 def test_transition_table_slopes_n15():
-    tbl = transition_table(thermal_presets("N15"), 297.0, 470.0, N15)
+    tbl = transition_table(thermal_presets("N15"), 297.0, B470, N15)
     assert tbl.slope("f8") == pytest.approx(-268.0, abs=5.0)
     assert tbl.slope("f7") == pytest.approx(-0.31, abs=0.04)
 
 
 def test_transition_table_abstract_n14_fractional_slope():
     # the abstract's +0.52(1) ppm/K for 14NV mI -1 <-> +1 (f1 - f2)
-    tbl = transition_table(thermal_presets("N14"), 297.0, 470.0, N14)
+    tbl = transition_table(thermal_presets("N14"), 297.0, B470, N14)
     ppm_per_k = 1e3 * tbl.slope("f1-f2") / tbl.freq("f1-f2")  # Hz/K over kHz
     assert ppm_per_k == pytest.approx(0.52, abs=0.01)
 
@@ -284,21 +285,20 @@ def test_transition_table_abstract_n14_fractional_slope():
 def test_transition_table_slopes_match_longdouble_stencil(iso, bz, temp):
     # A +-1 K longdouble central difference on range-extended copies of the
     # models: two-sided at the range ends too, where the table's own
-    # models stop.  Every table row, difference rows included.
+    # models stop.  Every table row, difference rows included, on axis and
+    # at Bx = 0.3 G.
     models = {name: replace(m, t_min=0.0, t_max=1000.0) for name, m in thermal_presets(iso).items()}
-    hi, lo = (
-        line_values(
+    for field in (FieldConfig(bz=bz), FieldConfig(bz=bz, bx=0.3)):
+        hi, lo = (
             transition_set(
-                params_from_models(models, iso, temp + step), FieldConfig(bz=bz), iso,
-                dtype=np.longdouble,
-            )
+                params_from_models(models, iso, temp + step), field, iso, dtype=np.longdouble
+            ).frequencies
+            for step in (1.0, -1.0)
         )
-        for step in (1.0, -1.0)
-    )
-    tbl = transition_table(thermal_presets(iso), temp, bz, iso)
-    assert [row[0] for row in tbl.rows] == list(hi)
-    for label, _, slope in tbl.rows:
-        assert slope == pytest.approx(float(1e3 * (hi[label] - lo[label]) / 2), abs=1e-4)
+        tbl = transition_table(thermal_presets(iso), temp, field, iso)
+        assert [row[0] for row in tbl.rows] == list(hi)
+        for label, _, slope in tbl.rows:
+            assert slope == pytest.approx(float(1e3 * (hi[label] - lo[label]) / 2), abs=1e-4)
 
 
 @pytest.mark.parametrize("iso", [N14, N15], ids=["N14", "N15"])
@@ -308,14 +308,14 @@ def test_transition_table_takes_fitted_models(iso):
     models = fitted_models(iso)
     assert "gamma_ratio" in models
     without = {name: m for name, m in models.items() if name != "gamma_ratio"}
-    tbl = transition_table(models, 297.0, 470.0, iso)
-    assert tbl == transition_table(without, 297.0, 470.0, iso)
+    tbl = transition_table(models, 297.0, B470, iso)
+    assert tbl == transition_table(without, 297.0, B470, iso)
     assert tbl.slope("f1-f2" if iso is N14 else "f7") != 0.0
 
 
 def test_transition_table_range_check():
     with pytest.raises(ValueError):
-        transition_table(thermal_presets("N14"), 60.0, 470.0, N14)
+        transition_table(thermal_presets("N14"), 60.0, B470, N14)
 
 
 def test_params_from_models_tie_for_n15():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvground.presets import TABLE3, params_at, thermal_presets
+from nvground.presets import TABLE3, params_at
 from nvground.spin_core import N14, N15, CouplingParams, FieldConfig
 from nvground.perturbation import (
     ValidityMarginError,
@@ -13,6 +13,7 @@ from nvground.perturbation import (
     exact_angular_shift,
     exact_beta_estimates,
     fdq_f7_field_model,
+    ms0_line,
     nuclear_freqs_2nd,
     nuclear_freqs_full,
     residuals_vs_exact,
@@ -31,8 +32,8 @@ def test_validity_margin():
     for refuse in (
         lambda: nuclear_freqs_2nd(P14, N14, 1020.0),
         lambda: nuclear_freqs_full(P14, N14, 1020.0, 0.0),
-        lambda: beta_coefficient(P14, 1020.0, "fdq"),
-        lambda: fdq_f7_field_model(P14, 1020.0, "fdq"),
+        lambda: beta_coefficient(P14, N14, 1020.0),
+        lambda: fdq_f7_field_model(P14, N14, 1020.0),
     ):
         with pytest.raises(ValidityMarginError, match=MARGIN_1020_G):
             refuse()
@@ -134,7 +135,7 @@ def test_formulas_hold_over_temperature(iso, temp, bz, bx):
     p = params_at(iso, temp)
     assert max(residuals_vs_exact(p, iso, [bz], [bx]).values()) < 0.020
     line = "fdq" if iso is N14 else "f7"
-    assert fdq_f7_field_model(p, bz, line).freq_khz == nuclear_freqs_2nd(p, iso, bz)[line]
+    assert fdq_f7_field_model(p, iso, bz).freq_khz == nuclear_freqs_2nd(p, iso, bz)[line]
 
 
 def test_agreement_hierarchy_at_bx0():
@@ -164,33 +165,31 @@ def test_aperp_zero_full_residual_floor():
 
 
 def test_point_shift_fdq_480():
-    shift_hz = 1e3 * float(exact_angular_shift(P14, N14, 480.0, math.radians(0.1), "fdq"))
+    shift_hz = 1e3 * float(exact_angular_shift(P14, N14, 480.0, math.radians(0.1)))
     assert shift_hz == pytest.approx(-5.0, abs=1.0)
 
 
 def test_point_shift_f7_480():
-    shift_hz = 1e3 * float(exact_angular_shift(P15, N15, 480.0, math.radians(0.1), "f7"))
+    shift_hz = 1e3 * float(exact_angular_shift(P15, N15, 480.0, math.radians(0.1)))
     assert shift_hz == pytest.approx(130.0, rel=0.15)
     assert shift_hz > 0
 
 
 def test_beta_values_match_quoted():
     # quoted values hold to half a unit in their last printed digit
-    assert beta_coefficient(P14, 480.0, "fdq").beta == pytest.approx(-9.9, abs=0.05)
-    assert beta_coefficient(P14, 10.0, "fdq").beta == pytest.approx(-0.003, abs=0.0005)
-    assert beta_coefficient(P15, 480.0, "f7").beta == pytest.approx(460.0, abs=5.0)
-    assert beta_coefficient(P15, 10.0, "f7").beta == pytest.approx(280.0, abs=5.0)
+    assert beta_coefficient(P14, N14, 480.0).beta == pytest.approx(-9.9, abs=0.05)
+    assert beta_coefficient(P14, N14, 10.0).beta == pytest.approx(-0.003, abs=0.0005)
+    assert beta_coefficient(P15, N15, 480.0).beta == pytest.approx(460.0, abs=5.0)
+    assert beta_coefficient(P15, N15, 10.0).beta == pytest.approx(280.0, abs=5.0)
 
 
 def test_beta_baselines_and_errors():
-    r = beta_coefficient(P14, 480.0, "fdq")
+    r = beta_coefficient(P14, N14, 480.0)
     assert r.baseline_khz == pytest.approx(2 * P14.gamma_n * 480.0)
-    r7 = beta_coefficient(P15, 480.0, "f7")
+    r7 = beta_coefficient(P15, N15, 480.0)
     assert r7.baseline_khz == pytest.approx(abs(P15.gamma_n) * 480.0)
-    with pytest.raises(ValueError):
-        beta_coefficient(P14, 480.0, "f1")
     with pytest.raises(ValidityMarginError):
-        beta_coefficient(P14, 1023.0, "fdq")
+        beta_coefficient(P14, N14, 1023.0)
 
 
 @pytest.mark.parametrize(
@@ -203,13 +202,14 @@ def test_beta_baselines_and_errors():
     ],
 )
 def test_quadratic_angular_law(iso, p, bz, transition):
-    beta = beta_coefficient(p, bz, transition).beta
-    estimates = exact_beta_estimates(p, iso, bz, transition)
+    assert ms0_line(iso) == transition
+    beta = beta_coefficient(p, iso, bz).beta
+    estimates = exact_beta_estimates(p, iso, bz)
     assert np.all(np.abs(estimates / beta - 1) < 0.05)
 
 
 def test_field_model_fdq_value():
-    m = fdq_f7_field_model(P14, 470.0, "fdq")
+    m = fdq_f7_field_model(P14, N14, 470.0)
     exact = transition_set(P14, FieldConfig(bz=470.0), N14)
     assert m.freq_khz == pytest.approx(exact["fdq"], abs=0.02)
     assert m.freq_khz == pytest.approx(286.299, abs=0.03)
@@ -217,34 +217,38 @@ def test_field_model_fdq_value():
 
 
 def test_field_model_f7_fractional():
-    m = fdq_f7_field_model(P15, 470.0, "f7")
+    m = fdq_f7_field_model(P15, N15, 470.0)
     assert m.fractional_correction == pytest.approx(1.35e-2, rel=0.01)
 
 
 def test_field_model_zero_field_limit():
     # the fractional correction tends to +-|gamma_e/gamma_n| A_perp^2/D^2
-    m1 = fdq_f7_field_model(P15, 1.0, "f7")
+    m1 = fdq_f7_field_model(P15, N15, 1.0)
     m0_expected = (P15.gamma_e / abs(P15.gamma_n)) * P15.a_perp**2 / P15.d**2
     assert m1.fractional_correction == pytest.approx(m0_expected, rel=1e-5)
-    mdq = fdq_f7_field_model(P14, 1.0, "fdq")
+    mdq = fdq_f7_field_model(P14, N14, 1.0)
     assert mdq.fractional_correction == pytest.approx(
         -(P14.gamma_e / P14.gamma_n) * P14.a_perp**2 / P14.d**2, rel=1e-5
     )
 
 
-def _model_slope(iso_name, transition, bz, dt=0.5):
-    models = thermal_presets(iso_name)
-    out = []
-    for t in (297.0 - dt, 297.0 + dt):
-        p = params_at(iso_name, t)
-        out.append(fdq_f7_field_model(p, bz, transition).freq_khz)
+def _model_slope(iso, bz, dt=0.5):
+    out = [
+        fdq_f7_field_model(params_at(iso, t), iso, bz).freq_khz for t in (297.0 - dt, 297.0 + dt)
+    ]
     return 1e3 * (out[1] - out[0]) / (2 * dt)
 
 
 def test_field_model_temperature_slopes():
-    # differentiating the closed forms reproduces the tabulated slopes
-    assert _model_slope("N14", "fdq", 470.0) == pytest.approx(0.149, abs=0.01)
-    assert _model_slope("N15", "f7", 470.0) == pytest.approx(-0.31, abs=0.03)
+    # differentiating the closed forms reproduces the tabulated fdq and f7 slopes
+    assert _model_slope(N14, 470.0) == pytest.approx(0.149, abs=0.01)
+    assert _model_slope(N15, 470.0) == pytest.approx(-0.31, abs=0.03)
+
+
+def test_ms0_line_is_the_outer_ms0_pair():
+    # the ms = 0 line between mI = -I and +I: 14NV fdq (-1 <-> +1), 15NV f7
+    assert ms0_line(N14) == "fdq"
+    assert ms0_line(N15) == "f7"
 
 
 def test_full_formula_guards():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from nvground.cli import main
 from nvground.extraction import params_from_models
 from nvground.presets import (
     FRACTIONAL_PPM_PER_K,
+    PRESET_NAMES,
     TABLE1,
     params_at,
-    resolve_preset,
     thermal_presets,
 )
 from nvground.spin_core import get_isotope
@@ -63,7 +64,13 @@ def test_temperature_range_enforced():
         params_at("N14", 50.0)
 
 
-def test_preset_name_validation():
-    resolve_preset("table1_297K")
-    with pytest.raises(ValueError):
-        resolve_preset("table2")
+def test_preset_name_validation(tmp_path, capsys):
+    # argparse checks --preset against PRESET_NAMES, synth's own flag included
+    for command in ("transitions", "synth"):
+        out = tmp_path / command
+        argv = [command, "--isotope", "n14", "--bz", "470", "--out", str(out)]
+        assert main(argv + ["--preset", "table2"]) == 2
+        assert "invalid choice: 'table2'" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv + ["--preset", PRESET_NAMES[0]]) == 0
+        assert out.exists()

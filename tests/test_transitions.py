@@ -16,11 +16,12 @@ from nvground.spin_core import (
     build_hamiltonian,
 )
 from nvground.transitions import (
+    LINES,
     OVERLAP_THRESHOLD,
     AmbiguousLabelingError,
     isotopic_d_shift,
-    known_labels,
     label_states,
+    line_slopes,
     ratio_estimators,
     transition_lines,
     transition_set,
@@ -172,7 +173,28 @@ def test_all_frequencies_positive_and_pairs_ordered():
     for iso, p in ((N14, P14), (N15, P15)):
         ts = transition_set(p, B470, iso)
         assert all(f > 0 for f in ts.frequencies.values())
-        assert tuple(ts.frequencies) == known_labels(iso)
+        assert tuple(ts.frequencies) == tuple(LINES[iso.name])
+
+
+@pytest.mark.parametrize("iso", [N14, N15], ids=["N14", "N15"])
+def test_difference_rows_are_differences_bit_for_bit(iso):
+    # fdq = f1 - f2, f1-f2, f5-f4 and f3-f6 go through the same row map
+    # as the splittings; each equals the difference of its two lines.
+    fields = [FieldConfig(bz=bz, bx=bx) for bz in (10.0, 470.0, 900.0) for bx in (0.0, 0.3)]
+    names = list(LINES[iso.name])
+    p, rates = params_at(iso), params_at(iso, 300.0)  # any direction serves as rates
+    for dtype in (np.float64, np.longdouble):
+        lines = transition_lines(p, fields, iso, dtype)[0]
+        for name, line in LINES[iso.name].items():
+            if line.minus:
+                a, b = (names.index(term) for term in line.minus)
+                assert np.array_equal(lines[:, names.index(name)], lines[:, a] - lines[:, b])
+    for f in fields:
+        for table in line_slopes(p, rates, f, iso):
+            assert list(table) == names
+            for name, line in LINES[iso.name].items():
+                if line.minus:
+                    assert table[name] == table[line.minus[0]] - table[line.minus[1]]
 
 
 def test_fdq_equals_f5_minus_f4():
