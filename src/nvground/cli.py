@@ -396,10 +396,18 @@ RAMSEY_DEFAULTS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad usage ends in one `error: ...` line, like every other failure;
+    `--help` lists the flags.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"error: {message}\n")
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built on first use and shared by later calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nvground",
         description="NV ground-state spin toolkit: transition frequencies, "
         "parameter extraction and Ramsey analysis",

@@ -230,6 +230,8 @@ REFUSED = {
     "argv, code, names",
     [
         (["transitions", "--isotope", "n14", "--bz", "470"], 2, ""),
+        (["transitions", "--isotope", "n14", "--preset", "nope", "--bz", "470"], 2,
+         "argument --preset: invalid choice: 'nope'"),
         (["transitions", "--isotope", "n14", *PRESET, "--bz", "1022.8"], 3, ""),
         ([*FIT, "{dir}/one.csv"], 2, ""),
         ([*FIT, "{dir}/missing.csv"], 2, ""),
@@ -249,7 +251,7 @@ REFUSED = {
         *((argv, 2, names) for argv, names in REFUSED.values()),
     ],
     ids=[
-        "no-source", "gslac", "underdetermined-fit", "missing-file",
+        "no-source", "unknown-preset", "gslac", "underdetermined-fit", "missing-file",
         "huge-f1", "cold-huge-f1", "gslac-fit-guess", "huge-trace", "flat-trace",
         "ramsey-no-isotope", "n15-zero-field", "n14-zero-field", "wide-angle", "tripwire",
         "perturb-gslac", "empty-grid", *REFUSED,
