@@ -29,13 +29,12 @@ from .optimize import (
     weighted_objective,
 )
 from .perturbation import (
-    AngularResponse,
-    FieldModel,
     ValidityMarginError,
     beta_coefficient,
     exact_angular_shift,
     exact_beta_estimates,
-    fdq_f7_field_model,
+    ms0_baseline,
+    ms0_line,
     nuclear_freqs_2nd,
     nuclear_freqs_full,
     residuals_vs_exact,

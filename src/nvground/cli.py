@@ -113,20 +113,18 @@ def cmd_transitions(args) -> int:
     iso = get_isotope(args.isotope)
     params, models = _params(args, iso, args.temp)
     field = _field(args)
-    with_slopes = models is not None
-    if with_slopes:
-        rows = extraction.transition_table(models, args.temp, field, iso).rows
+    if models is None:
+        freqs, slopes = transition_set(params, field, iso).frequencies, None
     else:
-        rows = [(l, f, None) for l, f in transition_set(params, field, iso).frequencies.items()]
-    json_rows = [
-        {"transition": l, "freq_khz": round(float(f), 6)}
-        | ({"df_dt_hz_per_k": round(float(s), 6)} if with_slopes else {})
-        for l, f, s in rows
-    ]
-    lines = ["transition,freq_khz" + (",df_dt_hz_per_k" if with_slopes else "")]
-    for l, f, s in rows:
-        slope = f",{fmt_g(round(float(s), 6))}" if with_slopes else ""
-        lines.append(f"{l},{fmt_khz(float(f))}{slope}")
+        freqs, slopes = extraction.transition_table(models, args.temp, field, iso)
+    json_rows = []
+    lines = ["transition,freq_khz" + (",df_dt_hz_per_k" if slopes is not None else "")]
+    for label, f in freqs.items():
+        json_rows.append({"transition": label, "freq_khz": round(float(f), 6)})
+        lines.append(f"{label},{fmt_khz(float(f))}")
+        if slopes is not None:
+            json_rows[-1]["df_dt_hz_per_k"] = round(slopes[label], 6)
+            lines[-1] += f",{fmt_g(round(slopes[label], 6))}"
     _report(args, {"rows": json_rows}, lines)
     return EXIT_OK
 
@@ -193,6 +191,7 @@ def cmd_angular_scan(args) -> int:
         raise ConfigError("--steps must be at least 2")
     transition = perturbation.ms0_line(iso)
     beta = perturbation.beta_coefficient(params, iso, args.bz)
+    baseline_khz = perturbation.ms0_baseline(params, iso, args.bz)
     thetas = np.linspace(0.0, args.theta_max_deg, args.steps)
     f0 = float(transition_set(params, FieldConfig(bz=args.bz), iso, np.longdouble)[transition])
     if f0 == 0:
@@ -205,15 +204,15 @@ def cmd_angular_scan(args) -> int:
         rows.append((float(theta_deg), f0 + shift, shift / f0))
     payload = {
         "transition": transition,
-        "beta_perturbative": beta.beta,
-        "baseline_khz": beta.baseline_khz,
+        "beta_perturbative": beta,
+        "baseline_khz": baseline_khz,
         "rows": [
             {"theta_deg": t, "f_khz": round(f, 9), "fractional_shift": fs} for t, f, fs in rows
         ],
     }
     lines = [
         f"# transition={transition} bz_G={fmt_g(args.bz)} "
-        f"beta_perturbative={beta.beta:.6g} baseline_khz={fmt_khz(beta.baseline_khz)}",
+        f"beta_perturbative={beta:.6g} baseline_khz={fmt_khz(baseline_khz)}",
         "theta_deg,f_khz,fractional_shift",
     ]
     for t, f, fs in rows:
@@ -227,6 +226,8 @@ def cmd_perturb_check(args) -> int:
     for flag, steps in (("--bz-steps", args.bz_steps), ("--bx-steps", args.bx_steps)):
         if steps < 1:
             raise ConfigError(f"{flag} must be at least 1")
+    if not (math.isfinite(args.tolerance_hz) and args.tolerance_hz > 0):
+        raise ConfigError("--tolerance-hz must be finite and positive")
     bz_grid = np.linspace(args.bz_min, args.bz_max, args.bz_steps)
     bx_grid = np.linspace(0.0, args.bx_max, args.bx_steps)
     tolerance_khz = args.tolerance_hz / 1e3
@@ -269,6 +270,11 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"bad --temps list: {err}") from err
     if not temps:
         raise ConfigError("--temps must list at least one temperature")
+    repeated = sorted({t for t in temps if temps.count(t) > 1})
+    if repeated:
+        raise ConfigError(f"--temps lists {', '.join(map(fmt_g, repeated))} K more than once")
+    if not (math.isfinite(args.noise_scale) and args.noise_scale >= 0):
+        raise ConfigError("--noise-scale must be finite and >= 0")
     rng = np.random.default_rng(args.seed)
     labels = _synth_labels(iso)
     rows = []
@@ -309,8 +315,6 @@ def cmd_ramsey(args) -> int:
             raise ConfigError("--isotope is required when synthesizing a trace")
         iso = get_isotope(args.isotope)
         params, _ = _params(args, iso, args.temp)
-        if args.bz is None:
-            raise ConfigError("--bz is required")
         ts = transition_set(params, _field(args), iso)
         if args.transition not in known_labels(iso):
             raise ConfigError(f"unknown transition {args.transition!r} for {iso.name}")
@@ -369,7 +373,10 @@ COMMON_FLAGS = {
     "--seed": dict(type=int, default=0),
 }
 SOURCE = ("--preset", "--params")
-FIELD = ("--bz", "--bx", "--b", "--theta-deg")
+# Each pair gives one field component two ways; argparse refuses both at
+# once (exit 2), also at a default value.
+EXCLUSIVE = (("--bz", "--b"), ("--bx", "--theta-deg"))
+FIELD = tuple(flag for pair in EXCLUSIVE for flag in pair)
 
 # ramsey's flags.  It registers them all with default SUPPRESS, so that
 # cmd_ramsey sees which were given (also at their default value) and can
@@ -396,6 +403,17 @@ RAMSEY_DEFAULTS = {
 }
 
 
+def _add_flags(parser: argparse.ArgumentParser, specs: dict) -> None:
+    """Register ``specs``; an EXCLUSIVE pair registered whole goes into one
+    mutually exclusive group."""
+    groups = {}
+    for pair in EXCLUSIVE:
+        if set(pair) <= specs.keys():
+            groups |= dict.fromkeys(pair, parser.add_mutually_exclusive_group())
+    for flag, spec in specs.items():
+        groups.get(flag, parser).add_argument(flag, **spec)
+
+
 class _Parser(argparse.ArgumentParser):
     """Bad usage ends in one `error: ...` line, like every other failure;
     `--help` lists the flags.  Subparsers inherit the class."""
@@ -417,8 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, help, func, *flags, **defaults):
         # No prefix matching: synth would take --temp for --temps.
         s = subs.add_parser(name, help=help, allow_abbrev=False)
-        for flag in flags:
-            s.add_argument(flag, **COMMON_FLAGS[flag])
+        _add_flags(s, {flag: COMMON_FLAGS[flag] for flag in flags})
         s.set_defaults(func=func, **defaults)
         return s
 
@@ -458,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--noise-scale", type=float, default=1.0, help="0 for noiseless")
 
     s = add("ramsey", "synthesize and fit Ramsey fringes end to end", cmd_ramsey)
-    for flag, spec in RAMSEY_FLAGS.items():
-        s.add_argument(flag, **spec | {"default": argparse.SUPPRESS})
+    suppressed = {"default": argparse.SUPPRESS}
+    _add_flags(s, {flag: spec | suppressed for flag, spec in RAMSEY_FLAGS.items()})
 
     return parser
 

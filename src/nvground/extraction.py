@@ -330,22 +330,6 @@ def anisotropy(a_par: float, a_perp: float, contact_reading: str = "cs2") -> Ani
     )
 
 
-@dataclass(frozen=True)
-class TransitionTable:
-    """Frequencies and temperature slopes at one (T, field) point."""
-
-    temperature: float
-    field: FieldConfig
-    isotope: str
-    rows: tuple[tuple[str, float, float], ...]  # (label, kHz, Hz/K)
-
-    def freq(self, label: str) -> float:
-        return {r[0]: r[1] for r in self.rows}[label]
-
-    def slope(self, label: str) -> float:
-        return {r[0]: r[2] for r in self.rows}[label]
-
-
 def params_from_models(
     models: dict[str, PolynomialModel], iso: IsotopeSpec, temperature: float
 ) -> CouplingParams:
@@ -373,12 +357,15 @@ def transition_table(
     temperature: float,
     field: FieldConfig,
     iso: IsotopeSpec,
-) -> TransitionTable:
+) -> tuple[dict[str, float], dict[str, float]]:
     """Exact-diagonalization line table with exact dT slopes from the same
     solve, at any field: the field does not depend on T, so the rates are
-    those of the models' derived() polynomials (transitions.line_slopes)."""
+    those of the models' derived() polynomials (transitions.line_slopes).
+    Returns (freqs, slopes), keyed in LINES row order: kHz and Hz/K."""
     params = params_from_models(models, iso, temperature)
     rates = params_from_models({n: m.derived() for n, m in models.items()}, iso, temperature)
     freqs, slopes = line_slopes(params, rates, field, iso)
-    rows = tuple((label, float(f), float(1e3 * slopes[label])) for label, f in freqs.items())
-    return TransitionTable(temperature=temperature, field=field, isotope=iso.name, rows=rows)
+    return (
+        {label: float(f) for label, f in freqs.items()},
+        {label: float(1e3 * slope) for label, slope in slopes.items()},
+    )

@@ -19,7 +19,6 @@ gamma_n D / (A_perp gamma_e) ~ 12%.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,23 +32,6 @@ VALIDITY_FACTOR = 50.0
 
 class ValidityMarginError(ValueError):
     """Field too close to the anti-crossing for the perturbative series."""
-
-
-@dataclass(frozen=True)
-class AngularResponse:
-    """Quadratic misalignment law: shift = 0.5 * beta * theta^2 * baseline."""
-
-    beta: float
-    baseline_khz: float
-
-
-@dataclass(frozen=True)
-class FieldModel:
-    """Nuclear-Zeeman-dominated line: freq = baseline * (1 + fractional)."""
-
-    freq_khz: float
-    fractional_correction: float
-    baseline_khz: float
 
 
 def _require_margin(p: CouplingParams, bz: float) -> None:
@@ -169,39 +151,33 @@ def ms0_line(iso: IsotopeSpec) -> str:
     return next(name for name, line in LINES[iso.name].items() if set(line.levels or ()) == ends)
 
 
-def _ms0_baseline(p: CouplingParams, iso: IsotopeSpec, bz: float) -> float:
+def ms0_baseline(p: CouplingParams, iso: IsotopeSpec, bz: float) -> float:
     """Nuclear Zeeman baseline 2I |gamma_n| Bz of the ms = 0 line, after
-    checking the validity margin."""
+    checking the validity margin.
+
+    The field model of that line (nuclear Zeeman + A_perp^2) is its
+    lowest-order value, nuclear_freqs_2nd(p, iso, bz)[ms0_line(iso)]; its
+    fractional correction is that value over this baseline, minus 1.
+    """
     _require_margin(p, bz)
     return 2 * iso.nuclear_spin * abs(p.gamma_n) * bz
 
 
-def beta_coefficient(p: CouplingParams, iso: IsotopeSpec, bz: float) -> AngularResponse:
-    """Quadratic misalignment coefficient of the ms = 0 line (ms0_line).
+def beta_coefficient(p: CouplingParams, iso: IsotopeSpec, bz: float) -> float:
+    """Quadratic misalignment coefficient beta of the ms = 0 line (ms0_line):
+    shift = 0.5 * beta * theta^2 * ms0_baseline(p, iso, bz).
 
     fdq (14NV) responds through a second-order cross term of A_par with the
     transverse electron Zeeman coupling; f7 (15NV) through a fourth-order
     term in A_perp that is resonantly enhanced by the small nuclear splitting.
     """
-    baseline = _ms0_baseline(p, iso, bz)
+    _require_margin(p, bz)
     denom = (p.d * p.d - (p.gamma_e * bz) ** 2) ** 2
     if iso.name == "N14":
-        beta = -(p.gamma_e / abs(p.gamma_n)) * (
+        return -(p.gamma_e / abs(p.gamma_n)) * (
             4 * abs(p.a_par) * p.d * (p.gamma_e * bz) ** 2 / denom
         )
-    else:
-        beta = (p.gamma_e / p.gamma_n) ** 2 * (4 * p.a_perp**2 * p.d**2 / denom)
-    return AngularResponse(beta=beta, baseline_khz=baseline)
-
-
-def fdq_f7_field_model(p: CouplingParams, iso: IsotopeSpec, bz: float) -> FieldModel:
-    """Field model of the ms = 0 line (nuclear Zeeman + A_perp^2): its
-    lowest-order value over its nuclear Zeeman baseline."""
-    baseline = _ms0_baseline(p, iso, bz)
-    freq = _with_fdq(_second_order(p, iso, bz), iso)[ms0_line(iso)]
-    return FieldModel(
-        freq_khz=freq, fractional_correction=freq / baseline - 1, baseline_khz=baseline
-    )
+    return (p.gamma_e / p.gamma_n) ** 2 * (4 * p.a_perp**2 * p.d**2 / denom)
 
 
 def exact_angular_shift(p: CouplingParams, iso: IsotopeSpec, bz: float, theta_rad: float):
@@ -230,7 +206,7 @@ def exact_beta_estimates(p: CouplingParams, iso: IsotopeSpec, bz: float) -> np.n
     Hamiltonian the beta formulas expand.  All angles and theta = 0 are one
     longdouble kernel batch.
     """
-    baseline = _ms0_baseline(p, iso, bz)
+    baseline = ms0_baseline(p, iso, bz)
     thetas = [math.radians(theta_deg) for theta_deg in BETA_THETAS_DEG]
     fields = [FieldConfig(bz=bz)] + [FieldConfig(bz=bz, bx=bz * math.tan(t)) for t in thetas]
     lines = transition_lines(p, fields, iso, np.longdouble, nuclear_transverse=False)[0]

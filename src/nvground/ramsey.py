@@ -38,6 +38,8 @@ class RamseyTrace:
         s = np.asarray(self.signal, dtype=float)
         if t.ndim != 1 or t.shape != s.shape:
             raise ValueError("times and signal must be 1-d arrays of equal length")
+        if t.size < 2:
+            raise ValueError(f"a Ramsey trace needs at least 2 samples, not {t.size}")
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
         if not np.all(np.isfinite(s)):

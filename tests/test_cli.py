@@ -112,8 +112,8 @@ def test_transitions_slopes_at_range_ends(capsys, iso, temp):
     assert code == 0
     slopes = {r["transition"]: r["df_dt_hz_per_k"] for r in json.loads(out)["rows"]}
     spec = get_isotope(iso)
-    tbl = transition_table(thermal_presets(spec), temp, FieldConfig(bz=470.0), spec)
-    assert slopes == {label: round(slope, 6) for label, _, slope in tbl.rows}
+    _, table = transition_table(thermal_presets(spec), temp, FieldConfig(bz=470.0), spec)
+    assert slopes == {label: round(slope, 6) for label, slope in table.items()}
 
 
 @pytest.mark.parametrize(
@@ -128,9 +128,9 @@ def test_transitions_slopes_at_any_field(capsys, flags, field):
     # A preset source gives the slope column off axis too.
     code, out = run(capsys, "transitions", "--isotope", "n15", *PRESET, *flags, "--format", "json")
     assert code == 0
-    tbl = transition_table(thermal_presets(N15), 297.0, field, N15)
+    _, slopes = transition_table(thermal_presets(N15), 297.0, field, N15)
     rows = [(r["transition"], r["df_dt_hz_per_k"]) for r in json.loads(out)["rows"]]
-    assert rows == [(label, round(slope, 6)) for label, _, slope in tbl.rows]
+    assert rows == [(label, round(slope, 6)) for label, slope in slopes.items()]
 
 
 def test_transitions_polar_field_equivalent(capsys):
@@ -196,13 +196,18 @@ def bad_inputs(tmp_path):
     write_trace(tmp_path / "trace.csv", trace)
     write_trace(tmp_path / "huge_trace.csv", RamseyTrace(trace.times, 1e200 * trace.signal))
     write_trace(tmp_path / "flat.csv", RamseyTrace(np.linspace(0.0, 1e-3, 100), np.ones(100)))
+    (tmp_path / "one_row.csv").write_text("tau_s,signal\n0,1\n")
+    (tmp_path / "header_only.csv").write_text("tau_s,signal\n")
     return tmp_path
 
 
 PRESET = ("--preset", "table1_297K")
 FIT = ("fit", "--isotope", "n14", *PRESET, "--bz", "470", "--measurements")
-# Each asks for an output the command cannot give or passes flags it
-# would not read.
+TRANSITIONS_N14 = ("transitions", "--isotope", "n14", *PRESET)
+RAMSEY = ("ramsey", "--isotope", "n14", *PRESET)
+SYNTH = ("synth", "--isotope", "n14", *PRESET, "--bz", "470")
+# Each asks for an output the command cannot give, passes flags it would
+# not read, gives a field component two ways or passes a value out of range.
 REFUSED = {
     "thermal-csv": ([*FIT, "{dir}/cold.csv", "--thermal", "--format", "csv"],
                     "the thermal models have no CSV form"),
@@ -223,6 +228,30 @@ REFUSED = {
         ["ramsey", "--trace-in", "{dir}/trace.csv", "--f-rf-khz", "5090", "--samples", "200",
          "--temp", "297"],
         "a --trace-in fit does not read --samples, --temp"),
+    "transitions-bz-and-b": (
+        [*TRANSITIONS_N14, "--bz", "470", "--b", "480", "--theta-deg", "0.5"],
+        "argument --b: not allowed with argument --bz"),
+    "transitions-theta-and-bx": (
+        [*TRANSITIONS_N14, "--b", "480", "--theta-deg", "0.5", "--bx", "5"],
+        "argument --bx: not allowed with argument --theta-deg"),
+    "ramsey-bz-and-b": ([*RAMSEY, "--b", "480", "--bz", "470"],
+                        "argument --bz: not allowed with argument --b"),
+    "ramsey-theta-and-default-bx": ([*RAMSEY, "--b", "480", "--theta-deg", "0.5", "--bx", "0"],
+                                    "argument --bx: not allowed with argument --theta-deg"),
+    "ramsey-one-sample": ([*RAMSEY, "--bz", "470", "--samples", "1"],
+                          "a Ramsey trace needs at least 2 samples, not 1"),
+    "ramsey-no-samples": ([*RAMSEY, "--bz", "470", "--samples", "0"],
+                          "a Ramsey trace needs at least 2 samples, not 0"),
+    "ramsey-one-row-trace": (["ramsey", "--trace-in", "{dir}/one_row.csv", "--f-rf-khz", "100"],
+                             "a Ramsey trace needs at least 2 samples, not 1"),
+    "ramsey-header-only-trace": (
+        ["ramsey", "--trace-in", "{dir}/header_only.csv", "--f-rf-khz", "100"],
+        "a Ramsey trace needs at least 2 samples, not 0"),
+    "synth-nan-noise": ([*SYNTH, "--noise-scale", "nan"], "--noise-scale must be finite and >= 0"),
+    "synth-repeated-temperature": ([*SYNTH, "--temps", "297,77,297.0"],
+                                   "--temps lists 297 K more than once"),
+    "perturb-check-negative-tolerance": (["perturb-check", "--tolerance-hz", "-1"],
+                                         "--tolerance-hz must be finite and positive"),
 }
 
 
@@ -461,6 +490,14 @@ def test_ramsey_end_to_end(capsys):
     payload = json.loads(out)
     assert abs(payload["recovery_error_hz"]) < 2.0
     assert payload["f_rf_khz"] == pytest.approx(payload["f_true_khz"] + 4.0)
+
+
+def test_ramsey_takes_the_polar_field(capsys):
+    code, out = run(capsys, *RAMSEY, "--b", "480", "--theta-deg", "0.5")
+    assert code == 0
+    field = FieldConfig.from_polar(480.0, math.radians(0.5))
+    f1 = float(transition_set(params_at(N14), field, N14)["f1"])
+    assert json.loads(out)["f_true_khz"] == round(f1, 6)
 
 
 def test_ramsey_trace_file_roundtrip(tmp_path, capsys):

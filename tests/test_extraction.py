@@ -19,11 +19,18 @@ from nvground.extraction import (
     transition_table,
 )
 from nvground.optimize import PolynomialModel
-from nvground.presets import GAMMA_RATIO_N14, MW_SIGMA_KHZ, TABLE3, params_at, thermal_presets
+from nvground.presets import (
+    GAMMA_RATIO_N14,
+    MW_SIGMA_KHZ,
+    TABLE3,
+    TABLE3_BZ_G,
+    params_at,
+    thermal_presets,
+)
 from nvground.spin_core import N14, N15, FieldConfig
 from nvground.transitions import LINES, AmbiguousLabelingError, transition_set
 
-B470 = FieldConfig(bz=470.0)
+B470 = FieldConfig(bz=TABLE3_BZ_G)
 FIT_LABELS_N14 = ["f1", "f2", "f3", "f4", "f5", "f6", "fplus_+1", "fminus_+1"]
 FIT_LABELS_N15 = ["f7", "f8", "f9", "fplus_+1/2", "fminus_+1/2"]
 
@@ -259,23 +266,23 @@ def test_anisotropy_literal_reading_is_inconsistent():
 
 
 def test_transition_table_slopes_n14():
-    tbl = transition_table(thermal_presets("N14"), 297.0, B470, N14)
-    assert tbl.slope("f4") == pytest.approx(-232.8, abs=2.0)
-    assert tbl.slope("f3-f6") == pytest.approx(0.0, abs=0.01)
-    assert tbl.slope("f1-f2") == pytest.approx(0.149, abs=0.016)
-    assert tbl.freq("f1") == pytest.approx(TABLE3["f1"].freq_khz, abs=0.1)
+    freqs, slopes = transition_table(thermal_presets("N14"), 297.0, B470, N14)
+    assert slopes["f4"] == pytest.approx(-232.8, abs=2.0)
+    assert slopes["f3-f6"] == pytest.approx(0.0, abs=0.01)
+    assert slopes["f1-f2"] == pytest.approx(0.149, abs=0.016)
+    assert freqs["f1"] == pytest.approx(TABLE3["f1"].freq_khz, abs=0.1)
 
 
 def test_transition_table_slopes_n15():
-    tbl = transition_table(thermal_presets("N15"), 297.0, B470, N15)
-    assert tbl.slope("f8") == pytest.approx(-268.0, abs=5.0)
-    assert tbl.slope("f7") == pytest.approx(-0.31, abs=0.04)
+    _, slopes = transition_table(thermal_presets("N15"), 297.0, B470, N15)
+    assert slopes["f8"] == pytest.approx(-268.0, abs=5.0)
+    assert slopes["f7"] == pytest.approx(-0.31, abs=0.04)
 
 
 def test_transition_table_abstract_n14_fractional_slope():
     # the abstract's +0.52(1) ppm/K for 14NV mI -1 <-> +1 (f1 - f2)
-    tbl = transition_table(thermal_presets("N14"), 297.0, B470, N14)
-    ppm_per_k = 1e3 * tbl.slope("f1-f2") / tbl.freq("f1-f2")  # Hz/K over kHz
+    freqs, slopes = transition_table(thermal_presets("N14"), 297.0, B470, N14)
+    ppm_per_k = 1e3 * slopes["f1-f2"] / freqs["f1-f2"]  # Hz/K over kHz
     assert ppm_per_k == pytest.approx(0.52, abs=0.01)
 
 
@@ -295,9 +302,9 @@ def test_transition_table_slopes_match_longdouble_stencil(iso, bz, temp):
             ).frequencies
             for step in (1.0, -1.0)
         )
-        tbl = transition_table(thermal_presets(iso), temp, field, iso)
-        assert [row[0] for row in tbl.rows] == list(hi)
-        for label, _, slope in tbl.rows:
+        freqs, slopes = transition_table(thermal_presets(iso), temp, field, iso)
+        assert list(freqs) == list(slopes) == list(hi)
+        for label, slope in slopes.items():
             assert slope == pytest.approx(float(1e3 * (hi[label] - lo[label]) / 2), abs=1e-4)
 
 
@@ -308,9 +315,9 @@ def test_transition_table_takes_fitted_models(iso):
     models = fitted_models(iso)
     assert "gamma_ratio" in models
     without = {name: m for name, m in models.items() if name != "gamma_ratio"}
-    tbl = transition_table(models, 297.0, B470, iso)
-    assert tbl == transition_table(without, 297.0, B470, iso)
-    assert tbl.slope("f1-f2" if iso is N14 else "f7") != 0.0
+    freqs, slopes = transition_table(models, 297.0, B470, iso)
+    assert (freqs, slopes) == transition_table(without, 297.0, B470, iso)
+    assert slopes["f1-f2" if iso is N14 else "f7"] != 0.0
 
 
 def test_transition_table_range_check():

@@ -12,7 +12,7 @@ from nvground.perturbation import (
     beta_coefficient,
     exact_angular_shift,
     exact_beta_estimates,
-    fdq_f7_field_model,
+    ms0_baseline,
     ms0_line,
     nuclear_freqs_2nd,
     nuclear_freqs_full,
@@ -33,7 +33,7 @@ def test_validity_margin():
         lambda: nuclear_freqs_2nd(P14, N14, 1020.0),
         lambda: nuclear_freqs_full(P14, N14, 1020.0, 0.0),
         lambda: beta_coefficient(P14, N14, 1020.0),
-        lambda: fdq_f7_field_model(P14, N14, 1020.0),
+        lambda: ms0_baseline(P14, N14, 1020.0),
     ):
         with pytest.raises(ValidityMarginError, match=MARGIN_1020_G):
             refuse()
@@ -130,12 +130,9 @@ def test_residuals_raise_the_first_error_along_the_grid():
 )
 def test_formulas_hold_over_temperature(iso, temp, bz, bx):
     # Criterion 5's 20 Hz tripwire (checked there at 297 K only) holds
-    # over the preset range, and the ms = 0 field model is the
-    # lowest-order line itself, bit for bit.
+    # over the preset range.
     p = params_at(iso, temp)
     assert max(residuals_vs_exact(p, iso, [bz], [bx]).values()) < 0.020
-    line = "fdq" if iso is N14 else "f7"
-    assert fdq_f7_field_model(p, iso, bz).freq_khz == nuclear_freqs_2nd(p, iso, bz)[line]
 
 
 def test_agreement_hierarchy_at_bx0():
@@ -177,19 +174,19 @@ def test_point_shift_f7_480():
 
 def test_beta_values_match_quoted():
     # quoted values hold to half a unit in their last printed digit
-    assert beta_coefficient(P14, N14, 480.0).beta == pytest.approx(-9.9, abs=0.05)
-    assert beta_coefficient(P14, N14, 10.0).beta == pytest.approx(-0.003, abs=0.0005)
-    assert beta_coefficient(P15, N15, 480.0).beta == pytest.approx(460.0, abs=5.0)
-    assert beta_coefficient(P15, N15, 10.0).beta == pytest.approx(280.0, abs=5.0)
+    assert beta_coefficient(P14, N14, 480.0) == pytest.approx(-9.9, abs=0.05)
+    assert beta_coefficient(P14, N14, 10.0) == pytest.approx(-0.003, abs=0.0005)
+    assert beta_coefficient(P15, N15, 480.0) == pytest.approx(460.0, abs=5.0)
+    assert beta_coefficient(P15, N15, 10.0) == pytest.approx(280.0, abs=5.0)
 
 
 def test_beta_baselines_and_errors():
-    r = beta_coefficient(P14, N14, 480.0)
-    assert r.baseline_khz == pytest.approx(2 * P14.gamma_n * 480.0)
-    r7 = beta_coefficient(P15, N15, 480.0)
-    assert r7.baseline_khz == pytest.approx(abs(P15.gamma_n) * 480.0)
+    assert ms0_baseline(P14, N14, 480.0) == pytest.approx(2 * P14.gamma_n * 480.0)
+    assert ms0_baseline(P15, N15, 480.0) == pytest.approx(abs(P15.gamma_n) * 480.0)
     with pytest.raises(ValidityMarginError):
         beta_coefficient(P14, N14, 1023.0)
+    with pytest.raises(ValidityMarginError):
+        ms0_baseline(P14, N14, 1023.0)
 
 
 @pytest.mark.parametrize(
@@ -203,39 +200,42 @@ def test_beta_baselines_and_errors():
 )
 def test_quadratic_angular_law(iso, p, bz, transition):
     assert ms0_line(iso) == transition
-    beta = beta_coefficient(p, iso, bz).beta
+    beta = beta_coefficient(p, iso, bz)
     estimates = exact_beta_estimates(p, iso, bz)
     assert np.all(np.abs(estimates / beta - 1) < 0.05)
 
 
+def _field_model(p, iso, bz):
+    """The ms = 0 line's field model (nuclear Zeeman + A_perp^2): its
+    lowest-order value and fractional correction over its baseline."""
+    freq = nuclear_freqs_2nd(p, iso, bz)[ms0_line(iso)]
+    return freq, freq / ms0_baseline(p, iso, bz) - 1
+
+
 def test_field_model_fdq_value():
-    m = fdq_f7_field_model(P14, N14, 470.0)
+    freq, fractional = _field_model(P14, N14, 470.0)
     exact = transition_set(P14, FieldConfig(bz=470.0), N14)
-    assert m.freq_khz == pytest.approx(exact["fdq"], abs=0.02)
-    assert m.freq_khz == pytest.approx(286.299, abs=0.03)
-    assert m.fractional_correction < 0
+    assert freq == pytest.approx(exact["fdq"], abs=0.02)
+    assert freq == pytest.approx(286.299, abs=0.03)
+    assert fractional < 0
 
 
 def test_field_model_f7_fractional():
-    m = fdq_f7_field_model(P15, N15, 470.0)
-    assert m.fractional_correction == pytest.approx(1.35e-2, rel=0.01)
+    _, fractional = _field_model(P15, N15, 470.0)
+    assert fractional == pytest.approx(1.35e-2, rel=0.01)
 
 
 def test_field_model_zero_field_limit():
     # the fractional correction tends to +-|gamma_e/gamma_n| A_perp^2/D^2
-    m1 = fdq_f7_field_model(P15, N15, 1.0)
-    m0_expected = (P15.gamma_e / abs(P15.gamma_n)) * P15.a_perp**2 / P15.d**2
-    assert m1.fractional_correction == pytest.approx(m0_expected, rel=1e-5)
-    mdq = fdq_f7_field_model(P14, N14, 1.0)
-    assert mdq.fractional_correction == pytest.approx(
-        -(P14.gamma_e / P14.gamma_n) * P14.a_perp**2 / P14.d**2, rel=1e-5
-    )
+    _, f7 = _field_model(P15, N15, 1.0)
+    f7_expected = (P15.gamma_e / abs(P15.gamma_n)) * P15.a_perp**2 / P15.d**2
+    assert f7 == pytest.approx(f7_expected, rel=1e-5)
+    _, fdq = _field_model(P14, N14, 1.0)
+    assert fdq == pytest.approx(-(P14.gamma_e / P14.gamma_n) * P14.a_perp**2 / P14.d**2, rel=1e-5)
 
 
 def _model_slope(iso, bz, dt=0.5):
-    out = [
-        fdq_f7_field_model(params_at(iso, t), iso, bz).freq_khz for t in (297.0 - dt, 297.0 + dt)
-    ]
+    out = [_field_model(params_at(iso, t), iso, bz)[0] for t in (297.0 - dt, 297.0 + dt)]
     return 1e3 * (out[1] - out[0]) / (2 * dt)
 
 

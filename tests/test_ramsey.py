@@ -121,3 +121,11 @@ def test_two_point_rf_step_disambiguates_sign():
     # fitted |delta| moved with f_rf, so the transition lies below f_rf
     assert fits[1] - fits[0] == pytest.approx(1.0, abs=1e-3)
     assert frequency_from_detuning(f_true + 4.0, fits[0], 1) == pytest.approx(f_true, abs=1e-3)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_trace_needs_two_samples(n):
+    # Fewer samples have no spacing to fit; refused before any numpy warning.
+    with pytest.raises(ValueError, match=f"^a Ramsey trace needs at least 2 samples, not {n}$"):
+        RamseyTrace(times=np.zeros(n), signal=np.zeros(n))
+    RamseyTrace(times=np.array([0.0, 1e-3]), signal=np.zeros(2))
