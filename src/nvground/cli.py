@@ -1,7 +1,8 @@
 """Command-line surface tying the model, fits and file formats together.
 
-Subcommands: transitions, fit, thermal (fit --thermal), angular-scan,
-perturb-check, synth, ramsey.  Exit codes: 0 ok, 2 config/parse error,
+Subcommands: transitions, fit (--thermal adds the thermal models),
+angular-scan, perturb-check, synth, ramsey (synthesize a trace and fit it),
+ramsey-fit (fit a trace CSV).  Exit codes: 0 ok, 2 config/parse error,
 3 labeling ambiguity, 4 fit failure (no convergence or a non-finite
 objective), 5 validation tripwire.
 """
@@ -12,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -62,19 +64,15 @@ EXIT_TABLE = {
 
 
 def _field(args) -> FieldConfig:
-    if args.theta_deg is not None:
-        if args.b is None:
-            raise ConfigError("--theta-deg requires --b (field magnitude)")
-        return FieldConfig.from_polar(args.b, math.radians(args.theta_deg))
-    if args.bz is None:
-        raise ConfigError("either --bz or (--b with --theta-deg) is required")
-    return FieldConfig(bz=args.bz, bx=args.bx)
+    if (args.b is None) != (args.theta_deg is None):
+        raise ConfigError("--b and --theta-deg go together")
+    if args.b is None:
+        return FieldConfig(bz=args.bz, bx=args.bx)
+    return FieldConfig.from_polar(args.b, math.radians(args.theta_deg))
 
 
 def _params(args, iso: IsotopeSpec, temperature: float):
     """Resolve coupling parameters and, when available, thermal models."""
-    if (args.preset is None) == (args.params is None):
-        raise ConfigError("exactly one of --preset or --params is required")
     if args.preset is not None:
         return presets.params_at(iso, temperature), presets.thermal_presets(iso)
     try:
@@ -161,8 +159,6 @@ def cmd_fit(args) -> int:
         raise ConfigError("the thermal models have no CSV form; use --format json")
     iso = get_isotope(args.isotope)
     params, _ = _params(args, iso, presets.T_REF_K)
-    if args.bz is None:
-        raise ConfigError("--bz (nominal axial field for the initial guess) is required")
     sets = io.read_measurements(args.measurements, iso)
     if not sets:
         raise ConfigError("measurement file contains no rows")
@@ -183,8 +179,6 @@ def cmd_fit(args) -> int:
 def cmd_angular_scan(args) -> int:
     iso = get_isotope(args.isotope)
     params, _ = _params(args, iso, args.temp)
-    if args.bz is None:
-        raise ConfigError("--bz is required")
     if not (0 < args.theta_max_deg <= 2.0):
         raise ConfigError("--theta-max-deg must lie in (0, 2]")
     if args.steps < 2:
@@ -262,8 +256,6 @@ def _sigma_for(label: str) -> float:
 
 def cmd_synth(args) -> int:
     iso = get_isotope(args.isotope)
-    if args.bz is None:
-        raise ConfigError("--bz is required")
     try:
         temps = [float(t) for t in args.temps.split(",") if t.strip()]
     except ValueError as err:
@@ -284,73 +276,61 @@ def cmd_synth(args) -> int:
             sigma = _sigma_for(label)
             noise = rng.normal() * sigma * args.noise_scale if args.noise_scale else 0.0
             rows.append(io.MeasurementRow(temperature, label, float(ts[label]) + noise, sigma))
-    if not args.out:
-        raise ConfigError("synth requires --out FILE")
     io.write_measurements(args.out, rows)
     print(f"wrote {len(rows)} rows for {iso.name} to {args.out}")
     return EXIT_OK
 
 
-# The ramsey flags that only a --trace-in fit reads.  It reads these and
-# --out; a synthesized trace reads every other flag.
-TRACE_IN_FLAGS = {"trace_in", "f_rf_khz", "sign"}
-
-
-def cmd_ramsey(args) -> int:
-    given = RAMSEY_DEFAULTS.keys() & vars(args)  # RAMSEY_FLAGS default to SUPPRESS
-    args = argparse.Namespace(**RAMSEY_DEFAULTS | vars(args))
-    unread = given - TRACE_IN_FLAGS - {"out"} if args.trace_in else given & TRACE_IN_FLAGS
-    if unread:
-        flags = ", ".join(sorted("--" + k.replace("_", "-") for k in unread))
-        mode = "--trace-in fit" if args.trace_in else "synthesized trace"
-        raise ConfigError(f"a {mode} does not read {flags}")
-    truth = {}
-    if args.trace_in:
-        trace = io.read_trace(args.trace_in)
-        if args.f_rf_khz is None:
-            raise ConfigError("--f-rf-khz is required when fitting an existing trace")
-        f_rf, sign = args.f_rf_khz, args.sign
-    else:
-        if args.isotope is None:
-            raise ConfigError("--isotope is required when synthesizing a trace")
-        iso = get_isotope(args.isotope)
-        params, _ = _params(args, iso, args.temp)
-        ts = transition_set(params, _field(args), iso)
-        if args.transition not in known_labels(iso):
-            raise ConfigError(f"unknown transition {args.transition!r} for {iso.name}")
-        f_true = float(ts[args.transition])
-        f_rf = f_true + args.detune_khz
-        delta_true = f_rf - f_true
-        times = np.linspace(0.0, args.duration_ms * 1e-3, args.samples)
-        trace = ramsey.synthesize(
-            abs(delta_true),
-            args.t2_star_ms * 1e-3,
-            args.amp,
-            args.phase,
-            args.offset,
-            times,
-            noise_sigma=args.noise_sigma,
-            rng_seed=args.seed,
-        )
-        if args.trace_out:
-            io.write_trace(args.trace_out, trace)
-        sign = 1 if delta_true >= 0 else -1
-        truth = {
-            "f_true_khz": round(f_true, 6),
-            "f_rf_khz": round(f_rf, 6),
-            "delta_true_khz": round(abs(delta_true), 9),
-        }
+def _fit_payload(trace, f_rf: float, sign: int, f_true: float | None = None) -> dict:
+    """Fit the fringes of ``trace`` and resolve the line from the drive at
+    ``f_rf``; given the synthesized line ``f_true``, also the recovery error."""
     fit = ramsey.fit_fringes(trace)
     f_recovered = ramsey.frequency_from_detuning(f_rf, fit.delta_khz, sign)
-    payload = truth | {
+    payload = {
         "delta_fit_khz": round(fit.delta_khz, 9),
         "t2_star_fit_s": fmt_g(fit.t2_star_s),
         "rms_residual": fmt_g(fit.rms_residual),
         "f_recovered_khz": round(f_recovered, 6),
     }
-    if truth:
+    if f_true is not None:
         payload["recovery_error_hz"] = round(1e3 * (f_recovered - f_true), 6)
+    return payload
+
+
+def cmd_ramsey(args) -> int:
+    iso = get_isotope(args.isotope)
+    params, _ = _params(args, iso, args.temp)
+    ts = transition_set(params, _field(args), iso)
+    if args.transition not in known_labels(iso):
+        raise ConfigError(f"unknown transition {args.transition!r} for {iso.name}")
+    f_true = float(ts[args.transition])
+    f_rf = f_true + args.detune_khz
+    delta_true = f_rf - f_true
+    times = np.linspace(0.0, args.duration_ms * 1e-3, args.samples)
+    trace = ramsey.synthesize(
+        abs(delta_true),
+        args.t2_star_ms * 1e-3,
+        args.amp,
+        args.phase,
+        args.offset,
+        times,
+        noise_sigma=args.noise_sigma,
+        rng_seed=args.seed,
+    )
+    payload = {
+        "f_true_khz": round(f_true, 6),
+        "f_rf_khz": round(f_rf, 6),
+        "delta_true_khz": round(abs(delta_true), 9),
+    } | _fit_payload(trace, f_rf, 1 if delta_true >= 0 else -1, f_true)
+    # Only a trace that fits is written: a refusal leaves no file behind.
+    if args.trace_out:
+        io.write_trace(args.trace_out, trace)
     _report(args, payload)
+    return EXIT_OK
+
+
+def cmd_ramsey_fit(args) -> int:
+    _report(args, _fit_payload(io.read_trace(args.trace_in), args.f_rf_khz, args.sign))
     return EXIT_OK
 
 
@@ -373,44 +353,28 @@ COMMON_FLAGS = {
     "--seed": dict(type=int, default=0),
 }
 SOURCE = ("--preset", "--params")
-# Each pair gives one field component two ways; argparse refuses both at
-# once (exit 2), also at a default value.
-EXCLUSIVE = (("--bz", "--b"), ("--bx", "--theta-deg"))
-FIELD = tuple(flag for pair in EXCLUSIVE for flag in pair)
-
-# ramsey's flags.  It registers them all with default SUPPRESS, so that
-# cmd_ramsey sees which were given (also at their default value) and can
-# refuse those its mode does not read; it applies RAMSEY_DEFAULTS after.
-RAMSEY_FLAGS = {
-    **{flag: COMMON_FLAGS[flag] for flag in (*SOURCE, *FIELD, "--temp", "--out", "--seed")},
-    "--isotope": dict(help="n14 or n15 (not needed with --trace-in)"),
-    "--transition": dict(default="f1"),
-    "--detune-khz": dict(type=float, default=4.0),
-    "--t2-star-ms": dict(type=float, default=1.0),
-    "--duration-ms": dict(type=float, default=2.0),
-    "--samples": dict(type=int, default=200),
-    "--amp": dict(type=float, default=0.5),
-    "--phase": dict(type=float, default=0.0),
-    "--offset": dict(type=float, default=1.0),
-    "--noise-sigma": dict(type=float, default=0.0),
-    "--sign": dict(type=int, choices=(1, -1), default=1),
-    "--trace-out": dict(help="write the synthesized trace CSV here"),
-    "--trace-in": dict(help="fit an existing trace CSV instead"),
-    "--f-rf-khz": dict(type=float, default=None, help="drive frequency for --trace-in"),
-}
-RAMSEY_DEFAULTS = {
-    flag[2:].replace("-", "_"): spec.get("default") for flag, spec in RAMSEY_FLAGS.items()
-}
+# Each pair gives one input two ways, and argparse refuses both flags of a
+# pair at once (exit 2), also at a default value.  A subcommand that
+# registers a ONE_OF pair whole needs one of the two; one that registers a
+# single flag of it needs that flag.  EXCLUSIVE pairs are optional.
+ONE_OF = (SOURCE, ("--bz", "--b"))
+EXCLUSIVE = (("--bx", "--theta-deg"),)
+FIELD = (*ONE_OF[1], *EXCLUSIVE[0])
 
 
 def _add_flags(parser: argparse.ArgumentParser, specs: dict) -> None:
-    """Register ``specs``; an EXCLUSIVE pair registered whole goes into one
-    mutually exclusive group."""
+    """Register ``specs``.  A ONE_OF or EXCLUSIVE pair registered whole goes
+    into one mutually exclusive group, required for ONE_OF; a ONE_OF flag
+    registered alone is required."""
     groups = {}
-    for pair in EXCLUSIVE:
+    for pair in (*ONE_OF, *EXCLUSIVE):
         if set(pair) <= specs.keys():
-            groups |= dict.fromkeys(pair, parser.add_mutually_exclusive_group())
+            group = parser.add_mutually_exclusive_group(required=pair in ONE_OF)
+            groups |= dict.fromkeys(pair, group)
+    alone = {flag for pair in ONE_OF for flag in pair} - groups.keys()
     for flag, spec in specs.items():
+        if flag in alone:
+            spec = spec | {"required": True}
         groups.get(flag, parser).add_argument(flag, **spec)
 
 
@@ -432,59 +396,74 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help, func, *flags, **defaults):
+    def add(name, help, func, *flags, own=None, **defaults):
+        """A subcommand with the COMMON_FLAGS ``flags`` and its ``own`` specs."""
         # No prefix matching: synth would take --temp for --temps.
         s = subs.add_parser(name, help=help, allow_abbrev=False)
-        _add_flags(s, {flag: COMMON_FLAGS[flag] for flag in flags})
+        _add_flags(s, {flag: COMMON_FLAGS[flag] for flag in flags} | (own or {}))
         s.set_defaults(func=func, **defaults)
-        return s
 
     add("transitions", "exact-diagonalization line table", cmd_transitions,
         "--isotope", *SOURCE, *FIELD, "--temp", "--out", "--format")
 
-    s = add("fit", "extract coupling parameters from measurements", cmd_fit,
-            "--isotope", *SOURCE, "--bz", "--out", "--format", format="json")
-    s.add_argument("--measurements", required=True, help="measurement CSV file")
-    s.add_argument("--thermal", action="store_true", help="append degree-4 thermal models")
-    s.add_argument("--fix", action="append", help="pin a fit parameter at its guess value")
+    add("fit", "extract coupling parameters from measurements", cmd_fit,
+        "--isotope", *SOURCE, "--bz", "--out", "--format", own={
+            "--measurements": dict(required=True, help="measurement CSV file"),
+            "--thermal": dict(action="store_true", help="append degree-4 thermal models"),
+            "--fix": dict(action="append", help="pin a fit parameter at its guess value"),
+        }, format="json")
 
-    s = add("thermal", "same as fit --thermal", cmd_fit,
-            "--isotope", *SOURCE, "--bz", "--out", "--format", format="json", thermal=True)
-    s.add_argument("--measurements", required=True, help="measurement CSV file")
-    s.add_argument("--fix", action="append", help="pin a fit parameter at its guess value")
+    add("angular-scan", "fdq/f7 shift vs misalignment angle", cmd_angular_scan,
+        "--isotope", *SOURCE, "--bz", "--temp", "--out", "--format", own={
+            "--theta-max-deg": dict(type=float, default=0.5),
+            "--steps": dict(type=int, default=11),
+        })
 
-    s = add("angular-scan", "fdq/f7 shift vs misalignment angle", cmd_angular_scan,
-            "--isotope", *SOURCE, "--bz", "--temp", "--out", "--format")
-    s.add_argument("--theta-max-deg", type=float, default=0.5)
-    s.add_argument("--steps", type=int, default=11)
+    add("perturb-check", "perturbation-vs-exact tripwire (preset parameters)",
+        cmd_perturb_check, "--temp", "--out", own={
+            "--isotope": dict(help="n14 or n15 (default: both)"),
+            "--bz-min": dict(type=float, default=300.0),
+            "--bz-max": dict(type=float, default=600.0),
+            "--bz-steps": dict(type=int, default=7),
+            "--bx-max": dict(type=float, default=1.0),
+            "--bx-steps": dict(type=int, default=5),
+            "--tolerance-hz": dict(type=float, default=DEFAULT_NOISE_TOLERANCE_HZ),
+        })
 
-    s = add("perturb-check", "perturbation-vs-exact tripwire (preset parameters)",
-            cmd_perturb_check, "--temp", "--out")
-    s.add_argument("--isotope", help="n14 or n15 (default: both)")
-    s.add_argument("--bz-min", type=float, default=300.0)
-    s.add_argument("--bz-max", type=float, default=600.0)
-    s.add_argument("--bz-steps", type=int, default=7)
-    s.add_argument("--bx-max", type=float, default=1.0)
-    s.add_argument("--bx-steps", type=int, default=5)
-    s.add_argument("--tolerance-hz", type=float, default=DEFAULT_NOISE_TOLERANCE_HZ)
+    add("synth", "generate a synthetic measurement CSV", cmd_synth,
+        "--isotope", "--preset", "--bz", "--seed", own={
+            "--out": dict(required=True, help="output measurement CSV file"),
+            "--temps": dict(default="297", help="comma-separated temperatures, K"),
+            "--noise-scale": dict(type=float, default=1.0, help="0 for noiseless"),
+        })
 
-    s = add("synth", "generate a synthetic measurement CSV", cmd_synth,
-            "--isotope", "--bz", "--out", "--seed")
-    s.add_argument("--preset", required=True, **COMMON_FLAGS["--preset"])
-    s.add_argument("--temps", default="297", help="comma-separated temperatures, K")
-    s.add_argument("--noise-scale", type=float, default=1.0, help="0 for noiseless")
+    add("ramsey", "synthesize and fit Ramsey fringes end to end", cmd_ramsey,
+        "--isotope", *SOURCE, *FIELD, "--temp", "--out", "--seed", own={
+            "--transition": dict(default="f1"),
+            "--detune-khz": dict(type=float, default=4.0),
+            "--t2-star-ms": dict(type=float, default=1.0),
+            "--duration-ms": dict(type=float, default=2.0),
+            "--samples": dict(type=int, default=200),
+            "--amp": dict(type=float, default=0.5),
+            "--phase": dict(type=float, default=0.0),
+            "--offset": dict(type=float, default=1.0),
+            "--noise-sigma": dict(type=float, default=0.0),
+            "--trace-out": dict(help="write the synthesized trace CSV here"),
+        })
 
-    s = add("ramsey", "synthesize and fit Ramsey fringes end to end", cmd_ramsey)
-    suppressed = {"default": argparse.SUPPRESS}
-    _add_flags(s, {flag: spec | suppressed for flag, spec in RAMSEY_FLAGS.items()})
+    add("ramsey-fit", "fit the Ramsey fringes of a trace CSV", cmd_ramsey_fit,
+        "--out", own={
+            "--trace-in": dict(required=True, help="trace CSV file"),
+            "--f-rf-khz": dict(type=float, required=True, help="drive frequency, kHz"),
+            "--sign": dict(type=int, choices=(1, -1), default=1, help="f = f_rf - sign * detuning"),
+        })
 
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _run(argv) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         # argparse already printed the message; normalize bad usage to 2
         return EXIT_CONFIG if err.code not in (0, None) else 0
@@ -496,6 +475,18 @@ def main(argv=None) -> int:
         code, prefix = next(v for kind, v in EXIT_TABLE.items() if isinstance(err, kind))
         print(f"error: {prefix}{err}", file=sys.stderr)
         return code
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit flush
+    except BrokenPipeError:
+        # The reader closed stdout after taking what it wanted.  stdout goes
+        # to devnull, so the interpreter's final flush stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

@@ -31,10 +31,15 @@ VALIDITY_FACTOR = 50.0
 
 
 class ValidityMarginError(ValueError):
-    """Field too close to the anti-crossing for the perturbative series."""
+    """Field too close to the anti-crossing for the perturbative series, or Bz < 0."""
 
 
 def _require_margin(p: CouplingParams, bz: float) -> None:
+    if bz < 0:  # the formulas are odd in Bz (f7 = |gamma_n| Bz + ...), the lines even
+        raise ValidityMarginError(
+            f"the perturbative formulas take Bz >= 0, not {bz:g} G; "
+            "the spectrum at -Bz is the +Bz one"
+        )
     f_minus = p.d - p.gamma_e * bz
     limit = VALIDITY_FACTOR * abs(p.a_perp)
     if min(abs(f_minus), abs(p.d + p.gamma_e * bz)) <= limit:

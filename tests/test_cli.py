@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nvground
 from nvground.cli import build_parser, main
 from nvground.extraction import transition_table
 from nvground.io import (
@@ -206,28 +211,25 @@ FIT = ("fit", "--isotope", "n14", *PRESET, "--bz", "470", "--measurements")
 TRANSITIONS_N14 = ("transitions", "--isotope", "n14", *PRESET)
 RAMSEY = ("ramsey", "--isotope", "n14", *PRESET)
 SYNTH = ("synth", "--isotope", "n14", *PRESET, "--bz", "470")
+RAMSEY_FIT = ("ramsey-fit", "--trace-in", "{dir}/trace.csv", "--f-rf-khz", "5090")
 # Each asks for an output the command cannot give, passes flags it would
 # not read, gives a field component two ways or passes a value out of range.
+# A file named never.csv must not be written.
 REFUSED = {
     "thermal-csv": ([*FIT, "{dir}/cold.csv", "--thermal", "--format", "csv"],
                     "the thermal models have no CSV form"),
-    "thermal-cmd-csv": (["thermal", *FIT[1:], "{dir}/cold.csv", "--format", "csv"],
-                        "the thermal models have no CSV form"),
+    # ramsey synthesizes a trace and ramsey-fit fits a given one; neither
+    # reads the other's flags, also at their default values.
     "ramsey-synth-trace-in-flags": (
-        ["ramsey", "--isotope", "n14", *PRESET, "--bz", "470", "--sign", "-1", "--f-rf-khz", "5"],
-        "a synthesized trace does not read --f-rf-khz, --sign"),
+        [*RAMSEY, "--bz", "470", "--sign", "-1", "--f-rf-khz", "5"],
+        "unrecognized arguments: --sign -1 --f-rf-khz 5"),
     "ramsey-trace-in-synth-flags": (
-        ["ramsey", "--trace-in", "{dir}/trace.csv", "--f-rf-khz", "5090", "--isotope", "n15",
-         "--bz", "100", "--transition", "f7", "--samples", "3"],
-        "a --trace-in fit does not read --bz, --isotope, --samples, --transition"),
-    # Flags given at their default value are given all the same.
-    "ramsey-synth-default-sign": (
-        ["ramsey", "--isotope", "n14", *PRESET, "--bz", "470", "--sign", "1"],
-        "a synthesized trace does not read --sign"),
-    "ramsey-trace-in-default-flags": (
-        ["ramsey", "--trace-in", "{dir}/trace.csv", "--f-rf-khz", "5090", "--samples", "200",
-         "--temp", "297"],
-        "a --trace-in fit does not read --samples, --temp"),
+        [*RAMSEY_FIT, "--isotope", "n15", "--bz", "100", "--transition", "f7", "--samples", "3"],
+        "unrecognized arguments: --isotope n15 --bz 100 --transition f7 --samples 3"),
+    "ramsey-synth-default-sign": ([*RAMSEY, "--bz", "470", "--sign", "1"],
+                                  "unrecognized arguments: --sign 1"),
+    "ramsey-trace-in-default-flags": ([*RAMSEY_FIT, "--samples", "200", "--temp", "297"],
+                                      "unrecognized arguments: --samples 200 --temp 297"),
     "transitions-bz-and-b": (
         [*TRANSITIONS_N14, "--bz", "470", "--b", "480", "--theta-deg", "0.5"],
         "argument --b: not allowed with argument --bz"),
@@ -242,23 +244,58 @@ REFUSED = {
                           "a Ramsey trace needs at least 2 samples, not 1"),
     "ramsey-no-samples": ([*RAMSEY, "--bz", "470", "--samples", "0"],
                           "a Ramsey trace needs at least 2 samples, not 0"),
-    "ramsey-one-row-trace": (["ramsey", "--trace-in", "{dir}/one_row.csv", "--f-rf-khz", "100"],
+    "ramsey-one-row-trace": (["ramsey-fit", "--trace-in", "{dir}/one_row.csv", "--f-rf-khz", "100"],
                              "a Ramsey trace needs at least 2 samples, not 1"),
     "ramsey-header-only-trace": (
-        ["ramsey", "--trace-in", "{dir}/header_only.csv", "--f-rf-khz", "100"],
+        ["ramsey-fit", "--trace-in", "{dir}/header_only.csv", "--f-rf-khz", "100"],
         "a Ramsey trace needs at least 2 samples, not 0"),
-    "synth-nan-noise": ([*SYNTH, "--noise-scale", "nan"], "--noise-scale must be finite and >= 0"),
-    "synth-repeated-temperature": ([*SYNTH, "--temps", "297,77,297.0"],
+    # The trace is written only once it fits.
+    "ramsey-unfit-trace-out": (
+        [*RAMSEY, "--bz", "470", "--samples", "5", "--trace-out", "{dir}/never.csv"],
+        "trace spans 0.80 periods at 0.4 kHz; need >= 3"),
+    "synth-nan-noise": ([*SYNTH, "--noise-scale", "nan", "--out", "{dir}/never.csv"],
+                        "--noise-scale must be finite and >= 0"),
+    "synth-repeated-temperature": ([*SYNTH, "--temps", "297,77,297.0", "--out", "{dir}/never.csv"],
                                    "--temps lists 297 K more than once"),
     "perturb-check-negative-tolerance": (["perturb-check", "--tolerance-hz", "-1"],
                                          "--tolerance-hz must be finite and positive"),
+    # The closed forms are odd in Bz where the lines are even.
+    "angular-scan-negative-bz-n14": (["angular-scan", "--isotope", "n14", *PRESET, "--bz", "-480"],
+                                     "the perturbative formulas take Bz >= 0, not -480 G"),
+    "angular-scan-negative-bz-n15": (["angular-scan", "--isotope", "n15", *PRESET, "--bz", "-480"],
+                                     "the perturbative formulas take Bz >= 0, not -480 G"),
+    "perturb-check-negative-bz": (["perturb-check", "--bz-min", "-600", "--bz-max", "-300"],
+                                  "the perturbative formulas take Bz >= 0, not -600 G"),
+}
+# Each leaves out a flag the command needs: one of --preset/--params, one of
+# --bz/--b, or a flag of its own.  (transitions without a source is no-source.)
+NO_SOURCE = "one of the arguments --preset --params is required"
+NO_FIELD = "one of the arguments --bz --b is required"
+REQUIRED = "the following arguments are required: "
+MEASURED = ("--measurements", "{dir}/cold.csv")
+MISSING = {
+    "fit-no-source": (["fit", "--isotope", "n14", "--bz", "470", *MEASURED], NO_SOURCE),
+    "angular-scan-no-source": (["angular-scan", "--isotope", "n14", "--bz", "480"], NO_SOURCE),
+    "ramsey-no-source": (["ramsey", "--isotope", "n14", "--bz", "470"], NO_SOURCE),
+    "transitions-no-field": ([*TRANSITIONS_N14], NO_FIELD),
+    "ramsey-no-field": ([*RAMSEY], NO_FIELD),
+    "fit-no-bz": (["fit", "--isotope", "n14", *PRESET, *MEASURED], REQUIRED + "--bz"),
+    "angular-scan-no-bz": (["angular-scan", "--isotope", "n14", *PRESET], REQUIRED + "--bz"),
+    "synth-no-bz": (["synth", "--isotope", "n14", *PRESET, "--out", "{dir}/never.csv"],
+                    REQUIRED + "--bz"),
+    "synth-no-preset": (["synth", "--isotope", "n14", "--bz", "470", "--out", "{dir}/never.csv"],
+                        REQUIRED + "--preset"),
+    "synth-no-out": ([*SYNTH], REQUIRED + "--out"),
+    "ramsey-fit-no-trace-in": (["ramsey-fit", "--f-rf-khz", "5090"], REQUIRED + "--trace-in"),
+    "ramsey-fit-no-f-rf": (["ramsey-fit", "--trace-in", "{dir}/trace.csv"],
+                           REQUIRED + "--f-rf-khz"),
 }
 
 
 @pytest.mark.parametrize(
     "argv, code, names",
     [
-        (["transitions", "--isotope", "n14", "--bz", "470"], 2, ""),
+        (["transitions", "--isotope", "n14", "--bz", "470"], 2, NO_SOURCE),
         (["transitions", "--isotope", "n14", "--preset", "nope", "--bz", "470"], 2,
          "argument --preset: invalid choice: 'nope'"),
         (["transitions", "--isotope", "n14", *PRESET, "--bz", "1022.8"], 3, ""),
@@ -268,22 +305,22 @@ REFUSED = {
         ([*FIT, "{dir}/cold_huge.csv"], 4, "T = 77.0 K: objective returned inf at ["),
         (["fit", "--isotope", "n14", *PRESET, "--bz", "1022.8", "--measurements", "{dir}/cold.csv"],
          3, "T = 77.0 K: labeling failed at trial point {'d': 2870280.0, "),
-        (["ramsey", "--trace-in", "{dir}/huge_trace.csv", "--f-rf-khz", "100"], 4, ""),
-        (["ramsey", "--trace-in", "{dir}/flat.csv", "--f-rf-khz", "100"], 2, ""),
-        (["ramsey", *PRESET, "--bz", "470"], 2, ""),
+        (["ramsey-fit", "--trace-in", "{dir}/huge_trace.csv", "--f-rf-khz", "100"], 4, ""),
+        (["ramsey-fit", "--trace-in", "{dir}/flat.csv", "--f-rf-khz", "100"], 2, ""),
+        (["ramsey", *PRESET, "--bz", "470"], 2, "the following arguments are required: --isotope"),
         (["angular-scan", "--isotope", "n15", *PRESET, "--bz", "0"], 2, ""),
         (["angular-scan", "--isotope", "n14", *PRESET, "--bz", "0"], 3, ""),
         (["angular-scan", "--isotope", "n14", *PRESET, "--bz", "480", "--theta-max-deg", "3"], 2, ""),
         (["perturb-check", "--tolerance-hz", "0.001"], 5, ""),
         (["perturb-check", "--bz-max", "1024", "--bz-steps", "3"], 2, ""),
         (["perturb-check", "--bz-steps", "0"], 2, ""),
-        *((argv, 2, names) for argv, names in REFUSED.values()),
+        *((argv, 2, names) for argv, names in (REFUSED | MISSING).values()),
     ],
     ids=[
         "no-source", "unknown-preset", "gslac", "underdetermined-fit", "missing-file",
         "huge-f1", "cold-huge-f1", "gslac-fit-guess", "huge-trace", "flat-trace",
         "ramsey-no-isotope", "n15-zero-field", "n14-zero-field", "wide-angle", "tripwire",
-        "perturb-gslac", "empty-grid", *REFUSED,
+        "perturb-gslac", "empty-grid", *REFUSED, *MISSING,
     ],
 )
 def test_failures_end_in_one_error_line(bad_inputs, capsys, argv, code, names):
@@ -294,6 +331,7 @@ def test_failures_end_in_one_error_line(bad_inputs, capsys, argv, code, names):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert names in err
+    assert not (bad_inputs / "never.csv").exists()
 
 
 @pytest.fixture(scope="module")
@@ -320,12 +358,12 @@ FIXED = ("--fix", "gamma_e_bx")
         (TRANSITIONS, "transition,freq_khz,df_dt_hz_per_k"),
         ([*TRANSITIONS, "--format", "json"], None),
         ([*FIT, "{dir}/one.csv", *FIXED], None),
-        (["thermal", *FIT[1:], "{dir}/series.csv", *FIXED], None),
+        ([*FIT, "{dir}/series.csv", *FIXED, "--thermal"], None),
         (ANGULAR, "# transition=f7 bz_G=480 beta_perturbative="),
         ([*ANGULAR, "--format", "json"], None),
         (["perturb-check"], None),
         (["ramsey", "--isotope", "n14", *PRESET, "--bz", "470"], None),
-        (["ramsey", "--trace-in", "{dir}/trace.csv", "--f-rf-khz", "100"], None),
+        (["ramsey-fit", "--trace-in", "{dir}/trace.csv", "--f-rf-khz", "100"], None),
     ],
     ids=[
         "transitions-csv", "transitions-json", "fit", "thermal", "angular-csv", "angular-json",
@@ -436,8 +474,8 @@ def test_thermal_command_recovers_fractional_derivative(tmp_path, capsys):
     capsys.readouterr()
     code, out = run(
         capsys,
-        "thermal", "--isotope", "n14", "--preset", "table1_297K", "--bz", "470",
-        "--measurements", str(data), "--fix", "gamma_e_bx",
+        "fit", "--isotope", "n14", "--preset", "table1_297K", "--bz", "470",
+        "--measurements", str(data), "--fix", "gamma_e_bx", "--thermal",
     )
     assert code == 0
     thermal = json.loads(out)["thermal"]
@@ -510,7 +548,7 @@ def test_ramsey_trace_file_roundtrip(tmp_path, capsys):
     assert code == 0
     f_rf = json.loads(out)["f_rf_khz"]
     code, out = run(
-        capsys, "ramsey", "--trace-in", str(trace_path), "--f-rf-khz", str(f_rf),
+        capsys, "ramsey-fit", "--trace-in", str(trace_path), "--f-rf-khz", str(f_rf),
     )
     assert code == 0
     payload = json.loads(out)
@@ -520,10 +558,10 @@ def test_ramsey_trace_file_roundtrip(tmp_path, capsys):
 def test_ramsey_trace_in_needs_no_isotope(tmp_path, capsys):
     trace_path = tmp_path / "trace.csv"
     write_trace(trace_path, synthesize(3.0, 1e-3, 0.5, 0.0, 1.0, np.linspace(0.0, 2e-3, 200)))
-    code, out = run(capsys, "ramsey", "--trace-in", str(trace_path), "--f-rf-khz", "100")
+    code, out = run(capsys, "ramsey-fit", "--trace-in", str(trace_path), "--f-rf-khz", "100")
     assert code == 0
     payload = json.loads(out)
-    assert payload["config"]["isotope"] is None
+    assert list(payload["config"]) == ["command", "f_rf_khz", "out", "sign", "trace_in"]
     assert payload["f_recovered_khz"] == pytest.approx(97.0, abs=1e-3)
 
 
@@ -532,13 +570,27 @@ def test_ramsey_synthesis_without_isotope_is_a_config_error(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: --isotope is required when synthesizing a trace\n"
+    assert captured.err == "error: the following arguments are required: --isotope\n"
+
+
+def test_closed_stdout_ends_quietly():
+    # The reader has gone before the report is written: exit 0, no traceback.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = [str(Path(nvground.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = [sys.executable, "-m", "nvground.cli", *TRANSITIONS]
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_ramsey_flat_trace_is_a_config_error(tmp_path, capsys):
     trace_path = tmp_path / "flat.csv"
     write_trace(trace_path, RamseyTrace(times=np.linspace(0.0, 1e-3, 100), signal=np.ones(100)))
-    code = main(["ramsey", "--trace-in", str(trace_path), "--f-rf-khz", "100"])
+    code = main(["ramsey-fit", "--trace-in", str(trace_path), "--f-rf-khz", "100"])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("error:") == 1

@@ -40,6 +40,20 @@ def test_validity_margin():
     nuclear_freqs_2nd(P14, N14, 970.0)
 
 
+def test_formulas_refuse_negative_bz():
+    # The closed forms are odd in Bz (f7 starts at |gamma_n| Bz); the exact
+    # spectrum at -Bz is the +Bz one, so a negative Bz is refused, not mirrored.
+    for refuse in (
+        lambda: nuclear_freqs_2nd(P15, N15, -1.0),
+        lambda: nuclear_freqs_full(P15, N15, -1.0, 0.0),
+        lambda: ms0_baseline(P14, N14, -1.0),
+        lambda: beta_coefficient(P14, N14, -1.0),
+    ):
+        with pytest.raises(ValidityMarginError, match=r"^the perturbative formulas take Bz >= 0"):
+            refuse()
+    assert ms0_baseline(P15, N15, 0.0) == 0.0
+
+
 def test_second_order_f2_matches_table():
     ts = nuclear_freqs_2nd(P14, N14, 470.0)
     q, fp = abs(P14.q), P14.d + P14.gamma_e * 470.0
