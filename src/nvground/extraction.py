@@ -6,12 +6,20 @@ dropped for 15NV.  Model frequencies come from exact diagonalization;
 the weighted squared error is minimized with the simplex optimizer.
 gamma_e itself is an external constant, so Bz and gamma_n in physical
 units appear only at reporting time.
+
+The simplex runs in whitened coordinates.  One Jacobian of the
+sigma-weighted lines at the guess (Hellmann-Feynman, from the guess's own
+diagonalization) is taken apart by its SVD J = U S V^T; the origin moves
+to the Gauss-Newton point x_gn = x0 - V S^-1 U^T r0, and the simplex
+searches z with x = x_gn + V S^-1 z.  A unit of z then moves the chi^2 by
+about one, so every direction is in sigma units, where the raw kHz
+coordinates differ in scale by up to 1e5.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,12 +28,20 @@ from .optimize import (
     NonFiniteObjectiveError,
     OptimOptions,
     PolynomialModel,
+    _ZERO_STEP,
     _weighted_objective_of,
     nelder_mead,
     polyfit_weighted,
 )
 from .spin_core import GAMMA_E_KHZ_PER_G, CouplingParams, FieldConfig, IsotopeSpec
-from .transitions import AmbiguousLabelingError, known_labels, line_slopes, transition_set
+from .transitions import (
+    LINES,
+    AmbiguousLabelingError,
+    known_labels,
+    line_derivatives,
+    line_slopes,
+    transition_set,
+)
 
 # Thermal models are polynomials of this degree in (T - T_REF_K).
 T_REF_K = 297.0
@@ -41,14 +57,14 @@ class InconsistentModelError(ValueError):
     """The requested reading of the hyperfine decomposition has no solution."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementEntry:
     label: str
     freq_khz: float
     sigma_khz: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementSet:
     """Measured transitions at one temperature, with uncertainties."""
 
@@ -79,7 +95,7 @@ PARAM_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParamVector:
     """Fit parametrization; kHz except the dimensionless gamma_ratio.
 
@@ -102,8 +118,7 @@ class ParamVector:
         return np.array([getattr(self, name) for name in self.fields()], dtype=float)
 
     def with_array(self, values) -> "ParamVector":
-        updates = zip(self.fields(), np.asarray(values, dtype=float).tolist())
-        return type(self)(**vars(self) | dict(updates))
+        return replace(self, **dict(zip(self.fields(), np.asarray(values, dtype=float).tolist())))
 
     def to_physical(self) -> tuple[CouplingParams, FieldConfig]:
         gamma_n = GAMMA_E_KHZ_PER_G / self.gamma_ratio
@@ -136,7 +151,7 @@ class ParamVector:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FitResult:
     params: ParamVector
     objective: float
@@ -153,20 +168,67 @@ def model_frequencies(vec: ParamVector, iso: IsotopeSpec, labels) -> np.ndarray:
     return np.array([freqs[label] for label in labels], dtype=float)
 
 
+def _jacobian(vec: ParamVector, iso: IsotopeSpec, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Model frequencies for ``labels`` at ``vec`` and their derivatives with
+    respect to every fit field, (M,) and (M, len(vec.fields())), from one
+    diagonalization (transitions.line_derivatives).  The chain rule runs
+    from the fields to the eight coefficients of H: c0..c2 and c5 are d, q,
+    a_par and a_perp; c3 = gamma_e_bz, c4 = -gamma_e_bz / r, c6 = |gamma_e_bx|
+    and c7 = -|gamma_e_bx| / r, with r = gamma_ratio (the field folds Bx
+    onto +x)."""
+    lines, dlines = line_derivatives(*vec.to_physical(), iso)
+    names = list(LINES[iso.name])
+    rows = [names.index(label) for label in labels]
+    dc = dlines[rows].T
+    r, bx_sign = vec.gamma_ratio, math.copysign(1.0, vec.gamma_e_bx)
+    by_field = {
+        "d": dc[0],
+        "q": dc[1],
+        "a_par": dc[2],
+        "a_perp": dc[5],
+        "gamma_e_bz": dc[3] - dc[4] / r,
+        "gamma_e_bx": bx_sign * (dc[6] - dc[7] / r),
+        "gamma_ratio": (vec.gamma_e_bz * dc[4] + abs(vec.gamma_e_bx) * dc[7]) / r**2,
+    }
+    return lines[rows], np.column_stack([by_field[name] for name in vec.fields()])
+
+
 # The simplex is rebuilt at the current best vertex and rerun until a
 # converged run no longer improves the objective; a fresh full-rank
 # simplex reliably unsticks degenerate collapses.
 MAX_RESTARTS = 5
 _RESTART_RTOL = 1e-7
 
-# Extraction-specific simplex settings.  Parameter uncertainties sit many
-# orders below the parameters themselves (sub-kHz against D ~ 2.87 GHz),
-# so the initial simplex is scaled down accordingly.  The objective
-# carries a deterministic jitter floor near 1e-9 (eigensolver rounding
-# propagated through the chi^2), which caps how small an objective spread
-# is meaningful; 1e-7 stays well above it while pinning parameters far
-# beyond statistical precision.
-_FIT_OPTIONS = OptimOptions(initial_simplex_scale=1e-5, tol_f=1e-7, tol_x=1e-9)
+# Extraction-specific simplex settings, in the whitened coordinates z
+# (sigma units; see the module docstring).  Starting at z = 0, the first
+# simplex steps _ZERO_STEP = 1e-3 sigma along each direction.  The
+# objective carries a deterministic jitter floor near 1e-8 relative
+# (eigensolver rounding propagated through the chi^2): a step of
+# sqrt(1e-8) = 1e-4 sigma changes the chi^2 by about that much, so
+# tol_x = 1e-4 is the finest extent the objective can still tell apart,
+# and tol_f = 1e-7 stays well above the floor.
+_FIT_OPTIONS = OptimOptions(tol_f=1e-7, tol_x=1e-4)
+
+# A direction whose singular value is below _FLAT_RTOL of the largest is
+# one the lines do not resolve (gamma_e_bx at Bx = 0, where the spectrum is
+# even in Bx).  It gets no Gauss-Newton step, and a z unit that keeps the
+# raw-coordinate simplex's size: _RAW_SIMPLEX_SCALE of each coordinate, or
+# _ZERO_STEP where it is 0.
+_FLAT_RTOL = 1e-9
+_RAW_SIMPLEX_SCALE = 1e-5
+
+
+def _whitened(jac: np.ndarray, r0: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Origin and basis of the simplex coordinates z, x = origin + basis @ z,
+    from the sigma-weighted Jacobian ``jac`` and residuals ``r0`` at x0: the
+    Gauss-Newton point and V S^-1 (see the module docstring)."""
+    u, s, vt = np.linalg.svd(jac, full_matrices=False)
+    solid = s > _FLAT_RTOL * s.max(initial=0.0)
+    origin = x0 - vt[solid].T @ ((u[:, solid].T @ r0) / s[solid])
+    raw_step = np.where(x0 != 0, _RAW_SIMPLEX_SCALE * np.abs(x0), _ZERO_STEP)
+    scale = np.linalg.norm(vt * raw_step, axis=1) / _ZERO_STEP
+    scale[solid] = 1 / s[solid]
+    return origin, vt.T * scale
 
 
 def extract_params(
@@ -178,7 +240,8 @@ def extract_params(
 
     ``fixed`` names parameters pinned at their guess value (useful for
     gamma_e_bx on deliberately on-axis synthetic data, where the objective
-    is flat in that direction).
+    is flat in that direction).  The entries are fitted in known_labels
+    order, so their order in ``ms`` does not change a bit of the result.
     """
     fields = guess.fields()
     for name in fixed:
@@ -190,33 +253,57 @@ def extract_params(
             f"T = {ms.temperature} K: {len(ms.entries)} measurements cannot "
             f"determine {len(free)} parameters"
         )
-    labels = [e.label for e in ms.entries]
-    measured = np.array([e.freq_khz for e in ms.entries])
-    chi2 = _weighted_objective_of(measured, [e.sigma_khz for e in ms.entries])
+    order = known_labels(ms.isotope)
+    entries = sorted(ms.entries, key=lambda e: order.index(e.label))
+    labels = [e.label for e in entries]
+    measured = np.array([e.freq_khz for e in entries])
+    sigmas = np.array([e.sigma_khz for e in entries])
+    chi2 = _weighted_objective_of(measured, sigmas)
     full = guess.as_array()
 
-    def objective(xfree: np.ndarray) -> float:
+    def at_temperature(err: Exception) -> Exception:
+        err.args = (f"T = {ms.temperature} K: {err}",)  # same type, so the same exit code
+        return err
+
+    def trial(xfree: np.ndarray) -> ParamVector:
         x = full.copy()
         x[free] = xfree
-        vec = guess.with_array(x)
+        return guess.with_array(x)
+
+    def labeling_failed(vec: ParamVector, err: AmbiguousLabelingError):
+        point = dict(zip(fields, vec.as_array().tolist()))
+        return AmbiguousLabelingError(f"labeling failed at trial point {point}: {err}")
+
+    x0 = full[free]
+    try:
+        model0, jac = _jacobian(guess, ms.isotope, labels)
+    except AmbiguousLabelingError as err:
+        raise at_temperature(labeling_failed(guess, err)) from err
+    f0 = chi2(model0)
+    if not math.isfinite(f0):
+        raise at_temperature(NonFiniteObjectiveError(x0, f0))
+    origin, basis = _whitened(jac[:, free] / sigmas[:, None], (model0 - measured) / sigmas, x0)
+
+    def objective(z: np.ndarray) -> float:
+        vec = trial(origin + basis @ z)
         try:
             model = model_frequencies(vec, ms.isotope, labels)
         except AmbiguousLabelingError as err:
-            raise AmbiguousLabelingError(
-                f"labeling failed at trial point {dict(zip(fields, x.tolist()))}: {err}"
-            ) from err
+            raise labeling_failed(vec, err) from err
         return chi2(model)
 
-    start = full[free]
+    start = np.zeros(len(free))
     iterations = evals = 0
     result = None
     previous_f = None
     for _ in range(1 + MAX_RESTARTS):
         try:
             result = nelder_mead(objective, start, _FIT_OPTIONS)
-        except (NonFiniteObjectiveError, AmbiguousLabelingError) as err:
-            err.args = (f"T = {ms.temperature} K: {err}",)  # same type, so the same exit code
-            raise
+        except NonFiniteObjectiveError as err:
+            point = origin + basis @ err.point
+            raise at_temperature(NonFiniteObjectiveError(point, err.value)) from None
+        except AmbiguousLabelingError as err:
+            raise at_temperature(err)
         iterations += result.iterations
         evals += result.n_evals
         start = result.x_min
@@ -232,11 +319,9 @@ def extract_params(
         raise FitConvergenceError(
             f"fit at T = {ms.temperature} K did not converge in {iterations} iterations"
         )
-    x = full.copy()
-    x[free] = result.x_min
-    best = guess.with_array(x)
-    model = model_frequencies(best, ms.isotope, labels)
-    residuals = {label: float(m - y) for label, m, y in zip(labels, model, measured)}
+    best = trial(origin + basis @ result.x_min)
+    model = dict(zip(labels, model_frequencies(best, ms.isotope, labels)))
+    residuals = {e.label: float(model[e.label] - e.freq_khz) for e in ms.entries}
     return FitResult(
         params=best,
         objective=result.f_min,

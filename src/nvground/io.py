@@ -8,6 +8,7 @@ significant digits so CSV round trips are lossless at that precision.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +34,7 @@ def fmt_g(x: float) -> str:
     return f"{x:.12g}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementRow:
     """One line of a measurement CSV, as written by ``write_measurements``."""
 
@@ -70,7 +71,9 @@ def read_measurements(path: str | Path, iso: IsotopeSpec) -> list[MeasurementSet
             raise ConfigError(f"line {n}: expected 4 comma-separated fields")
         try:
             temperature = float(parts[0])
-            entry = MeasurementEntry(parts[1].strip(), float(parts[2]), float(parts[3]))
+            # One string per label name, however many rows name it.
+            label = sys.intern(parts[1].strip())
+            entry = MeasurementEntry(label, float(parts[2]), float(parts[3]))
             # Each line grows its temperature's set through MeasurementSet's checks.
             earlier = sets[temperature].entries if temperature in sets else ()
             sets[temperature] = MeasurementSet(temperature, iso, (*earlier, entry))

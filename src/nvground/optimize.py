@@ -76,11 +76,7 @@ def nelder_mead(objective, x0, options: OptimOptions | None = None) -> OptimResu
             raise NonFiniteObjectiveError(x, val)
         return val
 
-    f0 = float(objective(x0))
-    evals += 1
-    if not math.isfinite(f0):
-        raise NonFiniteObjectiveError(x0, f0)
-
+    f0 = f(x0)
     simplex = np.tile(x0, (n + 1, 1))
     for i in range(n):
         step = opts.initial_simplex_scale * x0[i]

@@ -141,11 +141,11 @@ def fit_fringes(trace: RamseyTrace) -> RamseyFit:
     f_hz = guess.delta_khz * 1e3
     if span * f_hz < 3.0:
         raise UndersampledTraceError(
-            f"trace spans {span * f_hz:.2f} periods at {guess.delta_khz} kHz; need >= 3"
+            f"trace spans {span * f_hz:.2f} periods at {guess.delta_khz:.6g} kHz; need >= 3"
         )
     if float(np.median(np.diff(t))) > 1.0 / (4.0 * f_hz):
         raise UndersampledTraceError(
-            f"fewer than 4 samples per period at {guess.delta_khz} kHz"
+            f"fewer than 4 samples per period at {guess.delta_khz:.6g} kHz"
         )
 
     big = 1e300

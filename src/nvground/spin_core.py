@@ -174,16 +174,14 @@ def _structure(iso_name: str, dtype: np.dtype):
     return stack
 
 
-def _hamiltonians(
+def _coefficients(
     p: CouplingParams, points, iso: IsotopeSpec, dtype=np.float64, nuclear_transverse: bool = True
 ) -> np.ndarray:
-    """H at each (bz, bx) field point of ``points`` (bx may be < 0) as an
-    (N, d, d) stack: one row of the eight _structure weights per point, so
-    H = sum_j c_j S_j.  matmul makes one (1, 8) @ (8, d*d) product per
-    point, so each matrix gets the same bits whatever N is."""
+    """The eight _structure weights c_j of H = sum_j c_j S_j at each (bz, bx)
+    field point of ``points`` (bx may be < 0), as an (N, 8) array."""
     if iso.name == "N15" and p.q != 0.0:
         raise ValueError("N15 has nuclear spin 1/2: Q must be exactly 0")
-    rows = np.array(
+    return np.array(
         [
             [
                 p.d,
@@ -198,7 +196,16 @@ def _hamiltonians(
             for bz, bx in points
         ],
         dtype=dtype,
-    ).reshape(-1, 1, 8)
+    )
+
+
+def _hamiltonians(
+    p: CouplingParams, points, iso: IsotopeSpec, dtype=np.float64, nuclear_transverse: bool = True
+) -> np.ndarray:
+    """H at each field point of ``points`` as an (N, d, d) stack: one row of
+    _coefficients per point.  matmul makes one (1, 8) @ (8, d*d) product per
+    point, so each matrix gets the same bits whatever N is."""
+    rows = _coefficients(p, points, iso, dtype, nuclear_transverse).reshape(-1, 1, 8)
     stack = _structure(iso.name, rows.dtype)
     n = stack.shape[-1]
     return np.matmul(rows, stack.reshape(len(stack), -1)).reshape(-1, n, n)

@@ -22,9 +22,10 @@ from .spin_core import (
     FieldConfig,
     IsotopeSpec,
     StateLabel,
+    _coefficients,
     _hamiltonians,
+    _structure,
     basis_labels,
-    build_hamiltonian,
 )
 
 # Below this squared overlap the dominant-component assignment is
@@ -112,12 +113,14 @@ def nuclear_labels(iso: IsotopeSpec) -> tuple[str, ...]:
 
 def _row_map(iso: IsotopeSpec):
     """The table as arrays: every row name, the basis indices a and b of
-    the splittings (every row that is no difference of two others), and the
+    the splittings (every row that is no difference of two others), the
     (splittings, rows) matrix of 0/+-1 that turns the splittings into the
-    rows.  Each column has at most two nonzero entries, so the product is
-    exact: a splitting row is its splitting, a difference row is x - y.
+    rows, and the index of each splitting's own row.  Each column has at
+    most two nonzero entries, so the product is exact: a splitting row is
+    its splitting, a difference row is x - y.
     """
     lines = LINES[iso.name]
+    names = tuple(lines)
     splits = [name for name, line in lines.items() if not line.minus]
     index = {label: k for k, label in enumerate(basis_labels(iso))}
     a, b = np.array([[index[s] for s in lines[name].levels] for name in splits]).T
@@ -127,7 +130,7 @@ def _row_map(iso: IsotopeSpec):
         rows[splits.index(plus), col] = 1
         if minus:
             rows[splits.index(minus), col] = -1
-    return tuple(lines), a, b, rows
+    return names, a, b, rows, np.array([names.index(name) for name in splits])
 
 
 _ROW_MAP = {name: _row_map(iso) for name, iso in ISOTOPES.items()}
@@ -187,7 +190,7 @@ def transition_lines(
     The N Hamiltonians at ``fields`` (FieldConfigs) go through one eigh
     and one label_states call, and each point gets the same bits as in a
     batch of one; ``dtype`` and ``nuclear_transverse`` are as in
-    build_hamiltonian.  Returns (lines (N, L) in known_labels(iso) order,
+    build_hamiltonian.  Returns (lines (N, L) in LINES row order,
     energies (N, d) and eigenvectors (N, d, d) in basis order).  A refusal
     (AmbiguousLabelingError) names the first refused field point.
     """
@@ -198,7 +201,7 @@ def transition_lines(
         f = fields[err.index[0]]
         where = f"at Bz = {f.bz} G, Bx = {f.bx} G ({iso.name})"
         raise AmbiguousLabelingError(f"{where}: {err}") from err
-    _, a, b, rows = _ROW_MAP[iso.name]
+    _, a, b, rows, _ = _ROW_MAP[iso.name]
     # take: about half the cost of energies[:, a] on these small arrays
     lines = np.abs(energies.take(a, axis=1) - energies.take(b, axis=1)) @ rows
     return lines, energies, vectors
@@ -217,18 +220,32 @@ def transition_set(
     return TransitionSet(dict(zip(_ROW_MAP[iso.name][0], lines[0])), iso.name)
 
 
+def line_derivatives(p: CouplingParams, f: FieldConfig, iso: IsotopeSpec):
+    """Every row of the table at (p, f) and its derivatives with respect to
+    the eight coefficients c_j of H = sum_j c_j S_j (spin_core._structure),
+    from one diagonalization: level k moves by dE_k/dc_j = v_k^T S_j v_k
+    (Hellmann-Feynman; Feynman, Phys. Rev. 56, 340, 1939).  Returns
+    (lines (L,), dlines (L, 8)) in LINES row order; a difference row's
+    derivatives are the differences of its two rows', exactly.
+    """
+    (lines,), (energies,), (vectors,) = transition_lines(p, [f], iso)
+    stack = _structure(iso.name, vectors.dtype)
+    dlevels = np.sum(vectors * (stack @ vectors), axis=1)  # (8, d)
+    _, a, b, rows, _ = _ROW_MAP[iso.name]
+    dsplits = np.sign(energies[a] - energies[b]) * (dlevels[:, a] - dlevels[:, b])
+    return lines, rows.T @ dsplits.T
+
+
 def line_slopes(p: CouplingParams, rates: CouplingParams, f: FieldConfig, iso: IsotopeSpec):
     """Every row of the table at (p, f) and its derivative along ``rates``
     (dD, dQ, dA_par, dA_perp, say per kelvin, at a fixed field), as two
-    dicts, from one diagonalization: H is linear in those four, so level k
-    moves by v_k^T dH v_k (Hellmann-Feynman; Feynman, Phys. Rev. 56, 340,
-    1939).
+    dicts: line_derivatives contracted with the coefficient rates.  The
+    splittings are contracted first and go through the row map after, so
+    a difference row is the difference of its two slopes, exactly.
     """
-    (lines,), (energies,), (vectors,) = transition_lines(p, [f], iso)
-    dh = build_hamiltonian(rates, FieldConfig(bz=0.0), iso)
-    shifts = np.sum(vectors * (dh @ vectors), axis=0)
-    names, a, b, rows = _ROW_MAP[iso.name]
-    slopes = (np.sign(energies[a] - energies[b]) * (shifts[a] - shifts[b])) @ rows
+    lines, dlines = line_derivatives(p, f, iso)
+    names, _, _, rows, split_rows = _ROW_MAP[iso.name]
+    slopes = (dlines[split_rows] @ _coefficients(rates, [(0.0, 0.0)], iso)[0]) @ rows
     return dict(zip(names, lines)), dict(zip(names, slopes))
 
 

@@ -266,6 +266,10 @@ REFUSED = {
                                      "the perturbative formulas take Bz >= 0, not -480 G"),
     "perturb-check-negative-bz": (["perturb-check", "--bz-min", "-600", "--bz-max", "-300"],
                                   "the perturbative formulas take Bz >= 0, not -600 G"),
+    # With no detuning the fringe has no period; the refusal names the
+    # guessed frequency in 6 significant digits.
+    "ramsey-zero-detuning": ([*RAMSEY, "--bz", "470", "--detune-khz", "0"],
+                             "trace spans 1.00 periods at 0.4975 kHz; need >= 3"),
 }
 # Each leaves out a flag the command needs: one of --preset/--params, one of
 # --bz/--b, or a flag of its own.  (transitions without a source is no-source.)

@@ -17,6 +17,7 @@ from nvground.extraction import (
     params_from_models,
     thermal_models,
     transition_table,
+    _jacobian,
 )
 from nvground.optimize import PolynomialModel
 from nvground.presets import (
@@ -28,7 +29,7 @@ from nvground.presets import (
     thermal_presets,
 )
 from nvground.spin_core import N14, N15, FieldConfig
-from nvground.transitions import LINES, AmbiguousLabelingError, transition_set
+from nvground.transitions import LINES, AmbiguousLabelingError, known_labels, transition_set
 
 B470 = FieldConfig(bz=TABLE3_BZ_G)
 FIT_LABELS_N14 = ["f1", "f2", "f3", "f4", "f5", "f6", "fplus_+1", "fminus_+1"]
@@ -101,7 +102,32 @@ def test_fit_reorder_invariance():
         temperature=ms.temperature, isotope=ms.isotope, entries=tuple(reversed(ms.entries))
     )
     fit2 = extract_params(reordered, truth, fixed=("gamma_e_bx",))
-    assert np.allclose(fit1.params.as_array(), fit2.params.as_array(), rtol=0, atol=1e-6)
+    assert np.array_equal(fit1.params.as_array(), fit2.params.as_array())
+
+
+@pytest.mark.parametrize("iso", [N14, N15], ids=["N14", "N15"])
+@pytest.mark.parametrize("bz, bx", [(470.0, 0.0), (100.0, 0.3)], ids=["axial-470G", "tilted-100G"])
+def test_jacobian_matches_central_differences(iso, bz, bx):
+    # The Hellmann-Feynman Jacobian through the chain rule to the fit
+    # fields, gamma_e_bx and gamma_ratio included, against central
+    # differences of the forward model over every line with two levels.
+    # The lines carry about 3e-9 kHz of eigensolver noise, so the step is
+    # 1e-4 of each field and the tolerance 5e-9 kHz over the step.
+    vec = ParamVector.from_physical(iso.name, params_at(iso), FieldConfig(bz=bz, bx=bx))
+    labels = known_labels(iso)
+    model, jac = _jacobian(vec, iso, labels)
+    assert np.array_equal(model, model_frequencies(vec, iso, labels))
+    x = vec.as_array()
+    for j, name in enumerate(vec.fields()):
+        h = 1e-4 * abs(x[j]) if x[j] else 1e-2
+        up, down = x.copy(), x.copy()
+        up[j] += h
+        down[j] -= h
+        fd = (
+            model_frequencies(vec.with_array(up), iso, labels)
+            - model_frequencies(vec.with_array(down), iso, labels)
+        ) / (2 * h)
+        assert np.allclose(jac[:, j], fd, rtol=1e-6, atol=5e-9 / h), name
 
 
 def test_fit_residuals_consistent_with_objective():
