@@ -5,6 +5,11 @@ eigenvectors, fixed sign convention): LAPACK via numpy for float64 input,
 and a Jacobi sweep in round-robin order that works at any float dtype.
 The Jacobi path is what makes extended-precision (longdouble)
 diagonalization possible for the sub-Hz angular-shift validations.
+It works on the input scaled exactly by a power of two (max|a| in
+[0.5, 1)), so no input scale overflows or underflows its norm.  For
+dtypes wider than float64 it starts from LAPACK's float64 eigenbasis
+(the seed), made orthogonal in the wide dtype, so that one sweep after
+the seed converges; float64 and narrower dtypes start from the identity.
 """
 
 from __future__ import annotations
@@ -93,6 +98,20 @@ def _rotation(app, aqq, apq, one):
 def jacobi_eigh(m: np.ndarray, rel_tol: float | None = None, max_sweeps: int = _JACOBI_MAX_SWEEPS):
     """Round-robin Jacobi diagonalization preserving the input dtype.
 
+    The input is first scaled by a power of two so that max|a| lies in
+    [0.5, 1), and the eigenvalues are scaled back at the end.  Both steps
+    are exact away from subnormals, so ||A||_F^2 can neither overflow nor
+    underflow, and the eigenvalues scale with the input bit for bit.
+
+    Dtypes wider than float64 (longdouble) start from a seed, LAPACK's
+    float64 eigenbasis V, rather than from the identity.  V is made
+    orthogonal in the wide dtype by one Newton-Schulz step,
+    V <- V (3I - V^T V) / 2, and the sweeps run on V^T A V.  The seed is
+    accurate to float64, so one sweep (cyclic Jacobi converges
+    quadratically) takes it to the wide dtype's precision (Demmel and
+    Veselic, SIAM J. Matrix Anal. Appl. 13, 1204, 1992).  float64 and
+    narrower dtypes start from the identity.
+
     Each sweep runs the n(n-1)/2 rotations as n - 1 rounds (n for odd n)
     of disjoint (p, q) pairs in round-robin (Brent-Luk) order.  A round's
     rotations commute, so they are applied together as one orthogonal J:
@@ -100,10 +119,11 @@ def jacobi_eigh(m: np.ndarray, rel_tol: float | None = None, max_sweeps: int = _
     round with none left is skipped.  Convergence is checked before each
     sweep and after the last: the off-diagonal Frobenius norm must drop
     below ``rel_tol * ||A||_F`` (default 1e-12 for double, 1e-18 for
-    longdouble) within ``max_sweeps`` sweeps.
+    longdouble) within ``max_sweeps`` sweeps, counted after the seed.
+    ``rel_tol`` must be finite and > 0, and ``max_sweeps`` >= 0.
     Returns (eigenvalues ascending, eigenvector columns), unsorted signs.
     """
-    a = _check_symmetric(m).copy()
+    a = _check_symmetric(m)
     if a.ndim != 2:
         raise ValueError(f"jacobi_eigh takes one matrix, got shape {a.shape}")
     if a.dtype.kind != "f":
@@ -111,12 +131,25 @@ def jacobi_eigh(m: np.ndarray, rel_tol: float | None = None, max_sweeps: int = _
     dtype = a.dtype
     if rel_tol is None:
         rel_tol = 1e-18 if dtype == np.longdouble else 1e-12
+    if not (np.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
     n = a.shape[0]
     v = eye = np.eye(n, dtype=dtype)
+    exponent = np.frexp(np.abs(a).max(initial=0))[1]
+    a = np.ldexp(a, -exponent)
     norm = np.sqrt(np.sum(a * a))
     if norm == 0:
         return np.zeros(n, dtype=dtype), v
     threshold = rel_tol * norm
+    if np.finfo(dtype).eps < np.finfo(np.float64).eps:
+        # np.linalg.eigh, not eigh: the seed needs neither the checks nor
+        # the sign convention.
+        v = np.linalg.eigh(a.astype(np.float64))[1].astype(dtype)
+        v = np.dot(v, (3 * eye - np.dot(v.T, v)) / 2)
+        a = np.dot(np.dot(v.T, a), v)
+        a = (a + a.T) / 2
     one = dtype.type(1)
     off = _offdiag_frobenius(a)
     for _ in range(max_sweeps):
@@ -150,9 +183,10 @@ def jacobi_eigh(m: np.ndarray, rel_tol: float | None = None, max_sweeps: int = _
     if off > threshold:
         raise EigensolveError(
             f"Jacobi sweep cap ({max_sweeps}) reached; off-diagonal norm "
-            f"{float(off):g} above threshold {float(threshold):g}"
+            f"{float(np.ldexp(off, exponent)):g} above threshold "
+            f"{float(np.ldexp(threshold, exponent)):g}"
         )
-    values = np.diag(a).copy()
+    values = np.ldexp(np.diag(a), exponent)
     order = np.argsort(values, kind="stable")
     return values[order], v[:, order]
 

@@ -185,13 +185,55 @@ def test_jacobi_zero_pairs_are_exact_no_ops():
     assert np.array_equal(vectors[:3, :][:, values == 4.0].ravel(), [0.0, 0.0, 0.0])
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
+def test_jacobi_refuses_bad_controls():
+    a = random_symmetric(np.random.default_rng(1), n=4)
+    for rel_tol in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="rel_tol"):
+            jacobi_eigh(a, rel_tol=rel_tol)
+    with pytest.raises(ValueError, match="max_sweeps"):
+        jacobi_eigh(a, max_sweeps=-1)
+
+
+@pytest.mark.parametrize(
+    "dtype, scale",
+    [
+        (np.longdouble, "1e3000"),
+        (np.longdouble, "1e-3000"),
+        (np.longdouble, "1e400"),
+        (np.float64, "1e200"),
+        (np.float64, "1e-200"),
+    ],
+)
+def test_jacobi_at_extreme_scales(dtype, scale):
+    # ||A||_F^2 overflows or underflows at these scales; the entries and
+    # the eigenvalues (3 -+ sqrt 2)/2 * scale do not.
+    scale = dtype(scale)
+    a = np.array([[1, 0.5], [0.5, 2]], dtype=dtype) * scale
+    values, vectors = jacobi_eigh(a)
+    root2 = np.sqrt(dtype(2))
+    analytic = np.array([(3 - root2) / 2, (3 + root2) / 2]) * scale
+    assert np.all(np.abs(values - analytic) <= 8 * np.finfo(dtype).eps * analytic)
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(2))) <= 8 * np.finfo(dtype).eps
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_jacobi_is_power_of_two_equivariant(dtype):
+    a = random_symmetric(np.random.default_rng(4)).astype(dtype)
+    values = jacobi_eigh(a)[0]
+    for k in (-600, -7, 1, 30, 600):
+        assert np.array_equal(jacobi_eigh(np.ldexp(a, k))[0], np.ldexp(values, k))
+
+
+nv_points = given(
     iso=st.sampled_from([N14, N15]),
     temp=st.floats(77.0, 400.0),
     bz=st.floats(0.5, 2000.0),
     bx=st.floats(0.0, 5.0),
 )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@nv_points
 def test_longdouble_jacobi_on_nv_hamiltonians(iso, temp, bz, bx):
     h = build_hamiltonian(params_at(iso, temp), FieldConfig(bz=bz, bx=bx), iso, dtype=np.longdouble)
     values, vectors = jacobi_eigh(h)
@@ -203,6 +245,15 @@ def test_longdouble_jacobi_on_nv_hamiltonians(iso, temp, bz, bx):
     assert np.allclose(values.astype(np.float64), reference, rtol=0, atol=1e-12 * scale)
     # Four sweeps always suffice on these matrices.
     assert np.array_equal(jacobi_eigh(h, max_sweeps=4)[0], values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@nv_points
+def test_longdouble_jacobi_seed_needs_one_sweep(iso, temp, bz, bx):
+    # The float64 LAPACK start is accurate to float64, and one sweep takes
+    # it to longdouble precision.
+    h = build_hamiltonian(params_at(iso, temp), FieldConfig(bz=bz, bx=bx), iso, dtype=np.longdouble)
+    assert np.array_equal(jacobi_eigh(h, max_sweeps=1)[0], jacobi_eigh(h)[0])
 
 
 def test_zero_matrix():
