@@ -21,7 +21,6 @@ from .extraction import (
 from .optimize import (
     FitConvergenceError,
     NonFiniteObjectiveError,
-    OptimOptions,
     OptimResult,
     PolynomialModel,
     nelder_mead,

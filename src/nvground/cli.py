@@ -143,13 +143,20 @@ def _thermal_summary(models: dict[str, PolynomialModel]) -> dict:
     t_ref = presets.T_REF_K
     out = {}
     for name, model in models.items():
+        # kHz models report their rates in Hz; gamma_ratio is dimensionless.
+        # Either way the rates resolve 1e-9 of the model's unit per K.
+        unit, rate_unit, scale, digits = (
+            ("", "", 1.0, 9) if name == "gamma_ratio" else ("_khz", "_hz", 1e3, 6)
+        )
         out[name] = {
-            "value_khz": round(model.value(t_ref), 6),
-            "derivative_hz_per_k": round(1e3 * model.derivative(t_ref), 6),
+            f"value{unit}": round(model.value(t_ref), 6),
+            f"derivative{rate_unit}_per_k": round(scale * model.derivative(t_ref), digits),
             "fractional_ppm_per_k": round(model.fractional_derivative_ppm(t_ref), 4),
-            "second_derivative_hz_per_k2": round(1e3 * model.second_derivative(t_ref), 6),
+            f"second_derivative{rate_unit}_per_k2": round(
+                scale * model.second_derivative(t_ref), digits
+            ),
             "coeffs": [fmt_g(c) for c in model.coeffs],
-            "residual_rms_khz": round(model.residual_rms, 9),
+            f"residual_rms{unit}": round(model.residual_rms, 9),
         }
     return out
 

@@ -1,8 +1,8 @@
 """Deterministic eigendecomposition of small dense real symmetric matrices.
 
 Two backends sit behind one contract (ascending eigenvalues, orthonormal
-eigenvectors, fixed sign convention): LAPACK via numpy for float64 input,
-and a Jacobi sweep in round-robin order that works at any float dtype.
+eigenvectors): LAPACK via numpy for float64 input, and a Jacobi sweep in
+round-robin order that works at any float dtype.
 The Jacobi path is what makes extended-precision (longdouble)
 diagonalization possible for the sub-Hz angular-shift validations.
 It works on the input scaled exactly by a power of two (max|a| in
@@ -44,18 +44,6 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     if bad.any():
         raise ValueError(f"matrix is not symmetric: max|M - M.T| = {asym[bad].flat[0]:g}")
     return m
-
-
-def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
-    # Largest-magnitude component of each eigenvector made positive
-    # (argmax: first index wins ties), so repeated runs agree bit for bit.
-    # Negates in place: ``vectors`` is a fresh solver output.
-    n = vectors.shape[-1]
-    flat = vectors.reshape(-1, n, n)
-    k = np.abs(flat).argmax(axis=1)
-    lead = flat[np.arange(len(flat))[:, None], k, np.arange(n)]
-    np.negative(flat, out=flat, where=(lead < 0)[:, None, :])
-    return flat.reshape(vectors.shape)
 
 
 def _offdiag_frobenius(a: np.ndarray):
@@ -121,7 +109,7 @@ def jacobi_eigh(m: np.ndarray, rel_tol: float | None = None, max_sweeps: int = _
     below ``rel_tol * ||A||_F`` (default 1e-12 for double, 1e-18 for
     longdouble) within ``max_sweeps`` sweeps, counted after the seed.
     ``rel_tol`` must be finite and > 0, and ``max_sweeps`` >= 0.
-    Returns (eigenvalues ascending, eigenvector columns), unsorted signs.
+    Returns (eigenvalues ascending, eigenvector columns).
     """
     a = _check_symmetric(m)
     if a.ndim != 2:
@@ -144,8 +132,7 @@ def jacobi_eigh(m: np.ndarray, rel_tol: float | None = None, max_sweeps: int = _
         return np.zeros(n, dtype=dtype), v
     threshold = rel_tol * norm
     if np.finfo(dtype).eps < np.finfo(np.float64).eps:
-        # np.linalg.eigh, not eigh: the seed needs neither the checks nor
-        # the sign convention.
+        # np.linalg.eigh, not eigh: the seed needs no second check.
         v = np.linalg.eigh(a.astype(np.float64))[1].astype(dtype)
         v = np.dot(v, (3 * eye - np.dot(v.T, v)) / 2)
         a = np.dot(np.dot(v.T, a), v)
@@ -192,13 +179,16 @@ def jacobi_eigh(m: np.ndarray, rel_tol: float | None = None, max_sweeps: int = _
 
 
 def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values ascending, eigenvector columns) with canonical signs, for one
-    matrix (d, d) or a stack (..., d, d), like np.linalg.eigh.
+    """(values ascending, eigenvector columns) for one matrix (d, d) or a
+    stack (..., d, d), like np.linalg.eigh.
 
     float64 input goes to LAPACK (np.linalg.eigh, one call for the whole
     stack); any other float dtype uses the round-robin Jacobi sweep, one
     jacobi_eigh call per matrix.  Output is deterministic for identical
-    input, and each matrix of a stack gets the same bits as alone.
+    input, and each matrix of a stack gets the same bits as alone.  Each
+    eigenvector's sign is whatever the backend computed: callers read only
+    squared components and quadratic forms v^T S v, which negation leaves
+    bit for bit.
     """
     m = np.asarray(m)
     if m.dtype.kind != "f":
@@ -209,4 +199,4 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values, vectors = np.empty(m.shape[:-1], m.dtype), np.empty_like(m)
         for i in np.ndindex(m.shape[:-2]):  # jacobi_eigh checks each matrix
             values[i], vectors[i] = jacobi_eigh(m[i])
-    return values, _canonical_signs(vectors)
+    return values, vectors

@@ -26,12 +26,11 @@ import numpy as np
 from .optimize import (
     FitConvergenceError,
     NonFiniteObjectiveError,
-    OptimOptions,
     PolynomialModel,
     _ZERO_STEP,
-    _weighted_objective_of,
     nelder_mead,
     polyfit_weighted,
+    weighted_objective,
 )
 from .spin_core import GAMMA_E_KHZ_PER_G, CouplingParams, FieldConfig, IsotopeSpec
 from .transitions import (
@@ -193,21 +192,22 @@ def _jacobian(vec: ParamVector, iso: IsotopeSpec, labels) -> tuple[np.ndarray, n
     return lines[rows], np.column_stack([by_field[name] for name in vec.fields()])
 
 
-# The simplex is rebuilt at the current best vertex and rerun until a
-# converged run no longer improves the objective; a fresh full-rank
-# simplex reliably unsticks degenerate collapses.
-MAX_RESTARTS = 5
-_RESTART_RTOL = 1e-7
+# The relative chi^2 noise floor: the deterministic jitter that eigensolver
+# rounding puts on the objective, and the one source of the fit's stopping
+# rules.  In the whitened coordinates z (sigma units, see the module
+# docstring; the first simplex steps _ZERO_STEP = 1e-3 sigma from z = 0) a
+# step of sqrt(floor) = 1e-4 sigma moves the chi^2 by about the floor, so
+# that is the finest extent (tol_x) the objective can tell apart; tol_f and
+# the restart tolerance, 10 floors = 1e-7, stay above the jitter.  Both
+# values are exact in float64.
+CHI2_NOISE_FLOOR = 1e-8
+_FIT_TOLERANCES = dict(tol_f=10 * CHI2_NOISE_FLOOR, tol_x=math.sqrt(CHI2_NOISE_FLOOR))
 
-# Extraction-specific simplex settings, in the whitened coordinates z
-# (sigma units; see the module docstring).  Starting at z = 0, the first
-# simplex steps _ZERO_STEP = 1e-3 sigma along each direction.  The
-# objective carries a deterministic jitter floor near 1e-8 relative
-# (eigensolver rounding propagated through the chi^2): a step of
-# sqrt(1e-8) = 1e-4 sigma changes the chi^2 by about that much, so
-# tol_x = 1e-4 is the finest extent the objective can still tell apart,
-# and tol_f = 1e-7 stays well above the floor.
-_FIT_OPTIONS = OptimOptions(tol_f=1e-7, tol_x=1e-4)
+# The simplex is rebuilt at the current best vertex and rerun until a
+# converged run improves the objective by no more than _RESTART_RTOL; a
+# fresh full-rank simplex reliably unsticks degenerate collapses.
+MAX_RESTARTS = 5
+_RESTART_RTOL = 10 * CHI2_NOISE_FLOOR
 
 # A direction whose singular value is below _FLAT_RTOL of the largest is
 # one the lines do not resolve (gamma_e_bx at Bx = 0, where the spectrum is
@@ -243,6 +243,11 @@ def extract_params(
     is flat in that direction).  The entries are fitted in known_labels
     order, so their order in ``ms`` does not change a bit of the result.
     """
+    if guess.isotope != ms.isotope.name:
+        raise ValueError(
+            f"T = {ms.temperature} K: the guess is {guess.isotope}, the measurements "
+            f"are {ms.isotope.name}"
+        )
     fields = guess.fields()
     for name in fixed:
         if name not in fields:
@@ -258,7 +263,7 @@ def extract_params(
     labels = [e.label for e in entries]
     measured = np.array([e.freq_khz for e in entries])
     sigmas = np.array([e.sigma_khz for e in entries])
-    chi2 = _weighted_objective_of(measured, sigmas)
+    chi2 = weighted_objective(measured, sigmas)
     full = guess.as_array()
 
     def at_temperature(err: Exception) -> Exception:
@@ -298,7 +303,7 @@ def extract_params(
     previous_f = None
     for _ in range(1 + MAX_RESTARTS):
         try:
-            result = nelder_mead(objective, start, _FIT_OPTIONS)
+            result = nelder_mead(objective, start, **_FIT_TOLERANCES)
         except NonFiniteObjectiveError as err:
             point = origin + basis @ err.point
             raise at_temperature(NonFiniteObjectiveError(point, err.value)) from None

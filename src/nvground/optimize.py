@@ -25,22 +25,11 @@ class RankDeficientError(np.linalg.LinAlgError):
     """Polynomial design matrix is (numerically) rank deficient."""
 
 
-# Absolute initial-simplex bump for a zero coordinate.
+# Initial simplex: each coordinate bumped by _SIMPLEX_SCALE of itself, or
+# by the absolute _ZERO_STEP where it is 0.
+_SIMPLEX_SCALE = 1e-3
 _ZERO_STEP = 1e-3
-
-
-@dataclass(frozen=True)
-class OptimOptions:
-    """Nelder-Mead settings; defaults give deterministic tight convergence."""
-
-    initial_simplex_scale: float = 1e-3   # fractional bump per coordinate
-    tol_f: float = 1e-12                  # relative objective spread
-    tol_x: float = 1e-10                  # relative simplex extent
-    max_iter: int = 20000
-
-    def __post_init__(self):
-        if self.tol_f <= 0 or self.tol_x <= 0:
-            raise ValueError("tolerances must be positive")
+_MAX_ITER = 20000
 
 
 @dataclass
@@ -52,15 +41,17 @@ class OptimResult:
     converged: bool
 
 
-def nelder_mead(objective, x0, options: OptimOptions | None = None) -> OptimResult:
+def nelder_mead(objective, x0, tol_f: float = 1e-12, tol_x: float = 1e-10) -> OptimResult:
     """Minimize ``objective`` with the reflect/expand/contract/shrink simplex.
 
-    Coefficients are the classic (1, 2, 0.5, 0.5).  Iteration stops when the
-    simplex objective spread or coordinate extent falls below the relative
-    tolerances, or at the iteration cap (converged=False in that case).
-    Seed-free and fully deterministic.
+    Coefficients are the classic (1, 2, 0.5, 0.5).  Iteration stops when
+    both the simplex objective spread and its coordinate extent fall below
+    the relative tolerances ``tol_f`` and ``tol_x`` (each > 0), or at
+    _MAX_ITER iterations (converged=False in that case).  Seed-free and
+    fully deterministic.
     """
-    opts = options or OptimOptions()
+    if not (tol_f > 0 and tol_x > 0):
+        raise ValueError("tolerances must be positive")
     x0 = np.asarray(x0, dtype=float).ravel()
     n = x0.size
     if n == 0:
@@ -79,13 +70,13 @@ def nelder_mead(objective, x0, options: OptimOptions | None = None) -> OptimResu
     f0 = f(x0)
     simplex = np.tile(x0, (n + 1, 1))
     for i in range(n):
-        step = opts.initial_simplex_scale * x0[i]
+        step = _SIMPLEX_SCALE * x0[i]
         simplex[i + 1, i] += step if step != 0 else _ZERO_STEP
     values = np.array([f0] + [f(simplex[i + 1]) for i in range(n)])
 
     iterations = 0
     converged = False
-    while iterations < opts.max_iter:
+    while iterations < _MAX_ITER:
         order = np.argsort(values, kind="stable")
         simplex = simplex[order]
         values = values[order]
@@ -94,7 +85,7 @@ def nelder_mead(objective, x0, options: OptimOptions | None = None) -> OptimResu
         # zero when vertices straddle a minimum symmetrically.
         f_spread = float(values[-1] - values[0])
         x_spread = float(np.max(np.abs(simplex[1:] - simplex[0])))
-        if f_spread <= opts.tol_f * max(1.0, abs(values[0])) and x_spread <= opts.tol_x * max(
+        if f_spread <= tol_f * max(1.0, abs(values[0])) and x_spread <= tol_x * max(
             1.0, float(np.max(np.abs(simplex[0])))
         ):
             converged = True
@@ -141,18 +132,11 @@ def nelder_mead(objective, x0, options: OptimOptions | None = None) -> OptimResu
     )
 
 
-def weighted_objective(model_freqs, measured, sigmas) -> float:
-    """Sum of squared sigma-weighted residuals."""
-    m = np.asarray(model_freqs, dtype=float)
-    if m.shape != np.shape(measured):
-        raise ValueError("model, measured and sigma vectors must have equal length")
-    return _weighted_objective_of(measured, sigmas)(m)
-
-
-def _weighted_objective_of(measured, sigmas):
-    """weighted_objective as a function of the model frequencies alone, with
-    ``measured`` and ``sigmas`` checked here, once, for an objective that is
-    evaluated many times."""
+def weighted_objective(measured, sigmas):
+    """The sum of squared sigma-weighted residuals, as a function of the model
+    frequencies alone.  ``measured`` and ``sigmas`` are checked here, once,
+    for an objective that is evaluated many times; a model vector of another
+    length is refused at each evaluation."""
     y = np.asarray(measured, dtype=float)
     s = np.asarray(sigmas, dtype=float)
     if y.shape != s.shape:
@@ -160,8 +144,11 @@ def _weighted_objective_of(measured, sigmas):
     if np.any(s <= 0):
         raise ValueError("sigmas must be positive")
 
-    def objective(model_freqs: np.ndarray) -> float:
-        r = (model_freqs - y) / s
+    def objective(model_freqs) -> float:
+        m = np.asarray(model_freqs, dtype=float)
+        if m.shape != y.shape:
+            raise ValueError("model, measured and sigma vectors must have equal length")
+        r = (m - y) / s
         return float(r @ r)
 
     return objective

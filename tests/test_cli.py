@@ -21,7 +21,7 @@ from nvground.io import (
 )
 from nvground.presets import TABLE3, params_at, thermal_presets
 from nvground.ramsey import RamseyTrace, synthesize
-from nvground.spin_core import N14, N15, FieldConfig, get_isotope
+from nvground.spin_core import GAMMA_E_KHZ_PER_G, N14, N15, FieldConfig, get_isotope
 from nvground.transitions import known_labels, transition_set
 
 
@@ -485,6 +485,18 @@ def test_thermal_command_recovers_fractional_derivative(tmp_path, capsys):
     thermal = json.loads(out)["thermal"]
     assert thermal["d"]["fractional_ppm_per_k"] == pytest.approx(-25.3, rel=0.02)
     assert thermal["q"]["fractional_ppm_per_k"] == pytest.approx(-7.17, rel=0.02)
+    # kHz models keep their unit in their keys; gamma_ratio is dimensionless.
+    khz_keys = ["value_khz", "derivative_hz_per_k", "fractional_ppm_per_k",
+                "second_derivative_hz_per_k2", "coeffs", "residual_rms_khz"]
+    for name in ("d", "q", "a_par", "a_perp"):
+        assert list(thermal[name]) == khz_keys
+    assert list(thermal["gamma_ratio"]) == [
+        "value", "derivative_per_k", "fractional_ppm_per_k", "second_derivative_per_k2",
+        "coeffs", "residual_rms",
+    ]
+    ratio = GAMMA_E_KHZ_PER_G / N14.gamma_n
+    assert thermal["gamma_ratio"]["value"] == pytest.approx(ratio, rel=1e-6)
+    assert abs(thermal["gamma_ratio"]["derivative_per_k"]) < 1e-5
 
 
 def test_angular_scan(capsys):

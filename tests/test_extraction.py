@@ -151,6 +151,14 @@ def test_underdetermined_fit_rejected():
         extract_params(short, truth_vector(N14))
 
 
+@pytest.mark.parametrize("iso, other", [(N15, N14), (N14, N15)], ids=["N15-set", "N14-set"])
+def test_guess_of_the_other_isotope_is_refused(iso, other):
+    ms = synthetic_set(iso)
+    message = f"^T = 297.0 K: the guess is {other.name}, the measurements are {iso.name}$"
+    with pytest.raises(ValueError, match=message):
+        extract_params(ms, truth_vector(other))
+
+
 def test_unknown_label_rejected():
     with pytest.raises(ValueError):
         MeasurementSet(

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from nvground import optimize
 from nvground.optimize import (
     NonFiniteObjectiveError,
-    OptimOptions,
     PolynomialModel,
     RankDeficientError,
     nelder_mead,
@@ -63,27 +63,28 @@ def test_nonfinite_objective_reports_point():
     assert err.value.point.shape == (1,)
 
 
-def test_iteration_cap_flags_nonconvergence():
-    res = nelder_mead(
-        lambda x: (x[0] - 3.0) ** 2, [0.0], OptimOptions(max_iter=3)
-    )
+def test_iteration_cap_flags_nonconvergence(monkeypatch):
+    monkeypatch.setattr(optimize, "_MAX_ITER", 3)
+    res = nelder_mead(lambda x: (x[0] - 3.0) ** 2, [0.0])
     assert not res.converged
     assert res.iterations == 3
 
 
 def test_options_validation():
     with pytest.raises(ValueError):
-        OptimOptions(tol_f=0.0)
+        nelder_mead(lambda x: x[0] ** 2, [1.0], tol_f=0.0)
 
 
 def test_weighted_objective_examples():
-    assert weighted_objective([1.0, 2.0], [1.0, 2.0], [0.1, 0.2]) == 0.0
-    assert weighted_objective([1.5], [1.0], [0.5]) == pytest.approx(1.0)
-    assert weighted_objective([1.0, 2.0], [0.0, 0.0], [1.0, 1.0]) == pytest.approx(5.0)
+    assert weighted_objective([1.0, 2.0], [0.1, 0.2])([1.0, 2.0]) == 0.0
+    assert weighted_objective([1.0], [0.5])([1.5]) == pytest.approx(1.0)
+    assert weighted_objective([0.0, 0.0], [1.0, 1.0])([1.0, 2.0]) == pytest.approx(5.0)
     with pytest.raises(ValueError):
-        weighted_objective([1.0], [1.0], [0.0])
+        weighted_objective([1.0], [0.0])
     with pytest.raises(ValueError):
-        weighted_objective([1.0, 2.0], [1.0], [1.0])
+        weighted_objective([1.0], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        weighted_objective([1.0], [1.0])([1.0, 2.0])
 
 
 def test_polyfit_recovers_exact_line():

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from per_point import reference_lines
 
+from nvground import transitions
 from nvground.eigensolve import eigh
 from nvground.presets import GAMMA_RATIO_N14, TABLE3, params_at
 from nvground.spin_core import (
@@ -21,6 +22,7 @@ from nvground.transitions import (
     AmbiguousLabelingError,
     isotopic_d_shift,
     label_states,
+    line_derivatives,
     line_slopes,
     ratio_estimators,
     transition_lines,
@@ -140,6 +142,29 @@ def test_kernel_batches_match_the_per_point_path(iso, temp, points, nuclear_tran
     for i, f in enumerate(fields):
         for whole, one in zip(batch, transition_lines(p, [f], iso, dtype, nuclear_transverse)):
             assert np.array_equal(whole[i], one[0])
+
+
+@pytest.mark.parametrize("iso", [N14, N15], ids=["N14", "N15"])
+@pytest.mark.parametrize("bx", [0.0, 0.3], ids=["axial", "tilted"])
+def test_no_result_reads_eigenvector_signs(monkeypatch, iso, bx):
+    # An eigenvector's sign is arbitrary: negating every other column of
+    # eigh's output leaves lines, energies and derivatives bit for bit.
+    p, f = params_at(iso), FieldConfig(bz=470.0, bx=bx)
+    dtypes = (np.float64, np.longdouble)
+    before = {dtype: transition_lines(p, [f], iso, dtype)[:2] for dtype in dtypes}
+    derivatives = line_derivatives(p, f, iso)
+
+    def flipped(m):
+        values, vectors = eigh(m)
+        vectors[..., 1::2] *= -1
+        return values, vectors
+
+    monkeypatch.setattr(transitions, "eigh", flipped)
+    for dtype, (lines, energies) in before.items():
+        after_lines, after_energies, _ = transition_lines(p, [f], iso, dtype)
+        assert np.array_equal(after_lines, lines) and np.array_equal(after_energies, energies)
+    for old, new in zip(derivatives, line_derivatives(p, f, iso)):
+        assert np.array_equal(old, new)
 
 
 def test_labeling_ambiguous_near_anticrossing():
