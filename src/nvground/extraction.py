@@ -19,7 +19,7 @@ coordinates differ in scale by up to 1e5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,14 +32,15 @@ from .optimize import (
     polyfit_weighted,
     weighted_objective,
 )
-from .spin_core import GAMMA_E_KHZ_PER_G, CouplingParams, FieldConfig, IsotopeSpec
+from .spin_core import GAMMA_E_KHZ_PER_G, CouplingParams, FieldConfig, IsotopeSpec, _coefficients
 from .transitions import (
-    LINES,
     AmbiguousLabelingError,
+    _kernel,
+    _row_index,
     known_labels,
     line_derivatives,
     line_slopes,
-    transition_set,
+    transition_set,  # unused here; perfbench's tracer pins this binding site
 )
 
 # Thermal models are polynomials of this degree in (T - T_REF_K).
@@ -117,22 +118,26 @@ class ParamVector:
         return np.array([getattr(self, name) for name in self.fields()], dtype=float)
 
     def with_array(self, values) -> "ParamVector":
-        return replace(self, **dict(zip(self.fields(), np.asarray(values, dtype=float).tolist())))
+        given = dict(zip(self.fields(), np.asarray(values, dtype=float).tolist(), strict=True))
+        return ParamVector(**{"isotope": self.isotope, "q": self.q, **given})
+
+    # What _coefficients reads of CouplingParams beside d, q, a_par and a_perp:
+    gamma_e = GAMMA_E_KHZ_PER_G
+    gamma_n = property(lambda self: GAMMA_E_KHZ_PER_G / self.gamma_ratio)
 
     def to_physical(self) -> tuple[CouplingParams, FieldConfig]:
-        gamma_n = GAMMA_E_KHZ_PER_G / self.gamma_ratio
         params = CouplingParams(
             d=self.d,
             q=self.q,
             a_par=self.a_par,
             a_perp=self.a_perp,
-            gamma_n=gamma_n,
+            gamma_n=self.gamma_n,
         )
-        field = FieldConfig(
-            bz=self.gamma_e_bz / GAMMA_E_KHZ_PER_G,
-            bx=self.gamma_e_bx / GAMMA_E_KHZ_PER_G,
-        )
-        return params, field
+        return params, FieldConfig(*self.field_point())
+
+    def field_point(self) -> tuple[float, float]:
+        """(Bz, |Bx|) in Gauss, as FieldConfig keeps them."""
+        return self.gamma_e_bz / GAMMA_E_KHZ_PER_G, abs(self.gamma_e_bx / GAMMA_E_KHZ_PER_G)
 
     @classmethod
     def from_physical(
@@ -161,10 +166,11 @@ class FitResult:
 
 
 def model_frequencies(vec: ParamVector, iso: IsotopeSpec, labels) -> np.ndarray:
-    """Forward model: exact-diagonalization frequencies for the fit labels."""
-    params, field = vec.to_physical()
-    freqs = transition_set(params, field, iso).frequencies
-    return np.array([freqs[label] for label in labels], dtype=float)
+    """Forward model: exact-diagonalization frequencies for the fit labels, the
+    bits and refusals of transition_set at vec.to_physical(), without its objects."""
+    point = vec.field_point()
+    lines = _kernel(_coefficients(vec, [point], iso), iso, [point])[0]
+    return lines[0, _row_index(iso.name, tuple(labels))]
 
 
 def _jacobian(vec: ParamVector, iso: IsotopeSpec, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -176,8 +182,7 @@ def _jacobian(vec: ParamVector, iso: IsotopeSpec, labels) -> tuple[np.ndarray, n
     and c7 = -|gamma_e_bx| / r, with r = gamma_ratio (the field folds Bx
     onto +x)."""
     lines, dlines = line_derivatives(*vec.to_physical(), iso)
-    names = list(LINES[iso.name])
-    rows = [names.index(label) for label in labels]
+    rows = _row_index(iso.name, tuple(labels))
     dc = dlines[rows].T
     r, bx_sign = vec.gamma_ratio, math.copysign(1.0, vec.gamma_e_bx)
     by_field = {
@@ -252,7 +257,7 @@ def extract_params(
     for name in fixed:
         if name not in fields:
             raise ValueError(f"cannot fix unknown parameter {name!r}")
-    free = [i for i, name in enumerate(fields) if name not in fixed]
+    free = np.array([i for i, name in enumerate(fields) if name not in fixed], dtype=np.intp)
     if len(ms.entries) < len(free):
         raise ValueError(
             f"T = {ms.temperature} K: {len(ms.entries)} measurements cannot "

@@ -31,10 +31,12 @@ VALIDITY_FACTOR = 50.0
 
 
 class ValidityMarginError(ValueError):
-    """Field too close to the anti-crossing for the perturbative series, or Bz < 0."""
+    """Field too close to the anti-crossing for the perturbative series, Bz < 0, or not finite."""
 
 
-def _require_margin(p: CouplingParams, bz: float) -> None:
+def _require_margin(p: CouplingParams, bz: float, bx: float = 0.0) -> None:
+    if not (math.isfinite(bz) and math.isfinite(bx)):  # NaN passes every check below
+        raise ValidityMarginError(f"the field must be finite, not Bz = {bz} G, Bx = {bx} G")
     if bz < 0:  # the formulas are odd in Bz (f7 = |gamma_n| Bz + ...), the lines even
         raise ValidityMarginError(
             f"the perturbative formulas take Bz >= 0, not {bz:g} G; "
@@ -98,7 +100,7 @@ def nuclear_freqs_full(
     the nuclear Zeeman splitting vanishes (15NV f7), and these cases raise.
     Each line is its nuclear_freqs_2nd value plus the higher-order terms.
     """
-    _require_margin(p, bz)
+    _require_margin(p, bz, bx)
     fp, fm = p.d + p.gamma_e * bz, p.d - p.gamma_e * bz
     w = p.a_perp * p.a_perp
     x = (p.gamma_e * bx) ** 2 / 2

@@ -40,6 +40,8 @@ class RamseyTrace:
             raise ValueError("times and signal must be 1-d arrays of equal length")
         if t.size < 2:
             raise ValueError(f"a Ramsey trace needs at least 2 samples, not {t.size}")
+        if not np.all(np.isfinite(t)):  # a NaN time passes the increasing check
+            raise ValueError("times must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
         if not np.all(np.isfinite(s)):

@@ -48,6 +48,11 @@ N15 = IsotopeSpec(name="N15", nuclear_spin=0.5, gamma_n=GAMMA_N15_KHZ_PER_G)
 ISOTOPES = {"N14": N14, "N15": N15}
 
 
+def _require_finite(what: str, *values) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} must be finite")
+
+
 def get_isotope(name: str) -> IsotopeSpec:
     key = name.strip().upper().replace("NV", "N")
     if key in ("14N", "14"):
@@ -73,8 +78,7 @@ class CouplingParams:
 
     def __post_init__(self):
         vals = (self.d, self.q, self.a_par, self.a_perp, self.gamma_n, self.gamma_e)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("coupling parameters must be finite")
+        _require_finite("coupling parameters", *vals)
         if self.gamma_e <= 0:
             raise ValueError("gamma_e must be positive")
 
@@ -91,8 +95,7 @@ class FieldConfig:
     bx: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.bz) and math.isfinite(self.bx)):
-            raise ValueError("field components must be finite")
+        _require_finite("field components", self.bz, self.bx)
         object.__setattr__(self, "bx", abs(self.bx))
 
     @classmethod
@@ -178,7 +181,10 @@ def _coefficients(
     p: CouplingParams, points, iso: IsotopeSpec, dtype=np.float64, nuclear_transverse: bool = True
 ) -> np.ndarray:
     """The eight _structure weights c_j of H = sum_j c_j S_j at each (bz, bx)
-    field point of ``points`` (bx may be < 0), as an (N, 8) array."""
+    field point of ``points`` (bx may be < 0), as an (N, 8) array.  ``p`` has
+    CouplingParams' attributes (extraction.ParamVector too), checked as there."""
+    _require_finite("coupling parameters", p.d, p.q, p.a_par, p.a_perp, p.gamma_n, p.gamma_e)
+    _require_finite("field components", *(x for point in points for x in point))
     if iso.name == "N15" and p.q != 0.0:
         raise ValueError("N15 has nuclear spin 1/2: Q must be exactly 0")
     return np.array(
@@ -199,16 +205,13 @@ def _coefficients(
     )
 
 
-def _hamiltonians(
-    p: CouplingParams, points, iso: IsotopeSpec, dtype=np.float64, nuclear_transverse: bool = True
-) -> np.ndarray:
-    """H at each field point of ``points`` as an (N, d, d) stack: one row of
-    _coefficients per point.  matmul makes one (1, 8) @ (8, d*d) product per
-    point, so each matrix gets the same bits whatever N is."""
-    rows = _coefficients(p, points, iso, dtype, nuclear_transverse).reshape(-1, 1, 8)
+def _hamiltonians(rows: np.ndarray, iso: IsotopeSpec) -> np.ndarray:
+    """H = sum_j c_j S_j for each (8,) row of _coefficients ``rows`` (N, 8), as
+    an (N, d, d) stack.  matmul makes one (1, 8) @ (8, d*d) product per row,
+    so each matrix gets the same bits whatever N is."""
     stack = _structure(iso.name, rows.dtype)
     n = stack.shape[-1]
-    return np.matmul(rows, stack.reshape(len(stack), -1)).reshape(-1, n, n)
+    return np.matmul(rows.reshape(-1, 1, 8), stack.reshape(len(stack), -1)).reshape(-1, n, n)
 
 
 def build_hamiltonian(
@@ -233,4 +236,4 @@ def build_hamiltonian(
     interference with the A_perp pathway it rescales the f7 misalignment
     response by roughly gamma_n D / (A_perp gamma_e), about 12%.)
     """
-    return _hamiltonians(p, [(f.bz, f.bx)], iso, dtype, nuclear_transverse)[0]
+    return _hamiltonians(_coefficients(p, [(f.bz, f.bx)], iso, dtype, nuclear_transverse), iso)[0]

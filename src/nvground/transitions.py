@@ -10,6 +10,7 @@ these names and their order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -30,7 +31,7 @@ from .spin_core import (
 
 # Below this squared overlap the dominant-component assignment is
 # rejected as ambiguous.  Kept above 0.5, which makes the assignment a
-# bijection (see label_states).
+# bijection (see _level_order).
 OVERLAP_THRESHOLD = 0.6
 
 
@@ -147,22 +148,18 @@ class TransitionSet:
         return self.frequencies[label]
 
 
-def label_states(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Level energies and eigenvectors in basis order, for one eigensystem
-    ((d,), (d, d)) or a stack of them ((..., d), (..., d, d)).
-
-    Eigenvector j belongs to the basis state of its largest squared
-    component, so level k (energies[k], vectors[:, k]) is the eigenpair
-    dominated by basis state k.  Raises AmbiguousLabelingError when an
-    overlap falls below OVERLAP_THRESHOLD, which happens near level
-    anti-crossings (gamma_e * Bz approaching D); in a stack, for the first
-    refused eigensystem, whose stack index the error keeps as ``index``.
+def _level_order(vectors: np.ndarray) -> np.ndarray:
+    """The eigenpair each basis state labels (the eigenvector with its largest
+    squared component there), for eigenvectors (d, d) or (..., d, d).  Raises
+    AmbiguousLabelingError if an eigenvector's largest squared component is
+    below OVERLAP_THRESHOLD, as near anti-crossings (gamma_e * Bz near D); in
+    a stack, for the first refused matrix, its stack index kept as ``index``.
     """
-    n = vectors.shape[-1]
     weights = vectors * vectors
-    k = weights.argmax(axis=-2)
-    overlaps = weights.max(axis=-2)
-    if (overlaps < OVERLAP_THRESHOLD).any():
+    # A unit row or column holds at most one squared entry >= the threshold (> 0.5):
+    # with as many as columns, each row's largest names its eigenpair one to one.
+    if np.count_nonzero(weights >= OVERLAP_THRESHOLD) < weights.size // weights.shape[-1]:
+        k, overlaps = weights.argmax(axis=-2), weights.max(axis=-2)
         at = np.unravel_index(np.argmax(overlaps < OVERLAP_THRESHOLD), overlaps.shape)
         err = AmbiguousLabelingError(
             f"eigenstate {at[-1]} has max squared overlap {overlaps[at]:.3f} < "
@@ -170,41 +167,50 @@ def label_states(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, n
         )
         err.index = at[:-1]
         raise err
-    # No two eigenvectors can share a dominant basis state: each row of the
-    # orthogonal eigenvector matrix has unit norm, so it cannot hold two
-    # squared entries >= OVERLAP_THRESHOLD > 0.5.  k is a permutation.
-    k = k.reshape(-1, n)
-    rows = np.arange(len(k))[:, None]
-    energies = np.empty(values.shape, values.dtype)
-    basis_vectors = np.empty(vectors.shape, vectors.dtype)
-    energies.reshape(-1, n)[rows, k] = values.reshape(-1, n)
-    basis_vectors.reshape(-1, n, n)[rows, :, k] = vectors.reshape(-1, n, n).swapaxes(1, 2)
-    return energies, basis_vectors
+    return weights.argmax(axis=-1)
+
+
+def label_states(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Level energies and eigenvectors in basis order, for one eigensystem
+    ((d,), (d, d)) or a stack: level k (energies[k], vectors[:, k]) is the
+    eigenpair that basis state k labels (_level_order)."""
+    pair = _level_order(vectors)
+    return np.take_along_axis(values, pair, -1), np.take_along_axis(vectors, pair[..., None, :], -1)
+
+
+def _kernel(coefficients: np.ndarray, iso: IsotopeSpec, points):
+    """The forward kernel: _coefficients rows (N, 8) at (bz, bx) ``points`` ->
+    one H stack, eigh and labeling -> lines (N, L) in LINES row order,
+    energies (N, d) in basis order, and eigenvectors in eigh's order with
+    their _level_order for the caller that reads them.  Each point gets the
+    bits of a batch of one; a refusal names the first refused point."""
+    values, vectors = eigh(_hamiltonians(coefficients, iso))
+    try:
+        order = _level_order(vectors)
+    except AmbiguousLabelingError as err:
+        bz, bx = points[err.index[0]]
+        raise AmbiguousLabelingError(f"at Bz = {bz} G, Bx = {bx} G ({iso.name}): {err}") from err
+    energies = values[np.arange(len(order))[:, None], order]
+    _, a, b, rows, _ = _ROW_MAP[iso.name]
+    # take: about half the cost of energies[:, a] on these small arrays
+    lines = np.abs(energies.take(a, axis=1) - energies.take(b, axis=1)) @ rows
+    return lines, energies, vectors, order
+
+
+@functools.lru_cache
+def _row_index(iso_name: str, labels: tuple[str, ...]) -> np.ndarray:
+    """The LINES row index of each label; KeyError(label) for an unknown one."""
+    index = {name: i for i, name in enumerate(LINES[iso_name])}
+    return np.array([index[label] for label in labels], dtype=np.intp)
 
 
 def transition_lines(
     p: CouplingParams, fields, iso: IsotopeSpec, dtype=np.float64, nuclear_transverse: bool = True
 ):
-    """The forward kernel: transition_set's lines at a batch of field points.
-
-    The N Hamiltonians at ``fields`` (FieldConfigs) go through one eigh
-    and one label_states call, and each point gets the same bits as in a
-    batch of one; ``dtype`` and ``nuclear_transverse`` are as in
-    build_hamiltonian.  Returns (lines (N, L) in LINES row order,
-    energies (N, d) and eigenvectors (N, d, d) in basis order).  A refusal
-    (AmbiguousLabelingError) names the first refused field point.
-    """
-    h = _hamiltonians(p, [(f.bz, f.bx) for f in fields], iso, dtype, nuclear_transverse)
-    try:
-        energies, vectors = label_states(*eigh(h))
-    except AmbiguousLabelingError as err:
-        f = fields[err.index[0]]
-        where = f"at Bz = {f.bz} G, Bx = {f.bx} G ({iso.name})"
-        raise AmbiguousLabelingError(f"{where}: {err}") from err
-    _, a, b, rows, _ = _ROW_MAP[iso.name]
-    # take: about half the cost of energies[:, a] on these small arrays
-    lines = np.abs(energies.take(a, axis=1) - energies.take(b, axis=1)) @ rows
-    return lines, energies, vectors
+    """The kernel's (lines (N, L), energies (N, d)) at FieldConfigs ``fields``;
+    ``dtype`` and ``nuclear_transverse`` as in build_hamiltonian."""
+    points = [(f.bz, f.bx) for f in fields]
+    return _kernel(_coefficients(p, points, iso, dtype, nuclear_transverse), iso, points)[:2]
 
 
 def transition_set(
@@ -216,7 +222,7 @@ def transition_set(
 ) -> TransitionSet:
     """All named transitions from exact diagonalization at one field point:
     transition_lines for a batch of one."""
-    lines, _, _ = transition_lines(p, [f], iso, dtype, nuclear_transverse)
+    lines, _ = transition_lines(p, [f], iso, dtype, nuclear_transverse)
     return TransitionSet(dict(zip(_ROW_MAP[iso.name][0], lines[0])), iso.name)
 
 
@@ -228,7 +234,9 @@ def line_derivatives(p: CouplingParams, f: FieldConfig, iso: IsotopeSpec):
     (lines (L,), dlines (L, 8)) in LINES row order; a difference row's
     derivatives are the differences of its two rows', exactly.
     """
-    (lines,), (energies,), (vectors,) = transition_lines(p, [f], iso)
+    points = [(f.bz, f.bx)]
+    (lines,), (energies,), (v,), (order,) = _kernel(_coefficients(p, points, iso), iso, points)
+    vectors = v.take(order, axis=1)  # basis order; take keeps C order, which the bits need
     stack = _structure(iso.name, vectors.dtype)
     dlevels = np.sum(vectors * (stack @ vectors), axis=1)  # (8, d)
     _, a, b, rows, _ = _ROW_MAP[iso.name]

@@ -203,6 +203,7 @@ def bad_inputs(tmp_path):
     write_trace(tmp_path / "flat.csv", RamseyTrace(np.linspace(0.0, 1e-3, 100), np.ones(100)))
     (tmp_path / "one_row.csv").write_text("tau_s,signal\n0,1\n")
     (tmp_path / "header_only.csv").write_text("tau_s,signal\n")
+    (tmp_path / "nan_tau.csv").write_text("tau_s,signal\n0,1\nnan,0.5\n2e-5,0.2\n3e-5,0.9\n")
     return tmp_path
 
 
@@ -246,6 +247,8 @@ REFUSED = {
                           "a Ramsey trace needs at least 2 samples, not 0"),
     "ramsey-one-row-trace": (["ramsey-fit", "--trace-in", "{dir}/one_row.csv", "--f-rf-khz", "100"],
                              "a Ramsey trace needs at least 2 samples, not 1"),
+    "ramsey-nan-tau-trace": (["ramsey-fit", "--trace-in", "{dir}/nan_tau.csv", "--f-rf-khz", "100"],
+                             "times must be finite"),
     "ramsey-header-only-trace": (
         ["ramsey-fit", "--trace-in", "{dir}/header_only.csv", "--f-rf-khz", "100"],
         "a Ramsey trace needs at least 2 samples, not 0"),

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from per_point import reference_lines
 
 from nvground.extraction import (
@@ -28,7 +30,7 @@ from nvground.presets import (
     params_at,
     thermal_presets,
 )
-from nvground.spin_core import N14, N15, FieldConfig
+from nvground.spin_core import GAMMA_E_KHZ_PER_G, N14, N15, FieldConfig
 from nvground.transitions import LINES, AmbiguousLabelingError, known_labels, transition_set
 
 B470 = FieldConfig(bz=TABLE3_BZ_G)
@@ -70,6 +72,10 @@ def test_param_vector_roundtrip():
     back = ParamVector.from_physical("N14", p, f)
     assert np.allclose(back.as_array(), vec.as_array(), rtol=1e-14)
     assert len(truth_vector(N15).fields()) == 6
+    # An array of another length is refused, not half applied.
+    for values in (vec.as_array()[:-1], np.append(vec.as_array(), 1.0)):
+        with pytest.raises(ValueError, match="^zip"):
+            vec.with_array(values)
 
 
 def test_noiseless_roundtrip_n14():
@@ -223,6 +229,81 @@ def test_model_frequencies_match_the_per_point_path(iso):
         reference = reference_lines(*vec.to_physical(), iso)
         expected = [reference[names.index(label)] for label in labels]
         assert np.array_equal(model_frequencies(vec, iso, labels), expected)
+
+
+# Labels of both isotopes and one of neither, so that a foreign label is tried.
+ANY_LABEL = st.sampled_from(sorted({*LINES["N14"], *LINES["N15"], "f0"}))
+MOST_LINES = len(LINES["N14"])
+G = GAMMA_E_KHZ_PER_G
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    iso=st.sampled_from([N14, N15]),
+    gamma_e_bz=st.floats(5.0 * G, 1500.0 * G),
+    gamma_e_bx=st.floats(0.0, 5.0 * G),
+    scales=st.lists(st.floats(0.9, 1.1), min_size=5, max_size=5),
+    order=st.permutations(range(MOST_LINES)),
+    count=st.integers(0, MOST_LINES),
+    foreign=st.lists(ANY_LABEL, max_size=1),
+)
+# On the anti-crossing (refused) and beside it, at the presets.
+@example(N14, 1022.8 * G, 0.0, [1.0] * 5, range(MOST_LINES), MOST_LINES, [])
+@example(N15, 1000.0 * G, 0.5 * G, [1.0] * 5, range(MOST_LINES), MOST_LINES, [])
+def test_model_frequencies_are_the_per_point_bits(
+    iso, gamma_e_bz, gamma_e_bx, scales, order, count, foreign
+):
+    # A fit's trial point (fit coordinates drawn as floats, Bz from 5 to
+    # 1500 G, Bx to 5 G, couplings within 10% of the presets) through the
+    # fit's forward model and through the per-point path at
+    # vec.to_physical(): the same bits for any label subset in any order,
+    # or the same refusal.
+    names = list(LINES[iso.name])
+    labels = [names[i] for i in order if i < len(names)][:count] + foreign
+    truth = truth_vector(iso)
+    x = dict(zip(truth.fields(), truth.as_array()))
+    for name, k in zip(("d", "q", "a_par", "a_perp", "gamma_ratio"), scales):
+        x[name] = x.get(name, 0.0) * k
+    x.update(gamma_e_bz=gamma_e_bz, gamma_e_bx=gamma_e_bx)
+    vec = truth.with_array([x[name] for name in truth.fields()])
+    p, f = vec.to_physical()
+    try:
+        reference = dict(zip(names, reference_lines(p, f, iso)))
+        expected = np.array([reference[label] for label in labels])
+    except AmbiguousLabelingError as err:
+        refusal = AmbiguousLabelingError(f"at Bz = {f.bz} G, Bx = {f.bx} G ({iso.name}): {err}")
+    except KeyError as err:
+        refusal = err
+    else:
+        model = model_frequencies(vec, iso, labels)
+        assert model.dtype == expected.dtype and model.tobytes() == expected.tobytes()
+        return
+    with pytest.raises(type(refusal)) as refused:
+        model_frequencies(vec, iso, labels)
+    assert str(refused.value) == str(refusal)
+
+
+@pytest.mark.parametrize(
+    "iso, change",
+    [
+        (N14, {"d": np.nan}),
+        (N14, {"gamma_ratio": 0.0}),
+        (N14, {"gamma_ratio": 1e-320}),
+        (N14, {"gamma_e_bz": np.inf}),
+        (N15, {"gamma_e_bx": -np.nan}),
+        (N15, {"q": 1.0}),
+        (N15, {"q": np.nan, "gamma_e_bz": np.nan}),
+    ],
+)
+def test_model_frequencies_refuse_as_the_objects_do(iso, change):
+    # The forward model builds no CouplingParams or FieldConfig, but refuses
+    # what their constructors and transition_set refuse, with the same
+    # exception, message and order.
+    vec = replace(truth_vector(iso), **change)
+    with pytest.raises(Exception) as expected:
+        transition_set(*vec.to_physical(), iso)
+    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        model_frequencies(vec, iso, known_labels(iso))
 
 
 def test_model_frequencies_match_forward():

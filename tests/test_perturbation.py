@@ -54,6 +54,24 @@ def test_formulas_refuse_negative_bz():
     assert ms0_baseline(P15, N15, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_formulas_refuse_a_non_finite_field(bad):
+    # NaN compares false, so without its own check a NaN Bz would pass the
+    # sign and margin checks and come back as NaN lines.
+    refused = "the field must be finite, not "
+    for refuse in (
+        lambda: nuclear_freqs_2nd(P14, N14, bad),
+        lambda: nuclear_freqs_full(P15, N15, bad, 0.0),
+        lambda: ms0_baseline(P15, N15, bad),
+        lambda: beta_coefficient(P14, N14, bad),
+    ):
+        with pytest.raises(ValidityMarginError, match=f"^{refused}Bz = {bad} G, Bx = 0.0 G$"):
+            refuse()
+    for iso, p in ((N14, P14), (N15, P15)):
+        with pytest.raises(ValidityMarginError, match=f"^{refused}Bz = 470.0 G, Bx = {bad} G$"):
+            nuclear_freqs_full(p, iso, 470.0, bad)
+
+
 def test_second_order_f2_matches_table():
     ts = nuclear_freqs_2nd(P14, N14, 470.0)
     q, fp = abs(P14.q), P14.d + P14.gamma_e * 470.0

@@ -129,3 +129,14 @@ def test_trace_needs_two_samples(n):
     with pytest.raises(ValueError, match=f"^a Ramsey trace needs at least 2 samples, not {n}$"):
         RamseyTrace(times=np.zeros(n), signal=np.zeros(n))
     RamseyTrace(times=np.array([0.0, 1e-3]), signal=np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_trace_times_must_be_finite(bad):
+    # A NaN time passes the strictly-increasing check (NaN compares false),
+    # and the fit would meet it only as a NaN objective.
+    times = np.array([0.0, bad, 2e-5, 3e-5])
+    with pytest.raises(ValueError, match="^times must be finite$"):
+        RamseyTrace(times=times, signal=np.zeros(4))
+    with pytest.raises(ValueError, match="^times must be finite$"):
+        RamseyTrace(times=np.array([0.0, 1e-5, bad]), signal=np.zeros(3))

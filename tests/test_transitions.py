@@ -127,7 +127,7 @@ def test_kernel_batches_match_the_per_point_path(iso, temp, points, nuclear_tran
                     call(p, [f] if call is transition_lines else f, iso, dtype, nuclear_transverse)
                 assert str(one.value) == where
             continue
-        lines, _, _ = transition_lines(p, [f], iso, dtype, nuclear_transverse)
+        lines, _ = transition_lines(p, [f], iso, dtype, nuclear_transverse)
         assert lines.dtype == dtype
         assert np.array_equal(lines[0], reference)
         ts = transition_set(p, f, iso, dtype, nuclear_transverse)
@@ -138,7 +138,7 @@ def test_kernel_batches_match_the_per_point_path(iso, temp, points, nuclear_tran
         assert str(batch.value) == refused[0]
         return
     batch = transition_lines(p, fields, iso, dtype, nuclear_transverse)
-    assert [len(x) for x in batch] == [len(fields)] * 3
+    assert [len(x) for x in batch] == [len(fields)] * 2
     for i, f in enumerate(fields):
         for whole, one in zip(batch, transition_lines(p, [f], iso, dtype, nuclear_transverse)):
             assert np.array_equal(whole[i], one[0])
@@ -151,7 +151,7 @@ def test_no_result_reads_eigenvector_signs(monkeypatch, iso, bx):
     # eigh's output leaves lines, energies and derivatives bit for bit.
     p, f = params_at(iso), FieldConfig(bz=470.0, bx=bx)
     dtypes = (np.float64, np.longdouble)
-    before = {dtype: transition_lines(p, [f], iso, dtype)[:2] for dtype in dtypes}
+    before = {dtype: transition_lines(p, [f], iso, dtype) for dtype in dtypes}
     derivatives = line_derivatives(p, f, iso)
 
     def flipped(m):
@@ -161,7 +161,7 @@ def test_no_result_reads_eigenvector_signs(monkeypatch, iso, bx):
 
     monkeypatch.setattr(transitions, "eigh", flipped)
     for dtype, (lines, energies) in before.items():
-        after_lines, after_energies, _ = transition_lines(p, [f], iso, dtype)
+        after_lines, after_energies = transition_lines(p, [f], iso, dtype)
         assert np.array_equal(after_lines, lines) and np.array_equal(after_energies, energies)
     for old, new in zip(derivatives, line_derivatives(p, f, iso)):
         assert np.array_equal(old, new)
