@@ -136,6 +136,7 @@ def _fit_record(temperature: float, fit) -> dict:
         "residuals_khz": {k: round(v, 6) for k, v in fit.residuals.items()},
         "converged": fit.converged,
         "iterations": fit.iterations,
+        "n_evals": fit.n_evals,
     }
 
 

@@ -26,6 +26,13 @@ class EigensolveError(RuntimeError):
     """Jacobi iteration failed to converge within the sweep cap."""
 
 
+def _check_finite(m: np.ndarray) -> np.ndarray:
+    """``m``, refused if any entry is not finite (count_nonzero: cheaper than .all())."""
+    if np.count_nonzero(np.isfinite(m)) < m.size:
+        raise ValueError("matrix has non-finite entries")
+    return m
+
+
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
     """``m`` (a matrix or a stack of them), refused if any matrix has a
     non-finite entry or is asymmetric beyond _SYMMETRY_RTOL of its max|m|."""
@@ -33,16 +40,11 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     mt = m.swapaxes(-2, -1)
-    # The common case, exactly symmetric and finite (count_nonzero: cheaper than .all()).
-    if not np.count_nonzero(m != mt) and np.count_nonzero(np.isfinite(m)) == m.size:
-        return m
-    scale = np.abs(m).max(axis=(-2, -1))
-    if not (scale < np.inf).all():  # false for inf and NaN
-        raise ValueError("matrix has non-finite entries")
-    asym = np.abs(m - mt).max(axis=(-2, -1))
-    bad = asym > _SYMMETRY_RTOL * np.maximum(scale, 1e-300)
-    if bad.any():
-        raise ValueError(f"matrix is not symmetric: max|M - M.T| = {asym[bad].flat[0]:g}")
+    if np.count_nonzero(_check_finite(m) != mt):  # the common case is exactly symmetric
+        asym = np.abs(m - mt).max(axis=(-2, -1))
+        bad = asym > _SYMMETRY_RTOL * np.maximum(np.abs(m).max(axis=(-2, -1)), 1e-300)
+        if bad.any():
+            raise ValueError(f"matrix is not symmetric: max|M - M.T| = {asym[bad].flat[0]:g}")
     return m
 
 
@@ -180,23 +182,25 @@ def jacobi_eigh(m: np.ndarray, rel_tol: float | None = None, max_sweeps: int = _
 
 def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values ascending, eigenvector columns) for one matrix (d, d) or a
-    stack (..., d, d), like np.linalg.eigh.
-
-    float64 input goes to LAPACK (np.linalg.eigh, one call for the whole
-    stack); any other float dtype uses the round-robin Jacobi sweep, one
-    jacobi_eigh call per matrix.  Output is deterministic for identical
-    input, and each matrix of a stack gets the same bits as alone.  Each
-    eigenvector's sign is whatever the backend computed: callers read only
-    squared components and quadratic forms v^T S v, which negation leaves
-    bit for bit.
-    """
+    stack (..., d, d), like np.linalg.eigh: the checked entry to _eigh.
+    float64 input must be square, finite and symmetric (_check_symmetric);
+    non-float input is cast to float64.  Output is deterministic, and each
+    matrix of a stack gets the same bits as alone.  Each eigenvector's sign
+    is the backend's: callers read only squared components and quadratic
+    forms v^T S v, which negation leaves bit for bit."""
     m = np.asarray(m)
     if m.dtype.kind != "f":
         m = m.astype(np.float64)
+    return _eigh(_check_symmetric(m) if m.dtype == np.float64 else m)
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh unchecked, for a float stack built square and symmetric: float64
+    goes to LAPACK (one np.linalg.eigh call per stack), any other dtype to
+    jacobi_eigh (one call per matrix), which checks each matrix itself."""
     if m.dtype == np.float64:
-        values, vectors = np.linalg.eigh(_check_symmetric(m))
-    else:
-        values, vectors = np.empty(m.shape[:-1], m.dtype), np.empty_like(m)
-        for i in np.ndindex(m.shape[:-2]):  # jacobi_eigh checks each matrix
-            values[i], vectors[i] = jacobi_eigh(m[i])
+        return np.linalg.eigh(m)
+    values, vectors = np.empty(m.shape[:-1], m.dtype), np.empty_like(m)
+    for i in np.ndindex(m.shape[:-2]):
+        values[i], vectors[i] = jacobi_eigh(m[i])
     return values, vectors

@@ -32,7 +32,7 @@ from .optimize import (
     polyfit_weighted,
     weighted_objective,
 )
-from .spin_core import GAMMA_E_KHZ_PER_G, CouplingParams, FieldConfig, IsotopeSpec, _coefficients
+from .spin_core import GAMMA_E_KHZ_PER_G, CouplingParams, FieldConfig, IsotopeSpec, _require_finite
 from .transitions import (
     AmbiguousLabelingError,
     _kernel,
@@ -121,23 +121,10 @@ class ParamVector:
         given = dict(zip(self.fields(), np.asarray(values, dtype=float).tolist(), strict=True))
         return ParamVector(**{"isotope": self.isotope, "q": self.q, **given})
 
-    # What _coefficients reads of CouplingParams beside d, q, a_par and a_perp:
-    gamma_e = GAMMA_E_KHZ_PER_G
-    gamma_n = property(lambda self: GAMMA_E_KHZ_PER_G / self.gamma_ratio)
-
     def to_physical(self) -> tuple[CouplingParams, FieldConfig]:
-        params = CouplingParams(
-            d=self.d,
-            q=self.q,
-            a_par=self.a_par,
-            a_perp=self.a_perp,
-            gamma_n=self.gamma_n,
-        )
-        return params, FieldConfig(*self.field_point())
-
-    def field_point(self) -> tuple[float, float]:
-        """(Bz, |Bx|) in Gauss, as FieldConfig keeps them."""
-        return self.gamma_e_bz / GAMMA_E_KHZ_PER_G, abs(self.gamma_e_bx / GAMMA_E_KHZ_PER_G)
+        g = GAMMA_E_KHZ_PER_G
+        params = CouplingParams(self.d, self.q, self.a_par, self.a_perp, gamma_n=g / self.gamma_ratio)
+        return params, FieldConfig(self.gamma_e_bz / g, self.gamma_e_bx / g)  # Bx folds onto +x
 
     @classmethod
     def from_physical(
@@ -165,36 +152,53 @@ class FitResult:
     n_evals: int
 
 
-def model_frequencies(vec: ParamVector, iso: IsotopeSpec, labels) -> np.ndarray:
-    """Forward model: exact-diagonalization frequencies for the fit labels, the
-    bits and refusals of transition_set at vec.to_physical(), without its objects."""
-    point = vec.field_point()
-    lines = _kernel(_coefficients(vec, [point], iso), iso, [point])[0]
+def _coefficient_row(x: np.ndarray, iso: IsotopeSpec, dc: np.ndarray | None = None):
+    """The one map from a fit array ``x`` (PARAM_FIELDS order) to the
+    _coefficients row (8,) and field point (Bz, |Bx|) of
+    ParamVector(x).to_physical(), by their float operations, with their
+    refusals in their order: gamma_ratio 0, non-finite couplings, field.  A
+    15NV x has no Q (its row's is 0).  Given the derivatives ``dc`` (8, M) of
+    M quantities with respect to the row, also theirs with respect to x,
+    (M, len(x)), by the chain rule (dc = np.eye(8) gives the row's own):
+    c4 = -gamma_e_bz / r and c7 = -|gamma_e_bx| / r with r = gamma_ratio."""
+    if iso.name == "N14":
+        d, gamma_e_bz, q, a_par, a_perp, gamma_e_bx, r = x.tolist()
+    else:
+        (d, gamma_e_bz, a_par, a_perp, gamma_e_bx, r), q = x.tolist(), 0.0
+    g = GAMMA_E_KHZ_PER_G
+    gamma_n = g / r
+    bz, bx = gamma_e_bz / g, abs(gamma_e_bx / g)
+    _require_finite("coupling parameters", d, q, a_par, a_perp, gamma_n)
+    _require_finite("field components", bz, bx)
+    row = np.array([d, q, a_par, g * bz, -gamma_n * bz, a_perp, g * bx, -gamma_n * bx])
+    if dc is None:
+        return row, (bz, bx)
+    by_field = dict(
+        d=dc[0], q=dc[1], a_par=dc[2], a_perp=dc[5],
+        gamma_e_bz=dc[3] - dc[4] / r,
+        gamma_e_bx=math.copysign(1.0, gamma_e_bx) * (dc[6] - dc[7] / r),
+        gamma_ratio=(gamma_e_bz * dc[4] + abs(gamma_e_bx) * dc[7]) / r**2,
+    )
+    return row, (bz, bx), np.column_stack([by_field[name] for name in PARAM_FIELDS[iso.name]])
+
+
+def model_frequencies(x: np.ndarray, iso: IsotopeSpec, labels) -> np.ndarray:
+    """Forward model: exact-diagonalization frequencies for the fit labels at
+    the fit array ``x`` (PARAM_FIELDS order), the bits and refusals of
+    transition_set at ParamVector(x).to_physical(), without its objects."""
+    row, point = _coefficient_row(x, iso)
+    lines = _kernel(row[None], iso, [point])[0]
     return lines[0, _row_index(iso.name, tuple(labels))]
 
 
 def _jacobian(vec: ParamVector, iso: IsotopeSpec, labels) -> tuple[np.ndarray, np.ndarray]:
     """Model frequencies for ``labels`` at ``vec`` and their derivatives with
     respect to every fit field, (M,) and (M, len(vec.fields())), from one
-    diagonalization (transitions.line_derivatives).  The chain rule runs
-    from the fields to the eight coefficients of H: c0..c2 and c5 are d, q,
-    a_par and a_perp; c3 = gamma_e_bz, c4 = -gamma_e_bz / r, c6 = |gamma_e_bx|
-    and c7 = -|gamma_e_bx| / r, with r = gamma_ratio (the field folds Bx
-    onto +x)."""
+    diagonalization (transitions.line_derivatives) and the chain rule
+    through _coefficient_row's derivative."""
     lines, dlines = line_derivatives(*vec.to_physical(), iso)
     rows = _row_index(iso.name, tuple(labels))
-    dc = dlines[rows].T
-    r, bx_sign = vec.gamma_ratio, math.copysign(1.0, vec.gamma_e_bx)
-    by_field = {
-        "d": dc[0],
-        "q": dc[1],
-        "a_par": dc[2],
-        "a_perp": dc[5],
-        "gamma_e_bz": dc[3] - dc[4] / r,
-        "gamma_e_bx": bx_sign * (dc[6] - dc[7] / r),
-        "gamma_ratio": (vec.gamma_e_bz * dc[4] + abs(vec.gamma_e_bx) * dc[7]) / r**2,
-    }
-    return lines[rows], np.column_stack([by_field[name] for name in vec.fields()])
+    return lines[rows], _coefficient_row(vec.as_array(), iso, dlines[rows].T)[2]
 
 
 # The relative chi^2 noise floor: the deterministic jitter that eigensolver
@@ -258,6 +262,8 @@ def extract_params(
         if name not in fields:
             raise ValueError(f"cannot fix unknown parameter {name!r}")
     free = np.array([i for i, name in enumerate(fields) if name not in fixed], dtype=np.intp)
+    if not len(free):
+        raise ValueError(f"T = {ms.temperature} K: every parameter is fixed; nothing to fit")
     if len(ms.entries) < len(free):
         raise ValueError(
             f"T = {ms.temperature} K: {len(ms.entries)} measurements cannot "
@@ -265,7 +271,7 @@ def extract_params(
         )
     order = known_labels(ms.isotope)
     entries = sorted(ms.entries, key=lambda e: order.index(e.label))
-    labels = [e.label for e in entries]
+    labels = tuple(e.label for e in entries)
     measured = np.array([e.freq_khz for e in entries])
     sigmas = np.array([e.sigma_khz for e in entries])
     chi2 = weighted_objective(measured, sigmas)
@@ -275,31 +281,31 @@ def extract_params(
         err.args = (f"T = {ms.temperature} K: {err}",)  # same type, so the same exit code
         return err
 
-    def trial(xfree: np.ndarray) -> ParamVector:
+    def trial(z: np.ndarray) -> np.ndarray:
         x = full.copy()
-        x[free] = xfree
-        return guess.with_array(x)
+        x[free] = origin + basis @ z
+        return x
 
-    def labeling_failed(vec: ParamVector, err: AmbiguousLabelingError):
-        point = dict(zip(fields, vec.as_array().tolist()))
+    def labeling_failed(x: np.ndarray, err: AmbiguousLabelingError):
+        point = dict(zip(fields, x.tolist()))
         return AmbiguousLabelingError(f"labeling failed at trial point {point}: {err}")
 
     x0 = full[free]
     try:
         model0, jac = _jacobian(guess, ms.isotope, labels)
     except AmbiguousLabelingError as err:
-        raise at_temperature(labeling_failed(guess, err)) from err
+        raise at_temperature(labeling_failed(full, err)) from err
     f0 = chi2(model0)
     if not math.isfinite(f0):
         raise at_temperature(NonFiniteObjectiveError(x0, f0))
     origin, basis = _whitened(jac[:, free] / sigmas[:, None], (model0 - measured) / sigmas, x0)
 
     def objective(z: np.ndarray) -> float:
-        vec = trial(origin + basis @ z)
+        x = trial(z)
         try:
-            model = model_frequencies(vec, ms.isotope, labels)
+            model = model_frequencies(x, ms.isotope, labels)
         except AmbiguousLabelingError as err:
-            raise labeling_failed(vec, err) from err
+            raise labeling_failed(x, err) from err
         return chi2(model)
 
     start = np.zeros(len(free))
@@ -329,11 +335,11 @@ def extract_params(
         raise FitConvergenceError(
             f"fit at T = {ms.temperature} K did not converge in {iterations} iterations"
         )
-    best = trial(origin + basis @ result.x_min)
+    best = trial(result.x_min)
     model = dict(zip(labels, model_frequencies(best, ms.isotope, labels)))
     residuals = {e.label: float(model[e.label] - e.freq_khz) for e in ms.entries}
     return FitResult(
-        params=best,
+        params=guess.with_array(best),
         objective=result.f_min,
         residuals=residuals,
         converged=result.converged,

@@ -181,10 +181,8 @@ def _coefficients(
     p: CouplingParams, points, iso: IsotopeSpec, dtype=np.float64, nuclear_transverse: bool = True
 ) -> np.ndarray:
     """The eight _structure weights c_j of H = sum_j c_j S_j at each (bz, bx)
-    field point of ``points`` (bx may be < 0), as an (N, 8) array.  ``p`` has
-    CouplingParams' attributes (extraction.ParamVector too), checked as there."""
-    _require_finite("coupling parameters", p.d, p.q, p.a_par, p.a_perp, p.gamma_n, p.gamma_e)
-    _require_finite("field components", *(x for point in points for x in point))
+    field point of ``points`` (bx may be < 0), as an (N, 8) array.  ``p`` and
+    ``points`` come from CouplingParams and FieldConfig, checked finite there."""
     if iso.name == "N15" and p.q != 0.0:
         raise ValueError("N15 has nuclear spin 1/2: Q must be exactly 0")
     return np.array(

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .eigensolve import eigh
+from .eigensolve import _check_finite, _eigh
 from .spin_core import (
     ISOTOPES,
     CouplingParams,
@@ -183,8 +183,9 @@ def _kernel(coefficients: np.ndarray, iso: IsotopeSpec, points):
     one H stack, eigh and labeling -> lines (N, L) in LINES row order,
     energies (N, d) in basis order, and eigenvectors in eigh's order with
     their _level_order for the caller that reads them.  Each point gets the
-    bits of a batch of one; a refusal names the first refused point."""
-    values, vectors = eigh(_hamiltonians(coefficients, iso))
+    bits of a batch of one; a refusal names the first refused point.  H is
+    built symmetric: only its finiteness is checked before eigensolve._eigh."""
+    values, vectors = _eigh(_check_finite(_hamiltonians(coefficients, iso)))
     try:
         order = _level_order(vectors)
     except AmbiguousLabelingError as err:

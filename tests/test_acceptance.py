@@ -221,8 +221,8 @@ def _propagated_sigmas(truth, labels, sigmas, free_names):
         up, dn = arr.copy(), arr.copy()
         up[idx] += step
         dn[idx] -= step
-        fu = model_frequencies(truth.with_array(up), N14, labels)
-        fd = model_frequencies(truth.with_array(dn), N14, labels)
+        fu = model_frequencies(up, N14, labels)
+        fd = model_frequencies(dn, N14, labels)
         jac.append((fu - fd) / (2 * step))
     jac = np.array(jac).T  # (n_meas, n_free)
     w = np.diag(1.0 / np.asarray(sigmas) ** 2)

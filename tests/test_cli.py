@@ -10,7 +10,7 @@ import pytest
 
 import nvground
 from nvground.cli import build_parser, main
-from nvground.extraction import transition_table
+from nvground.extraction import PARAM_FIELDS, ParamVector, extract_params, transition_table
 from nvground.io import (
     MEASUREMENT_HEADER,
     MeasurementRow,
@@ -321,13 +321,15 @@ MISSING = {
         (["perturb-check", "--tolerance-hz", "0.001"], 5, ""),
         (["perturb-check", "--bz-max", "1024", "--bz-steps", "3"], 2, ""),
         (["perturb-check", "--bz-steps", "0"], 2, ""),
+        ([*FIT, "{dir}/cold.csv", *(f for name in PARAM_FIELDS["N14"] for f in ("--fix", name))], 2,
+         "T = 77.0 K: every parameter is fixed; nothing to fit"),
         *((argv, 2, names) for argv, names in (REFUSED | MISSING).values()),
     ],
     ids=[
         "no-source", "unknown-preset", "gslac", "underdetermined-fit", "missing-file",
         "huge-f1", "cold-huge-f1", "gslac-fit-guess", "huge-trace", "flat-trace",
         "ramsey-no-isotope", "n15-zero-field", "n14-zero-field", "wide-angle", "tripwire",
-        "perturb-gslac", "empty-grid", *REFUSED, *MISSING,
+        "perturb-gslac", "empty-grid", "fit-every-parameter-fixed", *REFUSED, *MISSING,
     ],
 )
 def test_failures_end_in_one_error_line(bad_inputs, capsys, argv, code, names):
@@ -469,6 +471,20 @@ def test_synth_deterministic_and_fit_roundtrip(tmp_path, capsys):
     rec = json.loads(out)["results"][0]
     assert rec["params"]["q"] == pytest.approx(-4945.88, abs=0.02)
     assert rec["converged"] is True
+
+
+def test_fit_reports_each_fits_evaluation_count(report_inputs, capsys):
+    # n_evals is FitResult.n_evals: the forward evaluations each fit made.
+    series = report_inputs / "series.csv"
+    code, out = run(capsys, *FIT, str(series), *FIXED)
+    assert code == 0
+    guess = ParamVector.from_physical("N14", params_at(N14, 297.0), FieldConfig(bz=470.0))
+    counts = [
+        extract_params(ms, guess, fixed=("gamma_e_bx",)).n_evals
+        for ms in read_measurements(series, N14)
+    ]
+    assert [rec["n_evals"] for rec in json.loads(out)["results"]] == counts
+    assert min(counts) > 0
 
 
 def test_thermal_command_recovers_fractional_derivative(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvground.eigensolve import EigensolveError, eigh, jacobi_eigh
+from nvground.eigensolve import EigensolveError, _eigh, eigh, jacobi_eigh
 from nvground.presets import params_at
 from nvground.spin_core import N14, N15, FieldConfig, build_hamiltonian
 
@@ -144,6 +144,20 @@ def test_stack_asymmetry_within_tolerance_is_accepted():
     h[1, 0, 3] *= 1 + 1e-14
     values, _ = eigh(h)
     assert np.array_equal(values[0], eigh(h[0])[0])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_dispatcher_is_eigh_without_its_checks(dtype):
+    # The same backends and bits.  float64 goes to LAPACK unchecked (a
+    # non-finite matrix is its caller's to refuse); jacobi_eigh still checks
+    # each wider matrix itself.
+    h = nv_stack(dtype)
+    for got, want in zip(_eigh(h), eigh(h)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    if dtype == np.longdouble:
+        h[1, 2, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            _eigh(h)
 
 
 def test_jacobi_takes_one_matrix():

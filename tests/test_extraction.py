@@ -1,4 +1,5 @@
 import functools
+import math
 import re
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from nvground.extraction import (
     params_from_models,
     thermal_models,
     transition_table,
+    _coefficient_row,
     _jacobian,
 )
 from nvground.optimize import PolynomialModel
@@ -30,7 +32,8 @@ from nvground.presets import (
     params_at,
     thermal_presets,
 )
-from nvground.spin_core import GAMMA_E_KHZ_PER_G, N14, N15, FieldConfig
+from nvground import extraction
+from nvground.spin_core import GAMMA_E_KHZ_PER_G, N14, N15, FieldConfig, _coefficients
 from nvground.transitions import LINES, AmbiguousLabelingError, known_labels, transition_set
 
 B470 = FieldConfig(bz=TABLE3_BZ_G)
@@ -122,17 +125,14 @@ def test_jacobian_matches_central_differences(iso, bz, bx):
     vec = ParamVector.from_physical(iso.name, params_at(iso), FieldConfig(bz=bz, bx=bx))
     labels = known_labels(iso)
     model, jac = _jacobian(vec, iso, labels)
-    assert np.array_equal(model, model_frequencies(vec, iso, labels))
     x = vec.as_array()
+    assert np.array_equal(model, model_frequencies(x, iso, labels))
     for j, name in enumerate(vec.fields()):
         h = 1e-4 * abs(x[j]) if x[j] else 1e-2
         up, down = x.copy(), x.copy()
         up[j] += h
         down[j] -= h
-        fd = (
-            model_frequencies(vec.with_array(up), iso, labels)
-            - model_frequencies(vec.with_array(down), iso, labels)
-        ) / (2 * h)
+        fd = (model_frequencies(up, iso, labels) - model_frequencies(down, iso, labels)) / (2 * h)
         assert np.allclose(jac[:, j], fd, rtol=1e-6, atol=5e-9 / h), name
 
 
@@ -208,6 +208,17 @@ def test_guess_at_the_anticrossing_is_refused():
     assert re.search(r"\}: at Bz = 1022\.8\d* G, Bx = 0\.0 G \(N14\): eigenstate \d+ has", text)
 
 
+@pytest.mark.parametrize("iso", [N14, N15], ids=["N14", "N15"])
+def test_fixing_every_parameter_is_refused(monkeypatch, iso):
+    # Refused before any solve, as a ValueError (exit 2) that names the
+    # temperature and the cause.
+    monkeypatch.setattr(extraction, "_jacobian", None)
+    monkeypatch.setattr(extraction, "model_frequencies", None)
+    guess = truth_vector(iso)
+    with pytest.raises(ValueError, match=r"^T = 297\.0 K: every parameter is fixed; nothing to fit$"):
+        extract_params(synthetic_set(iso), guess, fixed=guess.fields())
+
+
 @pytest.mark.parametrize("name", ["d", "gamma_e_bz"])
 def test_non_finite_guess_is_refused(name):
     guess = replace(truth_vector(N14), **{name: float("nan")})
@@ -225,10 +236,9 @@ def test_model_frequencies_match_the_per_point_path(iso):
         x = truth.as_array() * (1 + 1e-4 * rng.standard_normal(len(truth.fields())))
         if k % 2:  # half the trial points off axis: Bx = |N(0, 1)| * 0.71 G
             x[truth.fields().index("gamma_e_bx")] = abs(rng.normal()) * 2e3
-        vec = truth.with_array(x)
-        reference = reference_lines(*vec.to_physical(), iso)
+        reference = reference_lines(*truth.with_array(x).to_physical(), iso)
         expected = [reference[names.index(label)] for label in labels]
-        assert np.array_equal(model_frequencies(vec, iso, labels), expected)
+        assert np.array_equal(model_frequencies(x, iso, labels), expected)
 
 
 # Labels of both isotopes and one of neither, so that a foreign label is tried.
@@ -265,8 +275,8 @@ def test_model_frequencies_are_the_per_point_bits(
     for name, k in zip(("d", "q", "a_par", "a_perp", "gamma_ratio"), scales):
         x[name] = x.get(name, 0.0) * k
     x.update(gamma_e_bz=gamma_e_bz, gamma_e_bx=gamma_e_bx)
-    vec = truth.with_array([x[name] for name in truth.fields()])
-    p, f = vec.to_physical()
+    x = np.array([x[name] for name in truth.fields()])
+    p, f = truth.with_array(x).to_physical()
     try:
         reference = dict(zip(names, reference_lines(p, f, iso)))
         expected = np.array([reference[label] for label in labels])
@@ -275,11 +285,11 @@ def test_model_frequencies_are_the_per_point_bits(
     except KeyError as err:
         refusal = err
     else:
-        model = model_frequencies(vec, iso, labels)
+        model = model_frequencies(x, iso, labels)
         assert model.dtype == expected.dtype and model.tobytes() == expected.tobytes()
         return
     with pytest.raises(type(refusal)) as refused:
-        model_frequencies(vec, iso, labels)
+        model_frequencies(x, iso, labels)
     assert str(refused.value) == str(refusal)
 
 
@@ -298,17 +308,73 @@ def test_model_frequencies_are_the_per_point_bits(
 def test_model_frequencies_refuse_as_the_objects_do(iso, change):
     # The forward model builds no CouplingParams or FieldConfig, but refuses
     # what their constructors and transition_set refuse, with the same
-    # exception, message and order.
+    # exception, message and order.  A 15NV fit array has no Q, so a 15NV Q
+    # is refused where it enters: extract_params's guess.
     vec = replace(truth_vector(iso), **change)
     with pytest.raises(Exception) as expected:
         transition_set(*vec.to_physical(), iso)
     with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
-        model_frequencies(vec, iso, known_labels(iso))
+        if "q" in change and iso is N15:
+            extract_params(synthetic_set(iso), vec, fixed=("gamma_e_bx",))
+        else:
+            model_frequencies(vec.as_array(), iso, known_labels(iso))
+
+
+# What a trial point may hold beside ordinary values: each refusal's trigger.
+SPECIAL = st.sampled_from([0.0, -0.0, 1e-320, np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    iso=st.sampled_from([N14, N15]),
+    gamma_e_bz=st.floats(5.0 * G, 1500.0 * G),
+    gamma_e_bx=st.floats(-5.0 * G, 5.0 * G),
+    scales=st.lists(st.floats(0.9, 1.1), min_size=5, max_size=5),
+    special=st.lists(st.tuples(st.integers(0, 6), SPECIAL), max_size=2),
+)
+@example(N15, 470.0 * G, -0.0, [1.0] * 5, [])
+@example(N14, 470.0 * G, 0.3 * G, [1.0] * 5, [(6, 0.0)])
+def test_coefficient_row_is_the_objects_row(iso, gamma_e_bz, gamma_e_bx, scales, special):
+    # The fit array -> coefficient row map against _coefficients at
+    # vec.to_physical() (N15's gamma_ratio is negative): the same bits, or
+    # the same refusal; and its derivative against differences of the row.
+    truth = truth_vector(iso)
+    values = dict(zip(truth.fields(), truth.as_array()))
+    for name, k in zip(("d", "q", "a_par", "a_perp", "gamma_ratio"), scales):
+        values[name] = values.get(name, 0.0) * k
+    values.update(gamma_e_bz=gamma_e_bz, gamma_e_bx=gamma_e_bx)
+    x = np.array([values[name] for name in truth.fields()])
+    for i, value in special:
+        x[i % len(x)] = value
+    try:
+        p, f = truth.with_array(x).to_physical()
+        expected = _coefficients(p, [(f.bz, f.bx)], iso)[0]
+    except (ValueError, ZeroDivisionError) as err:
+        with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+            _coefficient_row(x, iso)
+        return
+    row, point, drow = _coefficient_row(x, iso, np.eye(8))
+    assert row.tobytes() == expected.tobytes() and point == (f.bz, f.bx)
+    assert np.array_equal(_coefficient_row(x, iso)[0], row)
+    # Central differences, or one-sided within a step of 0, on the side of
+    # its sign: |gamma_e_bx| has its kink there.  (gamma_ratio = +-inf is a
+    # row, gamma_n = 0, with no difference to take.)
+    for j in np.flatnonzero(np.isfinite(x)):
+        h = max(1e-6 * abs(x[j]), 1e-3)
+        up, down = x.copy(), x.copy()
+        if abs(x[j]) < h:
+            up[j] += math.copysign(h, x[j])
+            fd = (_coefficient_row(up, iso)[0] - row) / math.copysign(h, x[j])
+        else:
+            up[j] += h
+            down[j] -= h
+            fd = (_coefficient_row(up, iso)[0] - _coefficient_row(down, iso)[0]) / (2 * h)
+        assert np.allclose(drow[:, j], fd, rtol=1e-6, atol=1e-9), truth.fields()[j]
 
 
 def test_model_frequencies_match_forward():
     vec = truth_vector(N14)
-    freqs = model_frequencies(vec, N14, ["f1", "fdq"])
+    freqs = model_frequencies(vec.as_array(), N14, ["f1", "fdq"])
     ts = transition_set(*vec.to_physical(), N14)
     assert freqs[0] == pytest.approx(ts["f1"], rel=1e-14)
 

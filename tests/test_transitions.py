@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from per_point import reference_lines
 
 from nvground import transitions
-from nvground.eigensolve import eigh
+from nvground.eigensolve import _eigh, eigh
 from nvground.presets import GAMMA_RATIO_N14, TABLE3, params_at
 from nvground.spin_core import (
     N14,
@@ -147,24 +147,33 @@ def test_kernel_batches_match_the_per_point_path(iso, temp, points, nuclear_tran
 @pytest.mark.parametrize("iso", [N14, N15], ids=["N14", "N15"])
 @pytest.mark.parametrize("bx", [0.0, 0.3], ids=["axial", "tilted"])
 def test_no_result_reads_eigenvector_signs(monkeypatch, iso, bx):
-    # An eigenvector's sign is arbitrary: negating every other column of
-    # eigh's output leaves lines, energies and derivatives bit for bit.
+    # An eigenvector's sign is arbitrary: negating every other column of the
+    # kernel's eigensolver output leaves lines, energies and derivatives bit
+    # for bit.
     p, f = params_at(iso), FieldConfig(bz=470.0, bx=bx)
     dtypes = (np.float64, np.longdouble)
     before = {dtype: transition_lines(p, [f], iso, dtype) for dtype in dtypes}
     derivatives = line_derivatives(p, f, iso)
 
     def flipped(m):
-        values, vectors = eigh(m)
+        values, vectors = _eigh(m)
         vectors[..., 1::2] *= -1
         return values, vectors
 
-    monkeypatch.setattr(transitions, "eigh", flipped)
+    monkeypatch.setattr(transitions, "_eigh", flipped)
     for dtype, (lines, energies) in before.items():
         after_lines, after_energies = transition_lines(p, [f], iso, dtype)
         assert np.array_equal(after_lines, lines) and np.array_equal(after_energies, energies)
     for old, new in zip(derivatives, line_derivatives(p, f, iso)):
         assert np.array_equal(old, new)
+
+
+def test_kernel_refuses_a_hamiltonian_that_overflows():
+    # Finite coefficients whose H[0, 0] = D + gamma_e Bz overflows: the
+    # kernel skips eigh's symmetry check, not its finiteness check.
+    p = CouplingParams(d=1.5e308, q=0.0, a_par=0.0, a_perp=0.0, gamma_n=N14.gamma_n)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        transition_lines(p, [FieldConfig(bz=1e308 / p.gamma_e)], N14)
 
 
 def test_labeling_ambiguous_near_anticrossing():
