@@ -228,7 +228,7 @@ def cmd_perturb_check(args) -> int:
     for flag, steps in (("--bz-steps", args.bz_steps), ("--bx-steps", args.bx_steps)):
         if steps < 1:
             raise ConfigError(f"{flag} must be at least 1")
-    if not (math.isfinite(args.tolerance_hz) and args.tolerance_hz > 0):
+    if args.tolerance_hz <= 0:
         raise ConfigError("--tolerance-hz must be finite and positive")
     bz_grid = np.linspace(args.bz_min, args.bz_max, args.bz_steps)
     bx_grid = np.linspace(0.0, args.bx_max, args.bx_steps)
@@ -273,7 +273,7 @@ def cmd_synth(args) -> int:
     repeated = sorted({t for t in temps if temps.count(t) > 1})
     if repeated:
         raise ConfigError(f"--temps lists {', '.join(map(fmt_g, repeated))} K more than once")
-    if not (math.isfinite(args.noise_scale) and args.noise_scale >= 0):
+    if args.noise_scale < 0:
         raise ConfigError("--noise-scale must be finite and >= 0")
     rng = np.random.default_rng(args.seed)
     labels = _synth_labels(iso)
@@ -342,6 +342,18 @@ def cmd_ramsey_fit(args) -> int:
     return EXIT_OK
 
 
+def _finite_float(text: str) -> float:
+    """The type of every float flag: nan and inf are refused at parse time,
+    before a command can write a file or fail on them later."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, not {text!r}")
+    return value
+
+
 # Flags that several subcommands share.  Each subcommand registers only
 # the ones it reads, so argparse refuses the rest (exit 2) instead of
 # accepting and then ignoring them.
@@ -351,11 +363,11 @@ COMMON_FLAGS = {
         choices=presets.PRESET_NAMES, metavar="PRESET", help="named parameter preset (%(choices)s)"
     ),
     "--params": dict(help="JSON file with d, q, a_par, a_perp [, gamma_n]"),
-    "--bz": dict(type=float, default=None, help="axial field, Gauss"),
-    "--bx": dict(type=float, default=0.0, help="transverse field, Gauss"),
-    "--b": dict(type=float, default=None, help="field magnitude, Gauss"),
-    "--theta-deg": dict(type=float, default=None, help="misalignment angle, degrees"),
-    "--temp": dict(type=float, default=presets.T_REF_K, help="temperature, K"),
+    "--bz": dict(type=_finite_float, default=None, help="axial field, Gauss"),
+    "--bx": dict(type=_finite_float, default=0.0, help="transverse field, Gauss"),
+    "--b": dict(type=_finite_float, default=None, help="field magnitude, Gauss"),
+    "--theta-deg": dict(type=_finite_float, default=None, help="misalignment angle, degrees"),
+    "--temp": dict(type=_finite_float, default=presets.T_REF_K, help="temperature, K"),
     "--out": dict(help="output file (default: stdout)"),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--seed": dict(type=int, default=0),
@@ -423,46 +435,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("angular-scan", "fdq/f7 shift vs misalignment angle", cmd_angular_scan,
         "--isotope", *SOURCE, "--bz", "--temp", "--out", "--format", own={
-            "--theta-max-deg": dict(type=float, default=0.5),
+            "--theta-max-deg": dict(type=_finite_float, default=0.5),
             "--steps": dict(type=int, default=11),
         })
 
     add("perturb-check", "perturbation-vs-exact tripwire (preset parameters)",
         cmd_perturb_check, "--temp", "--out", own={
             "--isotope": dict(help="n14 or n15 (default: both)"),
-            "--bz-min": dict(type=float, default=300.0),
-            "--bz-max": dict(type=float, default=600.0),
+            "--bz-min": dict(type=_finite_float, default=300.0),
+            "--bz-max": dict(type=_finite_float, default=600.0),
             "--bz-steps": dict(type=int, default=7),
-            "--bx-max": dict(type=float, default=1.0),
+            "--bx-max": dict(type=_finite_float, default=1.0),
             "--bx-steps": dict(type=int, default=5),
-            "--tolerance-hz": dict(type=float, default=DEFAULT_NOISE_TOLERANCE_HZ),
+            "--tolerance-hz": dict(type=_finite_float, default=DEFAULT_NOISE_TOLERANCE_HZ),
         })
 
     add("synth", "generate a synthetic measurement CSV", cmd_synth,
         "--isotope", "--preset", "--bz", "--seed", own={
             "--out": dict(required=True, help="output measurement CSV file"),
             "--temps": dict(default="297", help="comma-separated temperatures, K"),
-            "--noise-scale": dict(type=float, default=1.0, help="0 for noiseless"),
+            "--noise-scale": dict(type=_finite_float, default=1.0, help="0 for noiseless"),
         })
 
     add("ramsey", "synthesize and fit Ramsey fringes end to end", cmd_ramsey,
         "--isotope", *SOURCE, *FIELD, "--temp", "--out", "--seed", own={
             "--transition": dict(default="f1"),
-            "--detune-khz": dict(type=float, default=4.0),
-            "--t2-star-ms": dict(type=float, default=1.0),
-            "--duration-ms": dict(type=float, default=2.0),
+            "--detune-khz": dict(type=_finite_float, default=4.0),
+            "--t2-star-ms": dict(type=_finite_float, default=1.0),
+            "--duration-ms": dict(type=_finite_float, default=2.0),
             "--samples": dict(type=int, default=200),
-            "--amp": dict(type=float, default=0.5),
-            "--phase": dict(type=float, default=0.0),
-            "--offset": dict(type=float, default=1.0),
-            "--noise-sigma": dict(type=float, default=0.0),
+            "--amp": dict(type=_finite_float, default=0.5),
+            "--phase": dict(type=_finite_float, default=0.0),
+            "--offset": dict(type=_finite_float, default=1.0),
+            "--noise-sigma": dict(type=_finite_float, default=0.0),
             "--trace-out": dict(help="write the synthesized trace CSV here"),
         })
 
     add("ramsey-fit", "fit the Ramsey fringes of a trace CSV", cmd_ramsey_fit,
         "--out", own={
             "--trace-in": dict(required=True, help="trace CSV file"),
-            "--f-rf-khz": dict(type=float, required=True, help="drive frequency, kHz"),
+            "--f-rf-khz": dict(type=_finite_float, required=True, help="drive frequency, kHz"),
             "--sign": dict(type=int, choices=(1, -1), default=1, help="f = f_rf - sign * detuning"),
         })
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,27 +73,39 @@ def nelder_mead(objective, x0, tol_f: float = 1e-12, tol_x: float = 1e-10) -> Op
     for i in range(n):
         step = _SIMPLEX_SCALE * x0[i]
         simplex[i + 1, i] += step if step != 0 else _ZERO_STEP
-    values = np.array([f0] + [f(simplex[i + 1]) for i in range(n)])
+    values = [f0] + [f(simplex[i + 1]) for i in range(n)]
 
+    # The vertices stay sorted by value, ties in the order a stable sort
+    # leaves them: a new vertex replaces the worst and goes after every
+    # equal value (bisect_right), and a shrink is followed by a stable sort.
+    def sort():
+        nonlocal simplex, values
+        order = sorted(range(n + 1), key=values.__getitem__)
+        simplex, values = simplex[order], [values[i] for i in order]
+
+    def replace_worst(vertex, value):
+        del values[-1]
+        k = bisect_right(values, value)
+        values.insert(k, value)
+        simplex[k + 1 :] = simplex[k:-1]
+        simplex[k] = vertex
+
+    sort()
     iterations = 0
     converged = False
     while iterations < _MAX_ITER:
-        order = np.argsort(values, kind="stable")
-        simplex = simplex[order]
-        values = values[order]
-
         # Both spreads must collapse: the objective spread alone goes to
         # zero when vertices straddle a minimum symmetrically.
-        f_spread = float(values[-1] - values[0])
-        x_spread = float(np.max(np.abs(simplex[1:] - simplex[0])))
-        if f_spread <= tol_f * max(1.0, abs(values[0])) and x_spread <= tol_x * max(
-            1.0, float(np.max(np.abs(simplex[0])))
-        ):
+        if values[-1] - values[0] <= tol_f * max(1.0, abs(values[0])) and float(
+            np.abs(simplex[1:] - simplex[0]).max()
+        ) <= tol_x * max(1.0, float(np.abs(simplex[0]).max())):
             converged = True
             break
 
         iterations += 1
-        centroid = simplex[:-1].mean(axis=0)
+        # simplex[:-1].mean(axis=0) without numpy's wrapper: the same sum
+        # over rows, divided by n.
+        centroid = np.add.reduce(simplex[:-1], axis=0) / n
         worst = simplex[-1]
         reflected = centroid + (centroid - worst)
         f_r = f(reflected)
@@ -100,11 +113,11 @@ def nelder_mead(objective, x0, tol_f: float = 1e-12, tol_x: float = 1e-10) -> Op
             expanded = centroid + 2.0 * (centroid - worst)
             f_e = f(expanded)
             if f_e < f_r:
-                simplex[-1], values[-1] = expanded, f_e
+                replace_worst(expanded, f_e)
             else:
-                simplex[-1], values[-1] = reflected, f_r
+                replace_worst(reflected, f_r)
         elif f_r < values[-2]:
-            simplex[-1], values[-1] = reflected, f_r
+            replace_worst(reflected, f_r)
         else:
             if f_r < values[-1]:
                 contracted = centroid + 0.5 * (reflected - centroid)
@@ -115,17 +128,16 @@ def nelder_mead(objective, x0, tol_f: float = 1e-12, tol_x: float = 1e-10) -> Op
                 f_c = f(contracted)
                 accept = f_c < values[-1]
             if accept:
-                simplex[-1], values[-1] = contracted, f_c
+                replace_worst(contracted, f_c)
             else:
                 for i in range(1, n + 1):
                     simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
                     values[i] = f(simplex[i])
+                sort()
 
-    order = np.argsort(values, kind="stable")
-    best = int(order[0])
     return OptimResult(
-        x_min=simplex[best].copy(),
-        f_min=float(values[best]),
+        x_min=simplex[0].copy(),
+        f_min=values[0],
         iterations=iterations,
         n_evals=evals,
         converged=converged,

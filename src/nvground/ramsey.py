@@ -27,7 +27,12 @@ class UndersampledTraceError(ValueError):
     """Sampling too sparse (or span too short) for the expected detuning."""
 
 
-@dataclass(frozen=True)
+def _require_noise_sigma(noise_sigma: float) -> None:
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, not {noise_sigma!r}")
+
+
+@dataclass(frozen=True, slots=True)
 class RamseyTrace:
     times: np.ndarray  # seconds, strictly increasing
     signal: np.ndarray  # fluorescence contrast, dimensionless
@@ -46,11 +51,12 @@ class RamseyTrace:
             raise ValueError("times must be strictly increasing")
         if not np.all(np.isfinite(s)):
             raise ValueError("signal must be finite")
+        _require_noise_sigma(self.noise_sigma)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "signal", s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RamseyFit:
     delta_khz: float
     t2_star_s: float
@@ -83,6 +89,7 @@ def synthesize(
     """Seeded synthetic fringe trace; identical seeds give identical traces."""
     if t2_star_s <= 0:
         raise ValueError("T2* must be positive")
+    _require_noise_sigma(noise_sigma)
     times = np.asarray(times, dtype=float)
     signal = _model(times, delta_khz, t2_star_s, amp, phase, offset)
     if noise_sigma:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import nvground
+from nvground import cli
 from nvground.cli import build_parser, main
 from nvground.extraction import PARAM_FIELDS, ParamVector, extract_params, transition_table
 from nvground.io import (
@@ -33,6 +35,15 @@ def run(capsys, *argv):
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+def test_no_flag_parses_a_bare_float():
+    # A bare float type would accept nan and inf; every float flag uses
+    # the one finite type instead.
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    types = {(name, a.dest): a.type for name, sub in subs.choices.items() for a in sub._actions}
+    assert float not in types.values()
+    assert types["ramsey", "noise_sigma"] is types["ramsey-fit", "f_rf_khz"] is cli._finite_float
 
 
 def test_reused_parser_gives_the_same_output(tmp_path, capsys):
@@ -256,8 +267,28 @@ REFUSED = {
     "ramsey-unfit-trace-out": (
         [*RAMSEY, "--bz", "470", "--samples", "5", "--trace-out", "{dir}/never.csv"],
         "trace spans 0.80 periods at 0.4 kHz; need >= 3"),
+    # Every float flag refuses nan and inf (and an overflowing literal) at
+    # parse time, before a command can write anything.
     "synth-nan-noise": ([*SYNTH, "--noise-scale", "nan", "--out", "{dir}/never.csv"],
-                        "--noise-scale must be finite and >= 0"),
+                        "argument --noise-scale: must be finite, not 'nan'"),
+    "synth-negative-noise": ([*SYNTH, "--noise-scale", "-1", "--out", "{dir}/never.csv"],
+                             "--noise-scale must be finite and >= 0"),
+    "ramsey-inf-t2-star": (
+        [*RAMSEY, "--bz", "470", "--t2-star-ms", "inf", "--trace-out", "{dir}/never.csv"],
+        "argument --t2-star-ms: must be finite, not 'inf'"),
+    "ramsey-fit-nan-drive": (["ramsey-fit", "--trace-in", "{dir}/trace.csv", "--f-rf-khz", "nan"],
+                             "argument --f-rf-khz: must be finite, not 'nan'"),
+    "ramsey-inf-phase": ([*RAMSEY, "--bz", "470", "--phase", "inf"],
+                         "argument --phase: must be finite, not 'inf'"),
+    "transitions-overflowing-bz": ([*TRANSITIONS_N14, "--bz", "1e400"],
+                                   "argument --bz: must be finite, not '1e400'"),
+    "perturb-check-inf-tolerance": (["perturb-check", "--tolerance-hz", "inf"],
+                                    "argument --tolerance-hz: must be finite, not 'inf'"),
+    "ramsey-not-a-number": ([*RAMSEY, "--bz", "470", "--amp", "abc"],
+                            "argument --amp: invalid float value: 'abc'"),
+    "ramsey-negative-noise-sigma": (
+        [*RAMSEY, "--bz", "470", "--noise-sigma", "-0.02", "--trace-out", "{dir}/never.csv"],
+        "noise_sigma must be finite and >= 0, not -0.02"),
     "synth-repeated-temperature": ([*SYNTH, "--temps", "297,77,297.0", "--out", "{dir}/never.csv"],
                                    "--temps lists 297 K more than once"),
     "perturb-check-negative-tolerance": (["perturb-check", "--tolerance-hz", "-1"],

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nvground import optimize
+from nvground import optimize, ramsey
 from nvground.optimize import (
     NonFiniteObjectiveError,
+    OptimResult,
     PolynomialModel,
     RankDeficientError,
     nelder_mead,
@@ -68,6 +73,186 @@ def test_iteration_cap_flags_nonconvergence(monkeypatch):
     res = nelder_mead(lambda x: (x[0] - 3.0) ** 2, [0.0])
     assert not res.converged
     assert res.iterations == 3
+
+
+def _argsort_nelder_mead(objective, x0, tol_f=1e-12, tol_x=1e-10):
+    """The simplex as it was before it kept itself sorted: a stable argsort
+    and a fancy-index copy every iteration.  A test-only reference for the
+    bits of `nelder_mead`; it also returns how many shrinks it made."""
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    evals = 0
+    shrinks = 0
+
+    def f(x):
+        nonlocal evals
+        evals += 1
+        val = float(objective(x))
+        if not math.isfinite(val):
+            raise NonFiniteObjectiveError(x, val)
+        return val
+
+    f0 = f(x0)
+    simplex = np.tile(x0, (n + 1, 1))
+    for i in range(n):
+        step = optimize._SIMPLEX_SCALE * x0[i]
+        simplex[i + 1, i] += step if step != 0 else optimize._ZERO_STEP
+    values = np.array([f0] + [f(simplex[i + 1]) for i in range(n)])
+
+    iterations = 0
+    converged = False
+    while iterations < optimize._MAX_ITER:
+        order = np.argsort(values, kind="stable")
+        simplex = simplex[order]
+        values = values[order]
+        f_spread = float(values[-1] - values[0])
+        x_spread = float(np.max(np.abs(simplex[1:] - simplex[0])))
+        if f_spread <= tol_f * max(1.0, abs(values[0])) and x_spread <= tol_x * max(
+            1.0, float(np.max(np.abs(simplex[0])))
+        ):
+            converged = True
+            break
+
+        iterations += 1
+        centroid = simplex[:-1].mean(axis=0)
+        worst = simplex[-1]
+        reflected = centroid + (centroid - worst)
+        f_r = f(reflected)
+        if f_r < values[0]:
+            expanded = centroid + 2.0 * (centroid - worst)
+            f_e = f(expanded)
+            if f_e < f_r:
+                simplex[-1], values[-1] = expanded, f_e
+            else:
+                simplex[-1], values[-1] = reflected, f_r
+        elif f_r < values[-2]:
+            simplex[-1], values[-1] = reflected, f_r
+        else:
+            if f_r < values[-1]:
+                contracted = centroid + 0.5 * (reflected - centroid)
+                f_c = f(contracted)
+                accept = f_c <= f_r
+            else:
+                contracted = centroid - 0.5 * (centroid - worst)
+                f_c = f(contracted)
+                accept = f_c < values[-1]
+            if accept:
+                simplex[-1], values[-1] = contracted, f_c
+            else:
+                shrinks += 1
+                for i in range(1, n + 1):
+                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+                    values[i] = f(simplex[i])
+
+    order = np.argsort(values, kind="stable")
+    best = int(order[0])
+    result = OptimResult(
+        x_min=simplex[best].copy(),
+        f_min=float(values[best]),
+        iterations=iterations,
+        n_evals=evals,
+        converged=converged,
+    )
+    return result, shrinks
+
+
+def _bits(r: OptimResult):
+    return r.x_min.tobytes(), r.f_min.hex(), r.iterations, r.n_evals, r.converged
+
+
+def _same_as_reference(objective, x0, **tolerances) -> int:
+    """Assert that `nelder_mead` gives the reference's bits; return the
+    reference's shrink count."""
+    expected, shrinks = _argsort_nelder_mead(objective, x0, **tolerances)
+    assert _bits(nelder_mead(objective, x0, **tolerances)) == _bits(expected)
+    return shrinks
+
+
+coordinate = st.floats(-5.0, 5.0, allow_nan=False)
+# Zero coordinates take the absolute first step, _ZERO_STEP.
+start = st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.one_of(st.just(0.0), coordinate), min_size=n, max_size=n)
+)
+tolerances = st.sampled_from([{}, {"tol_f": 1e-8, "tol_x": 1e-6}])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(x0=start, seed=st.integers(0, 2**32 - 1), tol=tolerances)
+def test_sorted_simplex_matches_reference_on_convex_quadratics(x0, seed, tol):
+    rng = np.random.default_rng(seed)
+    n = len(x0)
+    q = rng.normal(size=(n, n))
+    a = q @ q.T + 0.1 * np.eye(n)
+    center = rng.normal(size=n)
+    _same_as_reference(lambda x: float((x - center) @ a @ (x - center)), x0, **tol)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(x0=st.lists(coordinate, min_size=2, max_size=4), tol=tolerances)
+def test_sorted_simplex_matches_reference_on_rosenbrock(x0, tol):
+    def rosen(x):
+        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+    _same_as_reference(rosen, x0, **tol)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(x0=start, levels=st.sampled_from([1.0, 4.0, 64.0, 1024.0]))
+def test_sorted_simplex_matches_reference_on_plateaus(x0, levels):
+    # A quadratic rounded to 1/levels: many vertices share a value exactly,
+    # so the slot of each new vertex among equal values is what is tested.
+    def plateau(x):
+        return math.floor(levels * float(x @ x)) / levels
+
+    _same_as_reference(plateau, x0)
+
+
+def _rough(center, amplitude, wavenumber):
+    # A quadratic under a fast ripple: reflections and contractions often
+    # fail, and the simplex shrinks.
+    def rough(x):
+        d = x - center
+        return float(d @ d) + amplitude * math.sin(wavenumber * float(x.sum()))
+
+    return rough
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    x0=start,
+    center=st.floats(-2.0, 2.0),
+    amplitude=st.floats(0.01, 0.5),
+    wavenumber=st.floats(10.0, 1e4),
+)
+@example(x0=[1.0, 2.0], center=0.0, amplitude=0.1, wavenumber=1e3)
+def test_sorted_simplex_matches_reference_through_shrinks(x0, center, amplitude, wavenumber):
+    _same_as_reference(_rough(center, amplitude, wavenumber), x0)
+
+
+def test_the_rippled_quadratic_forces_shrinks():
+    assert _same_as_reference(_rough(0.0, 0.1, 1e3), [1.0, 2.0]) > 0
+    assert _same_as_reference(lambda x: 5.0, [1.0, 2.0, 3.0]) > 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(x0=start, seed=st.integers(0, 2**32 - 1), cap=st.integers(0, 40))
+def test_sorted_simplex_matches_reference_at_the_iteration_cap(x0, seed, cap):
+    center = np.random.default_rng(seed).normal(size=len(x0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_MAX_ITER", cap)
+        _same_as_reference(lambda x: float(np.sum(np.abs(x - center) ** 1.5)), x0)
+
+
+def test_fringe_fits_match_the_reference_simplex(monkeypatch):
+    # Criterion 9's noisy traces, fitted through both simplexes.
+    times = np.linspace(0.0, 2e-3, 200)
+    traces = [
+        ramsey.synthesize(3.0, 1e-3, 0.5, 0.3, 1.0, times, noise_sigma=0.025, rng_seed=seed)
+        for seed in range(20)
+    ]
+    fits = [ramsey.fit_fringes(t) for t in traces]
+    monkeypatch.setattr(ramsey, "nelder_mead", lambda *a: _argsort_nelder_mead(*a)[0])
+    assert fits == [ramsey.fit_fringes(t) for t in traces]
 
 
 def test_options_validation():

@@ -38,6 +38,25 @@ def test_synthesize_validation():
         RamseyTrace(times=np.array([0.0, 0.0, 1.0]), signal=np.zeros(3))
 
 
+@pytest.mark.parametrize("noise_sigma", [-0.02, -math.inf, math.inf, math.nan])
+def test_noise_sigma_must_be_finite_and_non_negative(noise_sigma):
+    # synthesize refuses before drawing any noise (numpy's own refusal of
+    # a negative scale would not name the argument).
+    with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+        synthesize(3.0, 1e-3, 0.5, 0.1, 1.0, TIMES, noise_sigma=noise_sigma)
+    with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+        RamseyTrace(times=TIMES, signal=np.zeros(TIMES.size), noise_sigma=noise_sigma)
+
+
+def test_value_classes_are_slotted():
+    trace = synthesize(3.0, 1e-3, 0.5, 0.3, 1.0, TIMES)
+    for value in (trace, fit_fringes(trace)):
+        assert not hasattr(value, "__dict__")
+    # __post_init__ stores the arrays it converted.
+    trace = RamseyTrace(times=[0.0, 1e-3], signal=[1, 0])
+    assert trace.times.dtype == trace.signal.dtype == np.float64
+
+
 def test_noiseless_fit_recovers_delta():
     trace = synthesize(3.0, 1e-3, 0.5, 0.3, 1.0, TIMES)
     fit = fit_fringes(trace)
