@@ -7,9 +7,12 @@ The Jacobi path is what makes extended-precision (longdouble)
 diagonalization possible for the sub-Hz angular-shift validations.
 It works on the input scaled exactly by a power of two (max|a| in
 [0.5, 1)), so no input scale overflows or underflows its norm.  For
-dtypes wider than float64 it starts from LAPACK's float64 eigenbasis
-(the seed), made orthogonal in the wide dtype, so that one sweep after
-the seed converges; float64 and narrower dtypes start from the identity.
+dtypes wider than float64 it starts from LAPACK's float64 eigenbasis,
+refined once in the wide dtype (Ogita and Aishima's step, which doubles
+the accurate digits for every eigenvalue separated from the others) and
+made orthogonal, so that sweeps run only on a cluster of eigenvalues the
+step could not separate; float64 and narrower dtypes start from the
+identity.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ _JACOBI_MAX_SWEEPS = 100
 
 
 class EigensolveError(RuntimeError):
-    """Jacobi iteration failed to converge within the sweep cap."""
+    """Jacobi iteration failed to converge within the sweep cap, or the
+    wide-dtype seed could not be made orthogonal."""
 
 
 def _check_finite(m: np.ndarray) -> np.ndarray:
@@ -48,9 +52,12 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _frobenius(a: np.ndarray):
+    return np.sqrt((a * a).sum())
+
+
 def _offdiag_frobenius(a: np.ndarray):
-    off = a - np.diag(np.diag(a))
-    return np.sqrt(np.sum(off * off))
+    return _frobenius(a - np.diag(np.diag(a)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -93,14 +100,24 @@ def jacobi_eigh(m: np.ndarray, rel_tol: float | None = None, max_sweeps: int = _
     are exact away from subnormals, so ||A||_F^2 can neither overflow nor
     underflow, and the eigenvalues scale with the input bit for bit.
 
-    Dtypes wider than float64 (longdouble) start from a seed, LAPACK's
-    float64 eigenbasis V, rather than from the identity.  V is made
-    orthogonal in the wide dtype by one Newton-Schulz step,
-    V <- V (3I - V^T V) / 2, and the sweeps run on V^T A V.  The seed is
-    accurate to float64, so one sweep (cyclic Jacobi converges
-    quadratically) takes it to the wide dtype's precision (Demmel and
-    Veselic, SIAM J. Matrix Anal. Appl. 13, 1204, 1992).  float64 and
-    narrower dtypes start from the identity.
+    Dtypes wider than float64 (longdouble) start from LAPACK's float64
+    eigenbasis X, cast to the wide dtype, and take one refinement step in
+    it (Ogita and Aishima, Japan J. Indust. Appl. Math. 35, 1007, 2018):
+    with R = I - X^T X and S = X^T A X, the eigenvalue estimates are
+    l_i = s_ii / (1 - r_ii), the cluster radius is
+    delta = 2 (||S - diag l||_F + ||A||_F ||R||_F), and X <- X + X E with
+    E_ij = (s_ij + l_j r_ij) / (l_j - l_i) where |l_j - l_i| > delta and
+    E_ij = r_ij / 2 otherwise (only separated pairs are divided).  The
+    step squares X's float64 error for every well separated eigenvalue.
+    Newton-Schulz steps, X <- X (3I - X^T X) / 2, then make X orthogonal
+    in the wide dtype.  Each squares the defect ||I - X^T X||_F, and they
+    stop after the one that started from a defect whose square is at most
+    the dtype's eps: one step, unless a pair divided just outside delta
+    left X far from orthogonal (a defect that stops shrinking raises
+    EigensolveError).  The sweeps run on X^T A X.  They find it converged
+    unless a cluster within delta, or a pair the step could not resolve,
+    was left, which they finish.  float64 and narrower dtypes start from
+    the identity.
 
     Each sweep runs the n(n-1)/2 rotations as n - 1 rounds (n for odd n)
     of disjoint (p, q) pairs in round-robin (Brent-Luk) order.  A round's
@@ -129,14 +146,35 @@ def jacobi_eigh(m: np.ndarray, rel_tol: float | None = None, max_sweeps: int = _
     v = eye = np.eye(n, dtype=dtype)
     exponent = np.frexp(np.abs(a).max(initial=0))[1]
     a = np.ldexp(a, -exponent)
-    norm = np.sqrt(np.sum(a * a))
+    norm = _frobenius(a)
     if norm == 0:
         return np.zeros(n, dtype=dtype), v
     threshold = rel_tol * norm
-    if np.finfo(dtype).eps < np.finfo(np.float64).eps:
+    eps = np.finfo(dtype).eps
+    if eps < np.finfo(np.float64).eps:
         # np.linalg.eigh, not eigh: the seed needs no second check.
         v = np.linalg.eigh(a.astype(np.float64))[1].astype(dtype)
-        v = np.dot(v, (3 * eye - np.dot(v.T, v)) / 2)
+        # The refinement step; gap[i, j] = l_j - l_i.
+        r = eye - np.dot(v.T, v)
+        s = np.dot(np.dot(v.T, a), v)
+        lam = s.diagonal() / (1 - r.diagonal())
+        delta = 2 * (_frobenius(s - np.diag(lam)) + norm * _frobenius(r))
+        e = r / 2
+        gap = lam - lam[:, None]
+        far = np.abs(gap) > delta
+        e[far] = (s + lam * r)[far] / gap[far]
+        v = v + np.dot(v, e)
+        # The step leaves V^T V = I - E^T E + ..., so a pair divided just
+        # outside delta can leave V far from orthogonal.  Each Newton-Schulz
+        # step squares the defect ||I - V^T V||_F: stop after the step that
+        # started from a defect whose square is below eps.
+        defect = np.inf
+        while defect * defect > eps:
+            gram = np.dot(v.T, v)
+            v = np.dot(v, (3 * eye - gram) / 2)
+            previous, defect = defect, _frobenius(eye - gram)
+            if not defect < previous:
+                raise EigensolveError(f"Newton-Schulz orthogonalization diverged: defect {float(defect):g}")
         a = np.dot(np.dot(v.T, a), v)
         a = (a + a.T) / 2
     one = dtype.type(1)
@@ -151,15 +189,8 @@ def jacobi_eigh(m: np.ndarray, rel_tol: float | None = None, max_sweeps: int = _
                 if not k.size:
                     continue
                 p, q, apq = p[k], q[k], apq[k]
-            if p.size == 1:
-                # One pair (most rounds on axial matrices): scalar angle
-                # and scalar stores into J, several times cheaper than the
-                # same arithmetic on one-element arrays.
-                p, q = p[0], q[0]
-                c, s = _rotation(a[p, p], a[q, q], apq[0], one)
-            else:
-                d = a.diagonal()
-                c, s = _rotation(d[p], d[q], apq, one)
+            d = a.diagonal()
+            c, s = _rotation(d[p], d[q], apq, one)
             j = eye.copy()
             j[p, p] = c
             j[q, q] = c

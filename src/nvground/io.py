@@ -20,6 +20,7 @@ from .spin_core import IsotopeSpec
 
 MEASUREMENT_HEADER = "temperature_K,transition,freq_khz,sigma_khz"
 TRACE_HEADER = "tau_s,signal"
+NOISE_SIGMA_PREFIX = "# noise_sigma="
 
 
 class ConfigError(ValueError):
@@ -83,22 +84,32 @@ def read_measurements(path: str | Path, iso: IsotopeSpec) -> list[MeasurementSet
 
 
 def write_trace(path: str | Path, trace: RamseyTrace) -> None:
-    lines = [TRACE_HEADER]
+    lines = [TRACE_HEADER, f"{NOISE_SIGMA_PREFIX}{fmt_g(trace.noise_sigma)}"]
     for t, s in zip(trace.times, trace.signal):
         lines.append(f"{fmt_g(t)},{fmt_g(s)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_trace(path: str | Path) -> RamseyTrace:
+    """Parse a trace CSV; ``#`` lines are comments, except that one
+    ``# noise_sigma=<value>`` line sets ``noise_sigma`` (0.0 without it)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read trace file: {err}") from err
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != TRACE_HEADER:
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    noise = [ln[len(NOISE_SIGMA_PREFIX):] for _, ln in lines if ln.startswith(NOISE_SIGMA_PREFIX)]
+    lines = [(n, ln) for n, ln in lines if not ln.startswith("#")]
+    if not lines or lines[0][1] != TRACE_HEADER:
         raise ConfigError(f"trace file must start with header {TRACE_HEADER!r}")
+    if len(noise) > 1:
+        raise ConfigError("trace file gives noise_sigma more than once")
+    try:
+        noise_sigma = float(noise[0]) if noise else 0.0
+    except ValueError as err:
+        raise ConfigError(f"bad noise_sigma: {err}") from err
     times, signal = [], []
-    for n, line in enumerate(lines[1:], start=2):
+    for n, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 2:
             raise ConfigError(f"line {n}: expected 2 comma-separated fields")
@@ -108,7 +119,7 @@ def read_trace(path: str | Path) -> RamseyTrace:
         except ValueError as err:
             raise ConfigError(f"line {n}: {err}") from err
     try:
-        return RamseyTrace(times=np.array(times), signal=np.array(signal))
+        return RamseyTrace(times=np.array(times), signal=np.array(signal), noise_sigma=noise_sigma)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 

@@ -215,6 +215,11 @@ def bad_inputs(tmp_path):
     (tmp_path / "one_row.csv").write_text("tau_s,signal\n0,1\n")
     (tmp_path / "header_only.csv").write_text("tau_s,signal\n")
     (tmp_path / "nan_tau.csv").write_text("tau_s,signal\n0,1\nnan,0.5\n2e-5,0.2\n3e-5,0.9\n")
+    rows = "".join(f"{t:.17g},{s:.17g}\n" for t, s in zip(trace.times, trace.signal))
+    for name, sigma in (("word_sigma.csv", "abc"), ("nan_sigma.csv", "nan"),
+                        ("negative_sigma.csv", "-0.02")):
+        (tmp_path / name).write_text(f"tau_s,signal\n# noise_sigma={sigma}\n{rows}")
+    (tmp_path / "two_sigmas.csv").write_text(f"tau_s,signal\n# noise_sigma=0\n# noise_sigma=0\n{rows}")
     return tmp_path
 
 
@@ -345,6 +350,13 @@ MISSING = {
          3, "T = 77.0 K: labeling failed at trial point {'d': 2870280.0, "),
         (["ramsey-fit", "--trace-in", "{dir}/huge_trace.csv", "--f-rf-khz", "100"], 4, ""),
         (["ramsey-fit", "--trace-in", "{dir}/flat.csv", "--f-rf-khz", "100"], 2, ""),
+        *((["ramsey-fit", "--trace-in", f"{{dir}}/{name}", "--f-rf-khz", "100"], 2, names)
+          for name, names in (
+              ("word_sigma.csv", "bad noise_sigma: could not convert string to float: 'abc'"),
+              ("nan_sigma.csv", "noise_sigma must be finite and >= 0, not nan"),
+              ("negative_sigma.csv", "noise_sigma must be finite and >= 0, not -0.02"),
+              ("two_sigmas.csv", "trace file gives noise_sigma more than once"),
+          )),
         (["ramsey", *PRESET, "--bz", "470"], 2, "the following arguments are required: --isotope"),
         (["angular-scan", "--isotope", "n15", *PRESET, "--bz", "0"], 2, ""),
         (["angular-scan", "--isotope", "n14", *PRESET, "--bz", "0"], 3, ""),
@@ -359,6 +371,7 @@ MISSING = {
     ids=[
         "no-source", "unknown-preset", "gslac", "underdetermined-fit", "missing-file",
         "huge-f1", "cold-huge-f1", "gslac-fit-guess", "huge-trace", "flat-trace",
+        "word-noise-sigma", "nan-noise-sigma", "negative-noise-sigma", "two-noise-sigmas",
         "ramsey-no-isotope", "n15-zero-field", "n14-zero-field", "wide-angle", "tripwire",
         "perturb-gslac", "empty-grid", "fit-every-parameter-fixed", *REFUSED, *MISSING,
     ],
@@ -619,6 +632,28 @@ def test_ramsey_trace_file_roundtrip(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["delta_fit_khz"] == pytest.approx(4.0, abs=1e-3)
+
+
+def test_ramsey_trace_file_keeps_noise_sigma(tmp_path, capsys):
+    # The trace file carries the trace's noise_sigma; a file without the
+    # line reads as 0.0, and other comment lines are skipped.
+    trace_path = tmp_path / "trace.csv"
+    argv = [*RAMSEY, "--bz", "470", "--noise-sigma", "0.02", "--trace-out", str(trace_path)]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    lines = trace_path.read_text(encoding="utf-8").splitlines()
+    assert lines[:2] == ["tau_s,signal", "# noise_sigma=0.02"]
+    assert read_trace(trace_path).noise_sigma == 0.02
+    f_rf = json.loads(out)["f_rf_khz"]
+    code, fit = run(capsys, "ramsey-fit", "--trace-in", str(trace_path), "--f-rf-khz", str(f_rf))
+    assert code == 0
+    # The file holds 12 significant digits, so the refit moves by about 1e-9 kHz.
+    assert json.loads(fit)["delta_fit_khz"] == pytest.approx(json.loads(out)["delta_fit_khz"], abs=1e-6)
+    bare = tmp_path / "bare.csv"
+    bare.write_text("\n".join(["# written by hand", lines[0], "# no noise_sigma", *lines[2:]]))
+    back = read_trace(bare)
+    assert back.noise_sigma == 0.0
+    assert np.array_equal(back.signal, read_trace(trace_path).signal)
 
 
 def test_ramsey_trace_in_needs_no_isotope(tmp_path, capsys):

@@ -259,6 +259,85 @@ def test_longdouble_jacobi_on_nv_hamiltonians(iso, temp, bz, bx):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @nv_points
+def test_longdouble_refinement_needs_no_sweep(iso, temp, bz, bx):
+    # No two levels of these matrices lie within the refinement's cluster
+    # radius, so the refined basis is already converged.
+    h = build_hamiltonian(params_at(iso, temp), FieldConfig(bz=bz, bx=bx), iso, dtype=np.longdouble)
+    for got, want in zip(jacobi_eigh(h, max_sweeps=0), jacobi_eigh(h)):
+        assert np.array_equal(got, want)
+
+
+def _hadamard_similar(d):
+    # H diag(d) H with H the 4x4 Hadamard matrix / 2: H is orthogonal and
+    # symmetric with entries +-1/2, so every product is exact and the
+    # eigenvalues are exactly d.
+    h2 = np.array([[1, 1], [1, -1]], dtype=np.longdouble)
+    h = np.kron(h2, h2) / 2
+    a = np.dot(np.dot(h, np.diag(d)), h)
+    assert np.array_equal(np.dot(np.dot(h, a), h), np.diag(d))
+    return a
+
+
+def _check_longdouble_solution(a, d):
+    values, vectors = jacobi_eigh(a)
+    assert np.max(np.abs(a @ vectors - vectors * values)) <= 1e-17
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(len(d)))) <= 1e-17
+    assert np.max(np.abs(values - np.sort(d))) <= 1e-18
+    reference = np.linalg.eigvalsh(a.astype(np.float64))
+    assert np.allclose(values.astype(np.float64), reference, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("split", [-50, -46])
+def test_longdouble_degenerate_and_nearly_split_pairs(split):
+    # An exactly degenerate pair, and a pair split by 2**-50 (inside the
+    # refinement's cluster radius, about 2e-15 here, so the sweeps finish
+    # it) or by 2**-46 (just outside: the refinement divides by the gap,
+    # and one Newton-Schulz step does not make the basis orthogonal).
+    d = np.array([0.5, 0.5, 1, 1], dtype=np.longdouble)
+    d[3] += np.ldexp(np.longdouble(1), split)
+    a = _hadamard_similar(d)
+    _check_longdouble_solution(a, d)
+    if split == -50:
+        with pytest.raises(EigensolveError, match="sweep cap"):
+            jacobi_eigh(a, max_sweeps=0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("split", [-53, -56, -60])
+def test_longdouble_pairs_inside_the_cluster_radius(seed, split):
+    # Q diag(d) Q^T for a random orthogonal Q: LAPACK's basis of each
+    # near-degenerate pair is an arbitrary rotation, so dividing by the
+    # pair's gap (2**-53 to 2**-60, below the cluster radius) would
+    # wreck it; the refinement must leave such pairs to the sweeps.
+    d = np.array([-0.75, 0.5, 0.5, 1, 1, 0.25], dtype=np.longdouble)
+    d[4] += np.ldexp(np.longdouble(1), split)
+    rng = np.random.default_rng(seed)
+    q = np.eye(6, dtype=np.longdouble)
+    for _ in range(3):
+        v = rng.standard_normal(6).astype(np.longdouble)
+        q = q - 2 * np.outer(np.dot(q, v), v) / np.dot(v, v)
+    a = np.dot(np.dot(q, np.diag(d)), q.T)
+    _check_longdouble_solution((a + a.T) / 2, d)
+
+
+def test_longdouble_seed_is_made_orthogonal_or_refused(monkeypatch):
+    # Newton-Schulz steps repeat until the basis is orthogonal to the
+    # dtype's precision, and a seed they cannot make orthogonal is refused.
+    a = random_symmetric(np.random.default_rng(6), n=5).astype(np.longdouble)
+    lapack = np.linalg.eigh
+    for scale, converges in ((1.05, True), (3.0, False)):
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (None, scale * lapack(m)[1]))
+        if converges:
+            values, vectors = jacobi_eigh(a)
+            assert np.max(np.abs(vectors.T @ vectors - np.eye(5))) <= 1e-17
+            assert np.max(np.abs(a @ vectors - vectors * values)) <= 1e-17 * np.max(np.abs(a))
+        else:
+            with pytest.raises(EigensolveError, match="Newton-Schulz"):
+                jacobi_eigh(a)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@nv_points
 def test_longdouble_jacobi_seed_needs_one_sweep(iso, temp, bz, bx):
     # The float64 LAPACK start is accurate to float64, and one sweep takes
     # it to longdouble precision.
