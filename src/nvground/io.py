@@ -60,13 +60,14 @@ def read_measurements(path: str | Path, iso: IsotopeSpec) -> list[MeasurementSet
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read measurement file: {err}") from err
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != MEASUREMENT_HEADER:
+    numbered = enumerate(text.splitlines(), start=1)
+    lines = [(n, ln.strip()) for n, ln in numbered if ln.strip() and not ln.startswith("#")]
+    if not lines or lines[0][1] != MEASUREMENT_HEADER:
         raise ConfigError(
             f"measurement file must start with header {MEASUREMENT_HEADER!r}"
         )
     sets: dict[float, MeasurementSet] = {}
-    for n, line in enumerate(lines[1:], start=2):
+    for n, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 4:
             raise ConfigError(f"line {n}: expected 4 comma-separated fields")

@@ -727,6 +727,12 @@ def test_measurement_csv_rejects_bad_rows(tmp_path):
     )
     with pytest.raises(ValueError, match="^line 4: f1 is listed twice at 297.0 K$"):
         read_measurements(path, N14)
+    # Comment and blank lines count: errors name the file's line.
+    path.write_text(
+        "temperature_K,transition,freq_khz,sigma_khz\n297,f1,5.0,0.1\n# comment\n\n297,f77,5.0,0.1\n"
+    )
+    with pytest.raises(ValueError, match="^line 5: unknown transition 'f77' for N14$"):
+        read_measurements(path, N14)
     path.write_text("wrong,header\n")
     with pytest.raises(ValueError):
         read_measurements(path, N14)

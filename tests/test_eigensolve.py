@@ -1,11 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvground import eigensolve
 from nvground.eigensolve import EigensolveError, _eigh, eigh, jacobi_eigh
 from nvground.presets import params_at
 from nvground.spin_core import N14, N15, FieldConfig, build_hamiltonian
+
+LAPACK_EIGH = np.linalg.eigh
 
 
 def random_symmetric(rng, n=9, scale=1e6):
@@ -112,9 +117,10 @@ def nv_stack(dtype):
     return np.array([build_hamiltonian(params_at(N14), f, N14, dtype=dtype) for f in fields])
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble, np.float32])
 def test_stack_matches_each_matrix(dtype):
-    # The exchange matrix's eigenvectors tie in magnitude.
+    # The exchange matrix's eigenvectors tie in magnitude.  float32 goes to
+    # jacobi_eigh, like longdouble.
     h = nv_stack(dtype)
     exchange = np.array([[[0.0, 1.0], [1.0, 0.0]]] * 2, dtype=dtype)
     for stack in (h, h[:1], h.reshape(1, 3, 9, 9), exchange):
@@ -167,25 +173,48 @@ def test_jacobi_takes_one_matrix():
         eigh(np.zeros((2, 2, 3), dtype=np.longdouble))
 
 
-def test_jacobi_sweep_cap_raises():
-    a = random_symmetric(np.random.default_rng(0), n=6)
-    with pytest.raises(EigensolveError):
-        jacobi_eigh(a, max_sweeps=1, rel_tol=1e-18)
+def _check_eigenpairs(a, values, vectors, scale):
+    # Residual and orthogonality to longdouble precision, values ascending.
+    assert np.max(np.abs(a @ vectors - vectors * values)) <= 1e-17 * scale
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(a.shape[0]))) <= 1e-17
+    assert np.all(np.diff(values) >= 0)
 
 
-def test_jacobi_converged_by_the_last_allowed_sweep():
-    # One rotation diagonalizes a 2x2 matrix: convergence is checked
-    # after the final sweep too, not only before each one.
-    values, vectors = jacobi_eigh(np.array([[1.0, 1e-3], [1e-3, 2.0]]), max_sweeps=1)
-    assert np.allclose(values, np.linalg.eigvalsh([[1.0, 1e-3], [1e-3, 2.0]]), rtol=0, atol=1e-15)
-    values, vectors = jacobi_eigh(np.diag([2.0, 1.0, 3.0]), max_sweeps=0)
-    assert values.tolist() == [1.0, 2.0, 3.0]
-    assert np.array_equal(vectors, np.eye(3)[:, [1, 0, 2]])
+def _counted_lapack_calls(monkeypatch):
+    """The shapes of the matrices np.linalg.eigh is given from now on."""
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or LAPACK_EIGH(m))
+    return calls
+
+
+def _scale_the_seed(monkeypatch, scale):
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (None, scale * LAPACK_EIGH(m)[1]))
+
+
+def test_jacobi_sweep_cap_raises(monkeypatch):
+    # A seed scaled by 1.05 takes two refinement steps, so a cap of one step
+    # is refused.
+    a = random_symmetric(np.random.default_rng(6), n=5).astype(np.longdouble)
+    _scale_the_seed(monkeypatch, 1.05)
+    monkeypatch.setattr(eigensolve, "_MAX_STEPS", 1)
+    with pytest.raises(EigensolveError, match="not converged in 1 steps"):
+        jacobi_eigh(a)
+
+
+def test_jacobi_converged_by_the_last_allowed_sweep(monkeypatch):
+    # The same seed with a cap of two steps: convergence is checked after
+    # the last allowed step too, not only before each one.
+    a = random_symmetric(np.random.default_rng(6), n=5).astype(np.longdouble)
+    _scale_the_seed(monkeypatch, 1.05)
+    monkeypatch.setattr(eigensolve, "_MAX_STEPS", 2)
+    values, vectors = jacobi_eigh(a)
+    _check_eigenpairs(a, values, vectors, np.max(np.abs(a)))
 
 
 def test_jacobi_zero_pairs_are_exact_no_ops():
-    # Block-diagonal input: rotations inside one block leave the other
-    # block's entries and eigenvectors untouched, bit for bit.
+    # Block-diagonal input: LAPACK's seed keeps the blocks' exact zeros, and
+    # the refinement multiplies them into exact zeros, so the diagonal
+    # block's eigenvectors stay unit vectors, bit for bit.
     a = np.zeros((5, 5), dtype=np.longdouble)
     a[:3, :3] = random_symmetric(np.random.default_rng(2), n=3)
     a[3:, 3:] = [[4.0, 0.0], [0.0, -1.0]]
@@ -193,15 +222,6 @@ def test_jacobi_zero_pairs_are_exact_no_ops():
     assert {-1.0, 4.0} <= set(values.tolist())
     assert np.array_equal(vectors[3:, :][:, values == 4.0].ravel(), [1.0, 0.0])
     assert np.array_equal(vectors[:3, :][:, values == 4.0].ravel(), [0.0, 0.0, 0.0])
-
-
-def test_jacobi_refuses_bad_controls():
-    a = random_symmetric(np.random.default_rng(1), n=4)
-    for rel_tol in (np.nan, np.inf, 0.0, -1.0):
-        with pytest.raises(ValueError, match="rel_tol"):
-            jacobi_eigh(a, rel_tol=rel_tol)
-    with pytest.raises(ValueError, match="max_sweeps"):
-        jacobi_eigh(a, max_sweeps=-1)
 
 
 @pytest.mark.parametrize(
@@ -245,26 +265,59 @@ nv_points = given(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @nv_points
 def test_longdouble_jacobi_on_nv_hamiltonians(iso, temp, bz, bx):
+    # One refinement step converges, with no cluster to re-solve: LAPACK's
+    # seed is the only np.linalg.eigh call.
     h = build_hamiltonian(params_at(iso, temp), FieldConfig(bz=bz, bx=bx), iso, dtype=np.longdouble)
-    values, vectors = jacobi_eigh(h)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(eigensolve, "_MAX_STEPS", 1)
+        calls = _counted_lapack_calls(monkeypatch)
+        values, vectors = jacobi_eigh(h)
+    assert calls == [h.shape]
     scale = np.max(np.abs(h))
-    assert np.max(np.abs(h @ vectors - vectors * values)) <= 1e-17 * scale
-    assert np.max(np.abs(vectors.T @ vectors - np.eye(h.shape[0]))) <= 1e-17
-    assert np.all(np.diff(values) >= 0)
+    _check_eigenpairs(h, values, vectors, scale)
     reference = np.linalg.eigvalsh(h.astype(np.float64))
     assert np.allclose(values.astype(np.float64), reference, rtol=0, atol=1e-12 * scale)
-    # Four sweeps always suffice on these matrices.
-    assert np.array_equal(jacobi_eigh(h, max_sweeps=4)[0], values)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@nv_points
-def test_longdouble_refinement_needs_no_sweep(iso, temp, bz, bx):
+def nv_corners():
+    """Longdouble H at every corner of nv_points' ranges."""
+    for iso, temp, bz, bx in itertools.product([N14, N15], [77.0, 400.0], [0.5, 2000.0], [0.0, 5.0]):
+        yield build_hamiltonian(params_at(iso, temp), FieldConfig(bz=bz, bx=bx), iso, dtype=np.longdouble)
+
+
+def test_longdouble_refinement_needs_no_sweep(monkeypatch):
     # No two levels of these matrices lie within the refinement's cluster
-    # radius, so the refined basis is already converged.
-    h = build_hamiltonian(params_at(iso, temp), FieldConfig(bz=bz, bx=bx), iso, dtype=np.longdouble)
-    for got, want in zip(jacobi_eigh(h, max_sweeps=0), jacobi_eigh(h)):
-        assert np.array_equal(got, want)
+    # radius, so no cluster block is re-solved: LAPACK's seed is the only
+    # np.linalg.eigh call.
+    calls = _counted_lapack_calls(monkeypatch)
+    for h in nv_corners():
+        calls.clear()
+        jacobi_eigh(h)
+        assert calls == [h.shape]
+
+
+def test_longdouble_jacobi_seed_needs_one_sweep(monkeypatch):
+    # The float64 LAPACK start is accurate to float64, and one refinement
+    # step takes it to longdouble precision: a cap of one step gives the
+    # same bits as the default cap.
+    for h in nv_corners():
+        want = jacobi_eigh(h)
+        with monkeypatch.context() as m:
+            m.setattr(eigensolve, "_MAX_STEPS", 1)
+            got = jacobi_eigh(h)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("iso", [N14, N15], ids=["n14", "n15"])
+def test_longdouble_nv_hamiltonians_at_zero_field(monkeypatch, iso):
+    # B_z = 0 leaves three exactly degenerate pairs, each re-solved as a
+    # cluster.
+    h = build_hamiltonian(params_at(iso), FieldConfig(bz=0.0), iso, dtype=np.longdouble)
+    calls = _counted_lapack_calls(monkeypatch)
+    values, vectors = jacobi_eigh(h)
+    assert calls == [h.shape] + [(2, 2)] * 3
+    _check_eigenpairs(h, values, vectors, np.max(np.abs(h)))
 
 
 def _hadamard_similar(d):
@@ -280,26 +333,25 @@ def _hadamard_similar(d):
 
 def _check_longdouble_solution(a, d):
     values, vectors = jacobi_eigh(a)
-    assert np.max(np.abs(a @ vectors - vectors * values)) <= 1e-17
-    assert np.max(np.abs(vectors.T @ vectors - np.eye(len(d)))) <= 1e-17
+    _check_eigenpairs(a, values, vectors, 1)
     assert np.max(np.abs(values - np.sort(d))) <= 1e-18
     reference = np.linalg.eigvalsh(a.astype(np.float64))
     assert np.allclose(values.astype(np.float64), reference, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("split", [-50, -46])
-def test_longdouble_degenerate_and_nearly_split_pairs(split):
+def test_longdouble_degenerate_and_nearly_split_pairs(monkeypatch, split):
     # An exactly degenerate pair, and a pair split by 2**-50 (inside the
-    # refinement's cluster radius, about 2e-15 here, so the sweeps finish
-    # it) or by 2**-46 (just outside: the refinement divides by the gap,
-    # and one Newton-Schulz step does not make the basis orthogonal).
+    # refinement's cluster radius, about 2e-15 here) or by 2**-46 (just
+    # outside: the refinement divides by the gap, and one Newton-Schulz step
+    # does not make the basis orthogonal).  Each pair inside the radius has
+    # its 2x2 block re-solved.
     d = np.array([0.5, 0.5, 1, 1], dtype=np.longdouble)
     d[3] += np.ldexp(np.longdouble(1), split)
     a = _hadamard_similar(d)
+    calls = _counted_lapack_calls(monkeypatch)
     _check_longdouble_solution(a, d)
-    if split == -50:
-        with pytest.raises(EigensolveError, match="sweep cap"):
-            jacobi_eigh(a, max_sweeps=0)
+    assert calls == [(4, 4)] + [(2, 2)] * (2 if split == -50 else 1)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -308,7 +360,7 @@ def test_longdouble_pairs_inside_the_cluster_radius(seed, split):
     # Q diag(d) Q^T for a random orthogonal Q: LAPACK's basis of each
     # near-degenerate pair is an arbitrary rotation, so dividing by the
     # pair's gap (2**-53 to 2**-60, below the cluster radius) would
-    # wreck it; the refinement must leave such pairs to the sweeps.
+    # wreck it; the refinement must leave such pairs to the cluster re-solve.
     d = np.array([-0.75, 0.5, 0.5, 1, 1, 0.25], dtype=np.longdouble)
     d[4] += np.ldexp(np.longdouble(1), split)
     rng = np.random.default_rng(seed)
@@ -324,9 +376,8 @@ def test_longdouble_seed_is_made_orthogonal_or_refused(monkeypatch):
     # Newton-Schulz steps repeat until the basis is orthogonal to the
     # dtype's precision, and a seed they cannot make orthogonal is refused.
     a = random_symmetric(np.random.default_rng(6), n=5).astype(np.longdouble)
-    lapack = np.linalg.eigh
     for scale, converges in ((1.05, True), (3.0, False)):
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: (None, scale * lapack(m)[1]))
+        _scale_the_seed(monkeypatch, scale)
         if converges:
             values, vectors = jacobi_eigh(a)
             assert np.max(np.abs(vectors.T @ vectors - np.eye(5))) <= 1e-17
@@ -334,15 +385,6 @@ def test_longdouble_seed_is_made_orthogonal_or_refused(monkeypatch):
         else:
             with pytest.raises(EigensolveError, match="Newton-Schulz"):
                 jacobi_eigh(a)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@nv_points
-def test_longdouble_jacobi_seed_needs_one_sweep(iso, temp, bz, bx):
-    # The float64 LAPACK start is accurate to float64, and one sweep takes
-    # it to longdouble precision.
-    h = build_hamiltonian(params_at(iso, temp), FieldConfig(bz=bz, bx=bx), iso, dtype=np.longdouble)
-    assert np.array_equal(jacobi_eigh(h, max_sweeps=1)[0], jacobi_eigh(h)[0])
 
 
 def test_zero_matrix():

@@ -36,3 +36,40 @@ def test_imports_stay_numpy_only():
         if name in ("scipy", "mpmath")
     ]
     assert not found, "\n".join(f"{p.relative_to(ROOT)}:{line} imports {n}" for p, line, n in found)
+
+
+def defined_privates(tree: ast.Module):
+    """(line, name) of each single-underscore name a module binds at top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((node.lineno, n) for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def test_every_private_name_is_used():
+    # Dead-code guard: each module-level private function, class or constant
+    # of the package is read somewhere in src/, as a name or an attribute.
+    # Tests do not count: a helper only a test calls is not program code.
+    sources = sorted((ROOT / "src" / "nvground").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sources}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unused = [
+        (path, line, name)
+        for path, tree in trees.items()
+        for line, name in defined_privates(tree)
+        if name not in read
+    ]
+    assert sources and not unused, "\n".join(
+        f"{p.relative_to(ROOT)}:{line} defines {n}, which src/ never reads" for p, line, n in unused
+    )
