@@ -206,17 +206,11 @@ def _jacobian(vec: ParamVector, iso: IsotopeSpec, labels) -> tuple[np.ndarray, n
 # rules.  In the whitened coordinates z (sigma units, see the module
 # docstring; the first simplex steps _ZERO_STEP = 1e-3 sigma from z = 0) a
 # step of sqrt(floor) = 1e-4 sigma moves the chi^2 by about the floor, so
-# that is the finest extent (tol_x) the objective can tell apart; tol_f and
-# the restart tolerance, 10 floors = 1e-7, stay above the jitter.  Both
-# values are exact in float64.
+# that is the finest extent (tol_x) the objective can tell apart; tol_f,
+# 10 floors = 1e-7, stays above the jitter.  Both values are exact in
+# float64.
 CHI2_NOISE_FLOOR = 1e-8
 _FIT_TOLERANCES = dict(tol_f=10 * CHI2_NOISE_FLOOR, tol_x=math.sqrt(CHI2_NOISE_FLOOR))
-
-# The simplex is rebuilt at the current best vertex and rerun until a
-# converged run improves the objective by no more than _RESTART_RTOL; a
-# fresh full-rank simplex reliably unsticks degenerate collapses.
-MAX_RESTARTS = 5
-_RESTART_RTOL = 10 * CHI2_NOISE_FLOOR
 
 # A direction whose singular value is below _FLAT_RTOL of the largest is
 # one the lines do not resolve (gamma_e_bx at Bx = 0, where the spectrum is
@@ -308,32 +302,16 @@ def extract_params(
             raise labeling_failed(x, err) from err
         return chi2(model)
 
-    start = np.zeros(len(free))
-    iterations = evals = 0
-    result = None
-    previous_f = None
-    for _ in range(1 + MAX_RESTARTS):
-        try:
-            result = nelder_mead(objective, start, **_FIT_TOLERANCES)
-        except NonFiniteObjectiveError as err:
-            point = origin + basis @ err.point
-            raise at_temperature(NonFiniteObjectiveError(point, err.value)) from None
-        except AmbiguousLabelingError as err:
-            raise at_temperature(err)
-        iterations += result.iterations
-        evals += result.n_evals
-        start = result.x_min
-        done = (
-            result.converged
-            and previous_f is not None
-            and previous_f - result.f_min <= _RESTART_RTOL * max(1.0, abs(previous_f))
-        )
-        if done:
-            break
-        previous_f = result.f_min
-    if not (result.converged and done):
+    try:
+        result = nelder_mead(objective, np.zeros(len(free)), **_FIT_TOLERANCES)
+    except NonFiniteObjectiveError as err:
+        point = origin + basis @ err.point
+        raise at_temperature(NonFiniteObjectiveError(point, err.value)) from None
+    except AmbiguousLabelingError as err:
+        raise at_temperature(err)
+    if not result.converged:
         raise FitConvergenceError(
-            f"fit at T = {ms.temperature} K did not converge in {iterations} iterations"
+            f"fit at T = {ms.temperature} K did not converge in {result.iterations} iterations"
         )
     best = trial(result.x_min)
     model = dict(zip(labels, model_frequencies(best, ms.isotope, labels)))
@@ -343,8 +321,8 @@ def extract_params(
         objective=result.f_min,
         residuals=residuals,
         converged=result.converged,
-        iterations=iterations,
-        n_evals=evals,
+        iterations=result.iterations,
+        n_evals=result.n_evals,
     )
 
 

@@ -60,8 +60,8 @@ def read_measurements(path: str | Path, iso: IsotopeSpec) -> list[MeasurementSet
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read measurement file: {err}") from err
-    numbered = enumerate(text.splitlines(), start=1)
-    lines = [(n, ln.strip()) for n, ln in numbered if ln.strip() and not ln.startswith("#")]
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(n, ln) for n, ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0][1] != MEASUREMENT_HEADER:
         raise ConfigError(
             f"measurement file must start with header {MEASUREMENT_HEADER!r}"

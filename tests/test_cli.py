@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nvground
-from nvground import cli
+from nvground import cli, optimize
 from nvground.cli import build_parser, main
 from nvground.extraction import PARAM_FIELDS, ParamVector, extract_params, transition_table
 from nvground.io import (
@@ -387,6 +387,15 @@ def test_failures_end_in_one_error_line(bad_inputs, capsys, argv, code, names):
     assert not (bad_inputs / "never.csv").exists()
 
 
+def test_unconverged_fit_ends_in_one_error_line(bad_inputs, capsys, monkeypatch):
+    # A simplex that runs out of iterations is a fit failure (exit 4) that
+    # names its temperature.
+    monkeypatch.setattr(optimize, "_MAX_ITER", 5)
+    assert main([*FIT, str(bad_inputs / "cold.csv")]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: fit at T = 77.0 K did not converge in 5 iterations\n"
+
+
 @pytest.fixture(scope="module")
 def report_inputs(tmp_path_factory):
     """A noiseless N14 series (one and five temperatures) and a Ramsey trace."""
@@ -732,6 +741,12 @@ def test_measurement_csv_rejects_bad_rows(tmp_path):
         "temperature_K,transition,freq_khz,sigma_khz\n297,f1,5.0,0.1\n# comment\n\n297,f77,5.0,0.1\n"
     )
     with pytest.raises(ValueError, match="^line 5: unknown transition 'f77' for N14$"):
+        read_measurements(path, N14)
+    # An indented comment is a comment, as in a trace file.
+    path.write_text(
+        "temperature_K,transition,freq_khz,sigma_khz\n297,f1,5.0,0.1\n  # comment\n297,f77,5.0,0.1\n"
+    )
+    with pytest.raises(ValueError, match="^line 4: unknown transition 'f77' for N14$"):
         read_measurements(path, N14)
     path.write_text("wrong,header\n")
     with pytest.raises(ValueError):

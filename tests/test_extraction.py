@@ -23,7 +23,7 @@ from nvground.extraction import (
     _coefficient_row,
     _jacobian,
 )
-from nvground.optimize import PolynomialModel
+from nvground.optimize import FitConvergenceError, PolynomialModel, weighted_objective
 from nvground.presets import (
     GAMMA_RATIO_N14,
     MW_SIGMA_KHZ,
@@ -32,7 +32,7 @@ from nvground.presets import (
     params_at,
     thermal_presets,
 )
-from nvground import extraction
+from nvground import extraction, optimize
 from nvground.spin_core import GAMMA_E_KHZ_PER_G, N14, N15, FieldConfig, _coefficients
 from nvground.transitions import LINES, AmbiguousLabelingError, known_labels, transition_set
 
@@ -146,6 +146,56 @@ def test_fit_residuals_consistent_with_objective():
     # forward model reproduces measurements within a few sigma
     for e in ms.entries:
         assert abs(fit.residuals[e.label]) < 3 * e.sigma_khz
+
+
+# A noisy N14 set at T = 80.93 K, Bz = 479.083 G (kHz, sigma) whose chi^2
+# keeps sinking by about 5e-5 relative with every fresh simplex built at the
+# best vertex, so a fit that reruns the simplex until chi^2 stops falling
+# never ends; one converged run is the fit.
+PLATEAU_T_K, PLATEAU_BZ_G = 80.93, 479.083
+PLATEAU_ENTRIES = (
+    ("f1", 5091.160106, 0.01),
+    ("f2", 4799.35271, 0.01),
+    ("f3", 2905.192126, 0.08),
+    ("f4", 6996.425863, 0.08),
+    ("f5", 7288.09674, 0.08),
+    ("f6", 2610.323519, 0.08),
+    ("fplus_+1", 4217664.724813, 2.0),
+    ("fminus_+1", 1536025.17884, 2.0),
+)
+
+
+def test_plateau_fit_returns_below_the_truth():
+    entries = tuple(MeasurementEntry(*e) for e in PLATEAU_ENTRIES)
+    ms = MeasurementSet(PLATEAU_T_K, N14, entries)
+    fit = extract_params(ms, truth_vector(N14), fixed=("gamma_e_bx",))
+    labels = [e.label for e in entries]
+    measured, sigmas = (np.array([e[i] for e in PLATEAU_ENTRIES]) for i in (1, 2))
+    truth = truth_vector(N14, PLATEAU_T_K, PLATEAU_BZ_G).as_array()
+    chi2_truth = weighted_objective(measured, sigmas)(model_frequencies(truth, N14, labels))
+    assert fit.objective <= chi2_truth
+
+
+@pytest.mark.parametrize("iso", [N14, N15], ids=["N14", "N15"])
+def test_one_simplex_run_per_fit(monkeypatch, iso):
+    runs, real = [], extraction.nelder_mead
+
+    def spy(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(extraction, "nelder_mead", spy)
+    ms = synthetic_set(iso, noise=1.0, seed=3)
+    fit = extract_params(ms, truth_vector(iso), fixed=("gamma_e_bx",))
+    assert len(runs) == 1
+    assert (fit.iterations, fit.n_evals) == (runs[0].iterations, runs[0].n_evals)
+
+
+def test_unconverged_fit_names_its_temperature(monkeypatch):
+    monkeypatch.setattr(optimize, "_MAX_ITER", 5)
+    message = r"^fit at T = 297\.0 K did not converge in 5 iterations$"
+    with pytest.raises(FitConvergenceError, match=message):
+        extract_params(synthetic_set(N14), perturbed(truth_vector(N14)))
 
 
 def test_underdetermined_fit_rejected():
