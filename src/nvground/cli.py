@@ -134,7 +134,7 @@ def _fit_record(temperature: float, fit) -> dict:
         "params": {name: round(float(getattr(vec, name)), 6) for name in vec.fields()},
         "objective": float(fit.objective),
         "residuals_khz": {k: round(v, 6) for k, v in fit.residuals.items()},
-        "converged": fit.converged,
+        "unresolved": list(fit.unresolved),
         "iterations": fit.iterations,
         "n_evals": fit.n_evals,
     }
@@ -177,6 +177,8 @@ def cmd_fit(args) -> int:
     if args.thermal:
         payload["thermal"] = _thermal_summary(extraction.thermal_models(series))
     lines = ["temperature_K,param,value"]
+    held = [n for n in guess.fields() if any(n in fit.unresolved for _, fit in series)]
+    lines += [f"# unresolved={','.join(held)}"] if held else []
     for rec in payload["results"]:
         for name, value in rec["params"].items():
             lines.append(f"{fmt_g(rec['temperature_K'])},{name},{fmt_g(value)}")

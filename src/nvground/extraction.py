@@ -9,11 +9,12 @@ units appear only at reporting time.
 
 The simplex runs in whitened coordinates.  One Jacobian of the
 sigma-weighted lines at the guess (Hellmann-Feynman, from the guess's own
-diagonalization) is taken apart by its SVD J = U S V^T; the origin moves
-to the Gauss-Newton point x_gn = x0 - V S^-1 U^T r0, and the simplex
-searches z with x = x_gn + V S^-1 z.  A unit of z then moves the chi^2 by
-about one, so every direction is in sigma units, where the raw kHz
-coordinates differ in scale by up to 1e5.
+diagonalization) is taken apart by its SVD J = U S V^T over the directions
+the lines resolve (_FLAT_RTOL); the origin moves to the Gauss-Newton point
+x_gn = x0 - V S^-1 U^T r0, and the simplex searches z with
+x = x_gn + V S^-1 z.  A unit of z moves the chi^2 by about one, so every
+direction is in sigma units, where the raw kHz coordinates differ in
+scale by up to 1e5.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .optimize import (
     FitConvergenceError,
     NonFiniteObjectiveError,
     PolynomialModel,
-    _ZERO_STEP,
     nelder_mead,
     polyfit_weighted,
     weighted_objective,
@@ -147,7 +147,7 @@ class FitResult:
     params: ParamVector
     objective: float
     residuals: dict[str, float]  # model - measured, kHz
-    converged: bool
+    unresolved: tuple[str, ...]  # free fields held at the guess: the lines are flat there
     iterations: int
     n_evals: int
 
@@ -203,35 +203,30 @@ def _jacobian(vec: ParamVector, iso: IsotopeSpec, labels) -> tuple[np.ndarray, n
 
 # The relative chi^2 noise floor: the deterministic jitter that eigensolver
 # rounding puts on the objective, and the one source of the fit's stopping
-# rules.  In the whitened coordinates z (sigma units, see the module
-# docstring; the first simplex steps _ZERO_STEP = 1e-3 sigma from z = 0) a
-# step of sqrt(floor) = 1e-4 sigma moves the chi^2 by about the floor, so
-# that is the finest extent (tol_x) the objective can tell apart; tol_f,
-# 10 floors = 1e-7, stays above the jitter.  Both values are exact in
-# float64.
+# rules.  In the whitened coordinates z (sigma units along each resolved
+# direction; the first simplex steps 1e-3 sigma from z = 0) a step of
+# sqrt(floor) = 1e-4 sigma moves the chi^2 by about the floor, so that is
+# the finest extent (tol_x) the objective can tell apart; tol_f, 10 floors
+# = 1e-7, stays above the jitter.  Both values are exact in float64.
 CHI2_NOISE_FLOOR = 1e-8
 _FIT_TOLERANCES = dict(tol_f=10 * CHI2_NOISE_FLOOR, tol_x=math.sqrt(CHI2_NOISE_FLOOR))
 
 # A direction whose singular value is below _FLAT_RTOL of the largest is
 # one the lines do not resolve (gamma_e_bx at Bx = 0, where the spectrum is
-# even in Bx).  It gets no Gauss-Newton step, and a z unit that keeps the
-# raw-coordinate simplex's size: _RAW_SIMPLEX_SCALE of each coordinate, or
-# _ZERO_STEP where it is 0.
+# even in Bx).  It gets no step, so the fit holds it at the guess.
 _FLAT_RTOL = 1e-9
-_RAW_SIMPLEX_SCALE = 1e-5
 
 
-def _whitened(jac: np.ndarray, r0: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _whitened(jac: np.ndarray, r0: np.ndarray, x0: np.ndarray):
     """Origin and basis of the simplex coordinates z, x = origin + basis @ z,
     from the sigma-weighted Jacobian ``jac`` and residuals ``r0`` at x0: the
-    Gauss-Newton point and V S^-1 (see the module docstring)."""
+    Gauss-Newton point and V S^-1 over the resolved directions (see the
+    module docstring); and the x0 indices the flat directions lie along."""
     u, s, vt = np.linalg.svd(jac, full_matrices=False)
     solid = s > _FLAT_RTOL * s.max(initial=0.0)
     origin = x0 - vt[solid].T @ ((u[:, solid].T @ r0) / s[solid])
-    raw_step = np.where(x0 != 0, _RAW_SIMPLEX_SCALE * np.abs(x0), _ZERO_STEP)
-    scale = np.linalg.norm(vt * raw_step, axis=1) / _ZERO_STEP
-    scale[solid] = 1 / s[solid]
-    return origin, vt.T * scale
+    flat = np.unique(np.abs(vt[~solid]).argmax(axis=1))
+    return origin, vt[solid].T * (1 / s[solid]), flat
 
 
 def extract_params(
@@ -241,9 +236,9 @@ def extract_params(
 ) -> FitResult:
     """Least-squares extraction of the coupling parameters at one temperature.
 
-    ``fixed`` names parameters pinned at their guess value (useful for
-    gamma_e_bx on deliberately on-axis synthetic data, where the objective
-    is flat in that direction).  The entries are fitted in known_labels
+    ``fixed`` names parameters pinned at their guess value; a free one the
+    lines do not resolve (gamma_e_bx at an on-axis guess) is held there too
+    and named in FitResult.unresolved.  The entries are fitted in known_labels
     order, so their order in ``ms`` does not change a bit of the result.
     """
     if guess.isotope != ms.isotope.name:
@@ -292,7 +287,9 @@ def extract_params(
     f0 = chi2(model0)
     if not math.isfinite(f0):
         raise at_temperature(NonFiniteObjectiveError(x0, f0))
-    origin, basis = _whitened(jac[:, free] / sigmas[:, None], (model0 - measured) / sigmas, x0)
+    origin, basis, flat = _whitened(jac[:, free] / sigmas[:, None], (model0 - measured) / sigmas, x0)
+    if not basis.shape[1]:
+        raise ValueError(f"T = {ms.temperature} K: the lines resolve no free parameter")
 
     def objective(z: np.ndarray) -> float:
         x = trial(z)
@@ -303,7 +300,7 @@ def extract_params(
         return chi2(model)
 
     try:
-        result = nelder_mead(objective, np.zeros(len(free)), **_FIT_TOLERANCES)
+        result = nelder_mead(objective, np.zeros(basis.shape[1]), **_FIT_TOLERANCES)
     except NonFiniteObjectiveError as err:
         point = origin + basis @ err.point
         raise at_temperature(NonFiniteObjectiveError(point, err.value)) from None
@@ -320,7 +317,7 @@ def extract_params(
         params=guess.with_array(best),
         objective=result.f_min,
         residuals=residuals,
-        converged=result.converged,
+        unresolved=tuple(fields[i] for i in free[flat]),
         iterations=result.iterations,
         n_evals=result.n_evals,
     )

@@ -523,7 +523,7 @@ def test_synth_deterministic_and_fit_roundtrip(tmp_path, capsys):
     assert code == 0
     rec = json.loads(out)["results"][0]
     assert rec["params"]["q"] == pytest.approx(-4945.88, abs=0.02)
-    assert rec["converged"] is True
+    assert rec["unresolved"] == []
 
 
 def test_fit_reports_each_fits_evaluation_count(report_inputs, capsys):
@@ -538,6 +538,26 @@ def test_fit_reports_each_fits_evaluation_count(report_inputs, capsys):
     ]
     assert [rec["n_evals"] for rec in json.loads(out)["results"]] == counts
     assert min(counts) > 0
+
+
+def test_fit_holds_and_reports_an_unresolved_field(report_inputs, capsys):
+    # On axis the lines are even in Bx: without --fix, every record holds
+    # gamma_e_bx at its guess (0) and lists it; CSV says so once, after the
+    # header, and only when a field is held.
+    series = str(report_inputs / "series.csv")
+    code, out = run(capsys, *FIT, series)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert [rec["unresolved"] for rec in results] == [["gamma_e_bx"]] * 5
+    assert all(rec["params"]["gamma_e_bx"] == 0 for rec in results)
+    code, out = run(capsys, *FIT, series, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["temperature_K,param,value", "# unresolved=gamma_e_bx"]
+    assert sum(line.startswith("#") for line in lines) == 1
+    code, out = run(capsys, *FIT, series, *FIXED, "--format", "csv")
+    assert code == 0
+    assert not any(line.startswith("#") for line in out.splitlines())
 
 
 def test_thermal_command_recovers_fractional_derivative(tmp_path, capsys):

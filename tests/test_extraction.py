@@ -47,9 +47,9 @@ def sigma_for(label):
     return TABLE3[label].freq_sigma_khz
 
 
-def synthetic_set(iso, temperature=297.0, bz=470.0, noise=0.0, seed=0):
+def synthetic_set(iso, temperature=297.0, bz=470.0, noise=0.0, seed=0, bx=0.0):
     p = params_at(iso, temperature)
-    ts = transition_set(p, FieldConfig(bz=bz), iso)
+    ts = transition_set(p, FieldConfig(bz=bz, bx=bx), iso)
     labels = FIT_LABELS_N14 if iso.name == "N14" else FIT_LABELS_N15
     rng = np.random.default_rng(seed)
     entries = []
@@ -85,7 +85,7 @@ def test_noiseless_roundtrip_n14():
     ms = synthetic_set(N14)
     truth = truth_vector(N14)
     fit = extract_params(ms, perturbed(truth))
-    assert fit.converged
+    assert fit.unresolved == ("gamma_e_bx",)
     assert fit.objective < 1e-6
     assert fit.params.q == pytest.approx(truth.q, abs=0.01)
     assert fit.params.a_par == pytest.approx(truth.a_par, abs=0.01)
@@ -196,6 +196,73 @@ def test_unconverged_fit_names_its_temperature(monkeypatch):
     message = r"^fit at T = 297\.0 K did not converge in 5 iterations$"
     with pytest.raises(FitConvergenceError, match=message):
         extract_params(synthetic_set(N14), perturbed(truth_vector(N14)))
+
+
+# On-axis N14 sets at 470 G with gamma_e_bx free, against the on-axis
+# 297 K guess: (Bx in the data in G, T in K, noise scale) -> the chi^2 the
+# fit returned when it still searched gamma_e_bx on a raw-coordinate scale.
+# The lines are even in Bx, so at Bx = 0 they do not resolve it: the fit
+# holds it at the guess, names it, and lands on the same chi^2.
+ON_AXIS_CHI2 = {
+    (0.0, 77.0, 0.0): 5.782075400682966e-09,
+    (0.0, 77.0, 1.0): 0.11754731210272196,
+    (0.0, 297.0, 0.0): 0.0,
+    (0.0, 297.0, 1.0): 0.11758115014466901,
+    (0.0, 400.0, 0.0): 9.243911269478498e-10,
+    (0.0, 400.0, 1.0): 0.11763142979906997,
+    (0.3, 77.0, 0.0): 0.00029034435250136024,
+    (0.3, 77.0, 1.0): 0.12041794339582779,
+    (0.3, 297.0, 0.0): 0.00028664297194865197,
+    (0.3, 297.0, 1.0): 0.12041054586589145,
+    (0.3, 400.0, 0.0): 0.00028637158208749,
+    (0.3, 400.0, 1.0): 0.1204479742590003,
+    (1.0, 77.0, 0.0): 0.0358437022897762,
+    (1.0, 77.0, 1.0): 0.18206128352648013,
+    (1.0, 297.0, 0.0): 0.03538716067922561,
+    (1.0, 297.0, 1.0): 0.18122079396445667,
+    (1.0, 400.0, 0.0): 0.035353112616097866,
+    (1.0, 400.0, 1.0): 0.18109786123361382,
+    (2.0, 77.0, 0.0): 0.573443456506032,
+    (2.0, 77.0, 1.0): 0.8056682087377947,
+    (2.0, 297.0, 0.0): 0.5661397224451525,
+    (2.0, 297.0, 1.0): 0.7967273929840306,
+    (2.0, 400.0, 0.0): 0.5655947873946512,
+    (2.0, 400.0, 1.0): 0.7956759534603366,
+}
+
+
+@pytest.mark.parametrize("bx, temperature, noise", sorted(ON_AXIS_CHI2))
+def test_on_axis_gamma_e_bx_is_held_and_reported(bx, temperature, noise):
+    guess = truth_vector(N14)
+    ms = synthetic_set(N14, temperature, noise=noise, seed=3, bx=bx)
+    fit = extract_params(ms, guess)
+    assert fit.unresolved == ("gamma_e_bx",)
+    assert abs(fit.params.gamma_e_bx - guess.gamma_e_bx) <= 1e-12
+    chi2 = ON_AXIS_CHI2[bx, temperature, noise]
+    assert abs(fit.objective - chi2) <= 1e-5 * max(1.0, chi2)
+
+
+def test_tilted_guess_resolves_gamma_e_bx():
+    # Off axis the lines move with Bx to first order, so gamma_e_bx is fitted.
+    guess = replace(truth_vector(N14), gamma_e_bx=GAMMA_E_KHZ_PER_G * 1.0)
+    fit = extract_params(synthetic_set(N14, bx=1.5), guess)
+    assert fit.unresolved == ()
+    assert fit.params.gamma_e_bx == pytest.approx(GAMMA_E_KHZ_PER_G * 1.5, rel=1e-5)
+
+
+def test_fit_that_resolves_no_direction_is_refused(monkeypatch):
+    # An all-zero Jacobian: every free direction is flat, so there is
+    # nothing to search (ValueError, exit 2, naming the temperature).
+    real = extraction._jacobian
+
+    def flat_jacobian(*args):
+        model, jac = real(*args)
+        return model, np.zeros_like(jac)
+
+    monkeypatch.setattr(extraction, "_jacobian", flat_jacobian)
+    monkeypatch.setattr(extraction, "nelder_mead", None)
+    with pytest.raises(ValueError, match=r"^T = 297\.0 K: the lines resolve no free parameter$"):
+        extract_params(synthetic_set(N14), truth_vector(N14))
 
 
 def test_underdetermined_fit_rejected():
