@@ -10,6 +10,7 @@ objective), 5 validation tripwire.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -23,13 +24,7 @@ from . import extraction, io, perturbation, presets, ramsey
 from .extraction import ParamVector
 from .io import ConfigError, fmt_g, fmt_khz
 from .optimize import FitConvergenceError, NonFiniteObjectiveError, PolynomialModel
-from .spin_core import (
-    GAMMA_E_KHZ_PER_G,
-    CouplingParams,
-    FieldConfig,
-    IsotopeSpec,
-    get_isotope,
-)
+from .spin_core import CouplingParams, FieldConfig, IsotopeSpec, get_isotope
 from .transitions import (
     AmbiguousLabelingError,
     known_labels,
@@ -79,13 +74,16 @@ def _params(args, iso: IsotopeSpec, temperature: float):
         raw = json.loads(Path(args.params).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot parse params file: {err}") from err
+    keys = [field.name for field in dataclasses.fields(CouplingParams)]
     try:
+        unknown = [key for key in raw if key not in keys]  # TypeError for a JSON number
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r}; the keys are {', '.join(keys)}")
         params = CouplingParams(
             d=float(raw["d"]),
             q=float(raw.get("q", 0.0)),
             a_par=float(raw["a_par"]),
             a_perp=float(raw["a_perp"]),
-            gamma_e=float(raw.get("gamma_e", GAMMA_E_KHZ_PER_G)),
             gamma_n=float(raw.get("gamma_n", iso.gamma_n)),
         )
     except (KeyError, TypeError, ValueError) as err:

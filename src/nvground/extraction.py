@@ -130,15 +130,16 @@ class ParamVector:
     def from_physical(
         cls, isotope: str, p: CouplingParams, f: FieldConfig
     ) -> "ParamVector":
+        g = GAMMA_E_KHZ_PER_G
         return cls(
             isotope=isotope,
             d=p.d,
             q=p.q,
             a_par=p.a_par,
             a_perp=p.a_perp,
-            gamma_e_bz=p.gamma_e * f.bz,
-            gamma_e_bx=p.gamma_e * f.bx,
-            gamma_ratio=p.gamma_e / p.gamma_n,
+            gamma_e_bz=g * f.bz,
+            gamma_e_bx=g * f.bx,
+            gamma_ratio=g / p.gamma_n,
         )
 
 
@@ -211,9 +212,10 @@ def _jacobian(vec: ParamVector, iso: IsotopeSpec, labels) -> tuple[np.ndarray, n
 CHI2_NOISE_FLOOR = 1e-8
 _FIT_TOLERANCES = dict(tol_f=10 * CHI2_NOISE_FLOOR, tol_x=math.sqrt(CHI2_NOISE_FLOOR))
 
-# A direction whose singular value is below _FLAT_RTOL of the largest is
-# one the lines do not resolve (gamma_e_bx at Bx = 0, where the spectrum is
-# even in Bx).  It gets no step, so the fit holds it at the guess.
+# A direction whose singular value, or a free field whose sigma-weighted
+# column norm, is below _FLAT_RTOL of the largest is one the lines do not
+# resolve (gamma_e_bx at Bx = 0, where the spectrum is even in Bx).  It
+# gets no step, so the fit holds it at the guess.
 _FLAT_RTOL = 1e-9
 
 
@@ -238,7 +240,8 @@ def extract_params(
 
     ``fixed`` names parameters pinned at their guess value; a free one the
     lines do not resolve (gamma_e_bx at an on-axis guess) is held there too
-    and named in FitResult.unresolved.  The entries are fitted in known_labels
+    and named in FitResult.unresolved, and needs no entry: ``ms`` needs one
+    entry per other free parameter.  The entries are fitted in known_labels
     order, so their order in ``ms`` does not change a bit of the result.
     """
     if guess.isotope != ms.isotope.name:
@@ -253,11 +256,6 @@ def extract_params(
     free = np.array([i for i, name in enumerate(fields) if name not in fixed], dtype=np.intp)
     if not len(free):
         raise ValueError(f"T = {ms.temperature} K: every parameter is fixed; nothing to fit")
-    if len(ms.entries) < len(free):
-        raise ValueError(
-            f"T = {ms.temperature} K: {len(ms.entries)} measurements cannot "
-            f"determine {len(free)} parameters"
-        )
     order = known_labels(ms.isotope)
     entries = sorted(ms.entries, key=lambda e: order.index(e.label))
     labels = tuple(e.label for e in entries)
@@ -284,10 +282,20 @@ def extract_params(
         model0, jac = _jacobian(guess, ms.isotope, labels)
     except AmbiguousLabelingError as err:
         raise at_temperature(labeling_failed(full, err)) from err
+    weighted = jac[:, free] / sigmas[:, None]
+    # A flat column's field is held, so it needs no line; an SVD of fewer
+    # rows than columns may have no flat direction for it.
+    norms = np.linalg.norm(weighted, axis=0)
+    flat_columns = np.flatnonzero(norms <= _FLAT_RTOL * norms.max())
+    if len(ms.entries) < len(free) - len(flat_columns):
+        raise ValueError(
+            f"T = {ms.temperature} K: {len(ms.entries)} measurements cannot "
+            f"determine {len(free) - len(flat_columns)} parameters"
+        )
     f0 = chi2(model0)
     if not math.isfinite(f0):
         raise at_temperature(NonFiniteObjectiveError(x0, f0))
-    origin, basis, flat = _whitened(jac[:, free] / sigmas[:, None], (model0 - measured) / sigmas, x0)
+    origin, basis, flat = _whitened(weighted, (model0 - measured) / sigmas, x0)
     if not basis.shape[1]:
         raise ValueError(f"T = {ms.temperature} K: the lines resolve no free parameter")
 
@@ -317,7 +325,7 @@ def extract_params(
         params=guess.with_array(best),
         objective=result.f_min,
         residuals=residuals,
-        unresolved=tuple(fields[i] for i in free[flat]),
+        unresolved=tuple(fields[i] for i in free[np.union1d(flat, flat_columns)]),
         iterations=result.iterations,
         n_evals=result.n_evals,
     )

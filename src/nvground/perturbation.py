@@ -8,12 +8,12 @@ through the Hamiltonian path, in extended precision where the shifts are
 in the sub-Hz regime.
 
 The perturbation series expands a Hamiltonian without the transverse
-nuclear Zeeman term, so the series-vs-exact validations here diagonalize
-that same reduced Hamiltonian (nuclear_transverse=False).  Point-shift
-predictions meant to face experiment keep the full Hamiltonian; for f7
-the distinction matters, because the dropped term interferes with the
-A_perp pathway and scales the misalignment response down by about
-gamma_n D / (A_perp gamma_e) ~ 12%.
+nuclear Zeeman term -gamma_n Bx Ix, so the series-vs-exact validations
+here diagonalize that same reduced Hamiltonian (_reduced_lines).
+Point-shift predictions meant to face experiment keep the full
+Hamiltonian; for f7 the distinction matters, because the dropped term
+interferes with the A_perp pathway and scales the misalignment response
+down by about gamma_n D / (A_perp gamma_e) ~ 12%.
 """
 
 from __future__ import annotations
@@ -22,8 +22,15 @@ import math
 
 import numpy as np
 
-from .spin_core import CouplingParams, FieldConfig, IsotopeSpec, StateLabel
-from .transitions import LINES, nuclear_labels, transition_lines, transition_set
+from .spin_core import (
+    GAMMA_E_KHZ_PER_G,
+    CouplingParams,
+    FieldConfig,
+    IsotopeSpec,
+    StateLabel,
+    _coefficients,
+)
+from .transitions import LINES, _kernel, nuclear_labels, transition_set
 
 # The series in 1/(D - gamma_e Bz) is trusted only this far from the
 # ground-state level anti-crossing.
@@ -42,9 +49,9 @@ def _require_margin(p: CouplingParams, bz: float, bx: float = 0.0) -> None:
             f"the perturbative formulas take Bz >= 0, not {bz:g} G; "
             "the spectrum at -Bz is the +Bz one"
         )
-    f_minus = p.d - p.gamma_e * bz
+    f_minus = p.d - GAMMA_E_KHZ_PER_G * bz
     limit = VALIDITY_FACTOR * abs(p.a_perp)
-    if min(abs(f_minus), abs(p.d + p.gamma_e * bz)) <= limit:
+    if min(abs(f_minus), abs(p.d + GAMMA_E_KHZ_PER_G * bz)) <= limit:
         raise ValidityMarginError(
             f"|D - gamma_e Bz| = {abs(f_minus):.1f} kHz is within "
             f"{VALIDITY_FACTOR} x |A_perp| = {limit:.1f} kHz of the anti-crossing"
@@ -62,7 +69,7 @@ def _with_fdq(freqs: dict[str, float], iso: IsotopeSpec) -> dict[str, float]:
 
 def _second_order(p: CouplingParams, iso: IsotopeSpec, bz: float) -> dict[str, float]:
     """The lowest-order terms, also the leading terms of nuclear_freqs_full."""
-    fp, fm = p.d + p.gamma_e * bz, p.d - p.gamma_e * bz
+    fp, fm = p.d + GAMMA_E_KHZ_PER_G * bz, p.d - GAMMA_E_KHZ_PER_G * bz
     w = p.a_perp * p.a_perp
     if iso.name == "N14":
         q, a = abs(p.q), abs(p.a_par)
@@ -101,9 +108,9 @@ def nuclear_freqs_full(
     Each line is its nuclear_freqs_2nd value plus the higher-order terms.
     """
     _require_margin(p, bz, bx)
-    fp, fm = p.d + p.gamma_e * bz, p.d - p.gamma_e * bz
+    fp, fm = p.d + GAMMA_E_KHZ_PER_G * bz, p.d - GAMMA_E_KHZ_PER_G * bz
     w = p.a_perp * p.a_perp
-    x = (p.gamma_e * bx) ** 2 / 2
+    x = (GAMMA_E_KHZ_PER_G * bx) ** 2 / 2
     fp2, fm2 = fp * fp, fm * fm
     sum_inv_sq = (1 / fp + 1 / fm) ** 2
     f = _second_order(p, iso, bz)
@@ -179,12 +186,12 @@ def beta_coefficient(p: CouplingParams, iso: IsotopeSpec, bz: float) -> float:
     term in A_perp that is resonantly enhanced by the small nuclear splitting.
     """
     _require_margin(p, bz)
-    denom = (p.d * p.d - (p.gamma_e * bz) ** 2) ** 2
+    denom = (p.d * p.d - (GAMMA_E_KHZ_PER_G * bz) ** 2) ** 2
     if iso.name == "N14":
-        return -(p.gamma_e / abs(p.gamma_n)) * (
-            4 * abs(p.a_par) * p.d * (p.gamma_e * bz) ** 2 / denom
+        return -(GAMMA_E_KHZ_PER_G / abs(p.gamma_n)) * (
+            4 * abs(p.a_par) * p.d * (GAMMA_E_KHZ_PER_G * bz) ** 2 / denom
         )
-    return (p.gamma_e / p.gamma_n) ** 2 * (4 * p.a_perp**2 * p.d**2 / denom)
+    return (GAMMA_E_KHZ_PER_G / p.gamma_n) ** 2 * (4 * p.a_perp**2 * p.d**2 / denom)
 
 
 def exact_angular_shift(p: CouplingParams, iso: IsotopeSpec, bz: float, theta_rad: float):
@@ -201,6 +208,16 @@ def exact_angular_shift(p: CouplingParams, iso: IsotopeSpec, bz: float, theta_ra
     return line(bz * math.tan(theta_rad)) - line(0.0)
 
 
+def _reduced_lines(p: CouplingParams, fields, iso: IsotopeSpec, dtype=np.float64) -> np.ndarray:
+    """Exact lines (N, L), in LINES row order, of the reduced Hamiltonian at
+    FieldConfigs ``fields``: the kernel on the _coefficients rows with the
+    -gamma_n Bx Ix weight (column 7) zeroed."""
+    points = [(f.bz, f.bx) for f in fields]
+    rows = _coefficients(p, points, iso, dtype).reshape(-1, 8)  # (0, 8) for no fields
+    rows[:, 7] = 0
+    return _kernel(rows, iso, points)[0]
+
+
 # Angles (degrees) small enough for the theta^2 term to dominate the shift.
 BETA_THETAS_DEG = (0.02, 0.05, 0.1)
 
@@ -209,14 +226,14 @@ def exact_beta_estimates(p: CouplingParams, iso: IsotopeSpec, bz: float) -> np.n
     """Quadratic-law coefficients 2*shift/(theta^2 * baseline) of the ms = 0
     line, per BETA_THETAS_DEG angle.
 
-    The exact side drops the transverse nuclear Zeeman term, matching the
-    Hamiltonian the beta formulas expand.  All angles and theta = 0 are one
-    longdouble kernel batch.
+    The exact side is the reduced Hamiltonian the beta formulas expand
+    (_reduced_lines).  All angles and theta = 0 are one longdouble kernel
+    batch.
     """
     baseline = ms0_baseline(p, iso, bz)
     thetas = [math.radians(theta_deg) for theta_deg in BETA_THETAS_DEG]
     fields = [FieldConfig(bz=bz)] + [FieldConfig(bz=bz, bx=bz * math.tan(t)) for t in thetas]
-    lines = transition_lines(p, fields, iso, np.longdouble, nuclear_transverse=False)[0]
+    lines = _reduced_lines(p, fields, iso, np.longdouble)
     f = lines[:, list(LINES[iso.name]).index(ms0_line(iso))]
     return np.array([float(2 * (fk - f[0]) / (t * t * baseline)) for fk, t in zip(f[1:], thetas)])
 
@@ -230,7 +247,7 @@ def residuals_vs_exact(
 ) -> dict[str, float]:
     """Max |perturbative - exact| per nuclear line over a field grid (kHz).
 
-    Exact diagonalization runs without the transverse nuclear Zeeman term
+    Exact diagonalization runs on the reduced Hamiltonian (_reduced_lines)
     so that the comparison isolates genuine series-truncation error.
     """
     if order not in ("full", "2nd"):
@@ -252,7 +269,7 @@ def residuals_vs_exact(
         # One exact batch over the points reached, also when the series
         # gave up at a later point: a refusal at an earlier point comes
         # first, as it would point by point.
-        exact = transition_lines(p, fields, iso, nuclear_transverse=False)[0]
+        exact = _reduced_lines(p, fields, iso)
     worst: dict[str, float] = {}
     for pert, lines in zip(perts, exact):
         for name, column in zip(names, columns):

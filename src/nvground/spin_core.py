@@ -37,10 +37,6 @@ class IsotopeSpec:
     nuclear_spin: float
     gamma_n: float  # kHz/G, signed
 
-    @property
-    def hilbert_dim(self) -> int:
-        return 3 * round(2 * self.nuclear_spin + 1)
-
 
 N14 = IsotopeSpec(name="N14", nuclear_spin=1.0, gamma_n=GAMMA_N14_KHZ_PER_G)
 N15 = IsotopeSpec(name="N15", nuclear_spin=0.5, gamma_n=GAMMA_N15_KHZ_PER_G)
@@ -67,20 +63,18 @@ def get_isotope(name: str) -> IsotopeSpec:
 
 @dataclass(frozen=True)
 class CouplingParams:
-    """Signed spin-Hamiltonian coefficients for one isotope (kHz, kHz/G)."""
+    """Signed spin-Hamiltonian coefficients for one isotope (kHz, kHz/G);
+    the electron's gamma_e is the constant GAMMA_E_KHZ_PER_G."""
 
     d: float
     q: float
     a_par: float
     a_perp: float
     gamma_n: float
-    gamma_e: float = GAMMA_E_KHZ_PER_G
 
     def __post_init__(self):
-        vals = (self.d, self.q, self.a_par, self.a_perp, self.gamma_n, self.gamma_e)
-        _require_finite("coupling parameters", *vals)
-        if self.gamma_e <= 0:
-            raise ValueError("gamma_e must be positive")
+        values = (self.d, self.q, self.a_par, self.a_perp, self.gamma_n)
+        _require_finite("coupling parameters", *values)
 
 
 @dataclass(frozen=True)
@@ -177,9 +171,7 @@ def _structure(iso_name: str, dtype: np.dtype):
     return stack
 
 
-def _coefficients(
-    p: CouplingParams, points, iso: IsotopeSpec, dtype=np.float64, nuclear_transverse: bool = True
-) -> np.ndarray:
+def _coefficients(p: CouplingParams, points, iso: IsotopeSpec, dtype=np.float64) -> np.ndarray:
     """The eight _structure weights c_j of H = sum_j c_j S_j at each (bz, bx)
     field point of ``points`` (bx may be < 0), as an (N, 8) array.  ``p`` and
     ``points`` come from CouplingParams and FieldConfig, checked finite there."""
@@ -191,11 +183,11 @@ def _coefficients(
                 p.d,
                 p.q,
                 p.a_par,
-                p.gamma_e * bz,
+                GAMMA_E_KHZ_PER_G * bz,
                 -p.gamma_n * bz,
                 p.a_perp,
-                p.gamma_e * bx,
-                -p.gamma_n * bx if nuclear_transverse else 0.0,
+                GAMMA_E_KHZ_PER_G * bx,
+                -p.gamma_n * bx,
             ]
             for bz, bx in points
         ],
@@ -213,11 +205,7 @@ def _hamiltonians(rows: np.ndarray, iso: IsotopeSpec) -> np.ndarray:
 
 
 def build_hamiltonian(
-    p: CouplingParams,
-    f: FieldConfig,
-    iso: IsotopeSpec,
-    dtype=np.float64,
-    nuclear_transverse: bool = True,
+    p: CouplingParams, f: FieldConfig, iso: IsotopeSpec, dtype=np.float64
 ) -> np.ndarray:
     """Full ground-state Hamiltonian (d, d) in the basis_labels(iso) order.
 
@@ -226,12 +214,5 @@ def build_hamiltonian(
 
     The matrix is constructed symmetric term by term (never symmetrized
     after the fact).  Pass dtype=np.longdouble for extended-precision work.
-
-    nuclear_transverse=False drops the -gamma_n Bx Ix term.  The
-    perturbative line formulas are expansions of that reduced Hamiltonian,
-    so their cross-validations diagonalize it; everything experiment-facing
-    keeps the term.  (The difference is not always negligible: through
-    interference with the A_perp pathway it rescales the f7 misalignment
-    response by roughly gamma_n D / (A_perp gamma_e), about 12%.)
     """
-    return _hamiltonians(_coefficients(p, [(f.bz, f.bx)], iso, dtype, nuclear_transverse), iso)[0]
+    return _hamiltonians(_coefficients(p, [(f.bz, f.bx)], iso, dtype), iso)[0]

@@ -205,25 +205,19 @@ def _row_index(iso_name: str, labels: tuple[str, ...]) -> np.ndarray:
     return np.array([index[label] for label in labels], dtype=np.intp)
 
 
-def transition_lines(
-    p: CouplingParams, fields, iso: IsotopeSpec, dtype=np.float64, nuclear_transverse: bool = True
-):
+def transition_lines(p: CouplingParams, fields, iso: IsotopeSpec, dtype=np.float64):
     """The kernel's (lines (N, L), energies (N, d)) at FieldConfigs ``fields``;
-    ``dtype`` and ``nuclear_transverse`` as in build_hamiltonian."""
+    ``dtype`` as in build_hamiltonian."""
     points = [(f.bz, f.bx) for f in fields]
-    return _kernel(_coefficients(p, points, iso, dtype, nuclear_transverse), iso, points)[:2]
+    return _kernel(_coefficients(p, points, iso, dtype), iso, points)[:2]
 
 
 def transition_set(
-    p: CouplingParams,
-    f: FieldConfig,
-    iso: IsotopeSpec,
-    dtype=np.float64,
-    nuclear_transverse: bool = True,
+    p: CouplingParams, f: FieldConfig, iso: IsotopeSpec, dtype=np.float64
 ) -> TransitionSet:
     """All named transitions from exact diagonalization at one field point:
     transition_lines for a batch of one."""
-    lines, _ = transition_lines(p, [f], iso, dtype, nuclear_transverse)
+    lines, _ = transition_lines(p, [f], iso, dtype)
     return TransitionSet(dict(zip(_ROW_MAP[iso.name][0], lines[0])), iso.name)
 
 

@@ -220,12 +220,17 @@ def bad_inputs(tmp_path):
                         ("negative_sigma.csv", "-0.02")):
         (tmp_path / name).write_text(f"tau_s,signal\n# noise_sigma={sigma}\n{rows}")
     (tmp_path / "two_sigmas.csv").write_text(f"tau_s,signal\n# noise_sigma=0\n# noise_sigma=0\n{rows}")
+    # A --params file reads only d, q, a_par, a_perp and gamma_n.
+    for name, key in (("gamma_e.json", "gamma_e"), ("misspelt.json", "a_prep")):
+        params = {"d": 2870.28e3, "q": -4945.88, "a_par": -2165.19, "a_perp": -2635.0, key: 1.0}
+        (tmp_path / name).write_text(json.dumps(params))
     return tmp_path
 
 
 PRESET = ("--preset", "table1_297K")
 FIT = ("fit", "--isotope", "n14", *PRESET, "--bz", "470", "--measurements")
 TRANSITIONS_N14 = ("transitions", "--isotope", "n14", *PRESET)
+PARAMS_N14 = ("transitions", "--isotope", "n14", "--params")
 RAMSEY = ("ramsey", "--isotope", "n14", *PRESET)
 SYNTH = ("synth", "--isotope", "n14", *PRESET, "--bz", "470")
 RAMSEY_FIT = ("ramsey-fit", "--trace-in", "{dir}/trace.csv", "--f-rf-khz", "5090")
@@ -366,6 +371,9 @@ MISSING = {
         (["perturb-check", "--bz-steps", "0"], 2, ""),
         ([*FIT, "{dir}/cold.csv", *(f for name in PARAM_FIELDS["N14"] for f in ("--fix", name))], 2,
          "T = 77.0 K: every parameter is fixed; nothing to fit"),
+        *(([*PARAMS_N14, f"{{dir}}/{name}", "--bz", "470"], 2,
+           f"bad params file: unknown key {key!r}")
+          for name, key in (("gamma_e.json", "gamma_e"), ("misspelt.json", "a_prep"))),
         *((argv, 2, names) for argv, names in (REFUSED | MISSING).values()),
     ],
     ids=[
@@ -373,7 +381,8 @@ MISSING = {
         "huge-f1", "cold-huge-f1", "gslac-fit-guess", "huge-trace", "flat-trace",
         "word-noise-sigma", "nan-noise-sigma", "negative-noise-sigma", "two-noise-sigmas",
         "ramsey-no-isotope", "n15-zero-field", "n14-zero-field", "wide-angle", "tripwire",
-        "perturb-gslac", "empty-grid", "fit-every-parameter-fixed", *REFUSED, *MISSING,
+        "perturb-gslac", "empty-grid", "fit-every-parameter-fixed", "params-gamma-e",
+        "params-misspelt-key", *REFUSED, *MISSING,
     ],
 )
 def test_failures_end_in_one_error_line(bad_inputs, capsys, argv, code, names):

@@ -103,6 +103,20 @@ def test_noiseless_roundtrip_n15():
     assert fit.params.d == pytest.approx(truth.d, abs=1.0)
 
 
+def test_n15_set_holds_and_reports_gamma_e_bx():
+    # Five lines, six fit fields: on axis the gamma_e_bx column is flat, so
+    # it needs no line; the fit holds it at the guess and names it.
+    ms = synthetic_set(N15)
+    truth = truth_vector(N15)
+    fit = extract_params(ms, perturbed(truth))
+    assert fit.unresolved == ("gamma_e_bx",)
+    assert abs(fit.params.gamma_e_bx - truth.gamma_e_bx) <= 1e-12
+    assert fit.objective < 1e-6
+    assert fit.params.a_par == pytest.approx(truth.a_par, abs=0.01)
+    assert fit.params.a_perp == pytest.approx(truth.a_perp, abs=0.5)
+    assert fit.params.d == pytest.approx(truth.d, abs=1.0)
+
+
 def test_fit_reorder_invariance():
     ms = synthetic_set(N14, noise=1.0, seed=3)
     truth = truth_vector(N14)

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from per_point import reference_reduced_lines
 
 from nvground.presets import TABLE3, params_at
-from nvground.spin_core import N14, N15, CouplingParams, FieldConfig
+from nvground.spin_core import GAMMA_E_KHZ_PER_G, N14, N15, CouplingParams, FieldConfig
 from nvground.perturbation import (
     ValidityMarginError,
+    _reduced_lines,
     beta_coefficient,
     exact_angular_shift,
     exact_beta_estimates,
@@ -18,7 +20,7 @@ from nvground.perturbation import (
     nuclear_freqs_full,
     residuals_vs_exact,
 )
-from nvground.transitions import AmbiguousLabelingError, nuclear_labels, transition_set
+from nvground.transitions import LINES, AmbiguousLabelingError, nuclear_labels, transition_set
 
 P14 = params_at("N14")
 P15 = params_at("N15")
@@ -74,7 +76,7 @@ def test_formulas_refuse_a_non_finite_field(bad):
 
 def test_second_order_f2_matches_table():
     ts = nuclear_freqs_2nd(P14, N14, 470.0)
-    q, fp = abs(P14.q), P14.d + P14.gamma_e * 470.0
+    q, fp = abs(P14.q), P14.d + GAMMA_E_KHZ_PER_G * 470.0
     closed = q - P14.gamma_n * 470.0 - P14.a_perp**2 / fp
     assert ts["f2"] == pytest.approx(closed, rel=1e-14)
     assert ts["f2"] == pytest.approx(TABLE3["f2"].freq_khz, abs=0.05)
@@ -115,7 +117,7 @@ def test_full_formula_f3_row_structure():
     full = nuclear_freqs_full(P14, N14, 470.0, 0.0)
     second = nuclear_freqs_2nd(P14, N14, 470.0)
     q, a = abs(P14.q), abs(P14.a_par)
-    fm = P14.d - P14.gamma_e * 470.0
+    fm = P14.d - GAMMA_E_KHZ_PER_G * 470.0
     assert full["f3"] == pytest.approx(second["f3"] - P14.a_perp**2 * (2 * q - a) / fm**2, rel=1e-12)
 
 
@@ -127,15 +129,17 @@ def test_full_tracks_exact_within_tripwire():
 
 
 def test_residuals_match_a_point_by_point_loop():
-    # The exact side is one batch; a per-point loop over transition_set
-    # gives the same worst residuals, bit for bit (signed Bx included).
+    # The exact side is one batch; a per-point loop over the reduced
+    # Hamiltonian gives the same worst residuals, bit for bit (signed Bx
+    # included).
     bz_grid, bx_grid = np.linspace(300.0, 600.0, 4), [-0.5, 0.0, 1.0]
     for iso, p in ((N14, P14), (N15, P15)):
         worst = {}
         for bz in bz_grid:
             for bx in bx_grid:
                 pert = nuclear_freqs_full(p, iso, bz, bx)
-                exact = transition_set(p, FieldConfig(bz=bz, bx=bx), iso, nuclear_transverse=False)
+                reference = reference_reduced_lines(p, FieldConfig(bz=bz, bx=bx), iso)
+                exact = dict(zip(LINES[iso.name], reference))
                 for name in nuclear_labels(iso):
                     worst[name] = max(worst.get(name, 0.0), abs(pert[name] - exact[name]))
         assert residuals_vs_exact(p, iso, bz_grid, bx_grid) == worst
@@ -149,8 +153,40 @@ def test_residuals_raise_the_first_error_along_the_grid():
         residuals_vs_exact(P14, N14, [0.0, 1020.0], [0.0])
     with pytest.raises(ValidityMarginError):
         residuals_vs_exact(P14, N14, [1020.0, 0.0], [0.0])
-    transition_set(P14, FieldConfig(bz=1020.0), N14, nuclear_transverse=False)
+    _reduced_lines(P14, [FieldConfig(bz=1020.0)], N14)
     nuclear_freqs_full(P14, N14, 0.0, 0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    iso=st.sampled_from([N14, N15]),
+    temp=st.floats(77.0, 400.0),
+    points=st.lists(st.tuples(st.floats(0.0, 2000.0), st.floats(-5.0, 5.0)), max_size=4),
+    dtype=st.sampled_from([np.float64, np.longdouble]),
+)
+# A batch whose second point sits on the anti-crossing, so a refusal is always tried.
+@example(iso=N14, temp=297.0, points=[(470.0, -0.5), (1022.8, 0.0)], dtype=np.longdouble)
+def test_reduced_lines_batch_matches_the_per_point_path(iso, temp, points, dtype):
+    # The series' exact side: each point of a batch has the bits of the
+    # per-point reduced Hamiltonian (no -gamma_n Bx Ix), and a batch that
+    # holds a refused point names the first.
+    p = params_at(iso, temp)
+    fields = [FieldConfig(bz=bz, bx=bx) for bz, bx in points]
+    reference, refused = [], []
+    for f in fields:
+        try:
+            reference.append(reference_reduced_lines(p, f, iso, dtype))
+        except AmbiguousLabelingError as err:
+            refused.append(f"at Bz = {f.bz} G, Bx = {f.bx} G ({iso.name}): {err}")
+    if refused:
+        with pytest.raises(AmbiguousLabelingError) as batch:
+            _reduced_lines(p, fields, iso, dtype)
+        assert str(batch.value) == refused[0]
+        return
+    lines = _reduced_lines(p, fields, iso, dtype)
+    assert lines.dtype == dtype and lines.shape == (len(fields), len(LINES[iso.name]))
+    for one, ref in zip(lines, reference):
+        assert np.array_equal(one, ref)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -260,10 +296,11 @@ def test_field_model_f7_fractional():
 def test_field_model_zero_field_limit():
     # the fractional correction tends to +-|gamma_e/gamma_n| A_perp^2/D^2
     _, f7 = _field_model(P15, N15, 1.0)
-    f7_expected = (P15.gamma_e / abs(P15.gamma_n)) * P15.a_perp**2 / P15.d**2
+    f7_expected = (GAMMA_E_KHZ_PER_G / abs(P15.gamma_n)) * P15.a_perp**2 / P15.d**2
     assert f7 == pytest.approx(f7_expected, rel=1e-5)
     _, fdq = _field_model(P14, N14, 1.0)
-    assert fdq == pytest.approx(-(P14.gamma_e / P14.gamma_n) * P14.a_perp**2 / P14.d**2, rel=1e-5)
+    fdq_expected = -(GAMMA_E_KHZ_PER_G / P14.gamma_n) * P14.a_perp**2 / P14.d**2
+    assert fdq == pytest.approx(fdq_expected, rel=1e-5)
 
 
 def _model_slope(iso, bz, dt=0.5):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from nvground.spin_core import (
+    GAMMA_E_KHZ_PER_G,
     N14,
     N15,
     CouplingParams,
     FieldConfig,
-    IsotopeSpec,
     StateLabel,
     _coefficients,
     _hamiltonians,
@@ -48,9 +48,7 @@ def test_spin_matrices_rejects_bad_spin():
 
 
 def test_isotope_specs():
-    assert N14.hilbert_dim == 9 and N15.hilbert_dim == 6
     assert N14.gamma_n > 0 and N15.gamma_n < 0
-    assert IsotopeSpec(name="spin-3/2", nuclear_spin=1.5, gamma_n=0.3).hilbert_dim == 12
     assert get_isotope("n15") is N15
     with pytest.raises(ValueError):
         get_isotope("n13")
@@ -85,7 +83,7 @@ def test_unperturbed_diagonal_formula():
             ms * ms * p.d
             + mi * mi * p.q
             + ms * mi * p.a_par
-            + ms * p.gamma_e * f.bz
+            + ms * GAMMA_E_KHZ_PER_G * f.bz
             - mi * p.gamma_n * f.bz
         )
         assert h[k, k] == pytest.approx(expected, rel=1e-14)
@@ -143,8 +141,9 @@ def test_n15_rejects_nonzero_q():
 def test_params_must_be_finite():
     with pytest.raises(ValueError, match="must be finite"):
         CouplingParams(d=np.nan, q=0.0, a_par=1.0, a_perp=1.0, gamma_n=N14.gamma_n)
-    with pytest.raises(ValueError, match="gamma_e must be positive"):
-        CouplingParams(d=1.0, q=0.0, a_par=1.0, a_perp=1.0, gamma_n=N14.gamma_n, gamma_e=-1.0)
+    # gamma_e is the constant GAMMA_E_KHZ_PER_G, no parameter.
+    with pytest.raises(TypeError, match="gamma_e"):
+        CouplingParams(d=1.0, q=0.0, a_par=1.0, a_perp=1.0, gamma_n=N14.gamma_n, gamma_e=1.0)
     with pytest.raises(TypeError, match="gamma_n"):
         CouplingParams(d=1.0, q=0.0, a_par=1.0, a_perp=1.0)
     with pytest.raises(ValueError):

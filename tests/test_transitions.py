@@ -8,6 +8,7 @@ from nvground import transitions
 from nvground.eigensolve import _eigh, eigh
 from nvground.presets import GAMMA_RATIO_N14, TABLE3, params_at
 from nvground.spin_core import (
+    GAMMA_E_KHZ_PER_G,
     N14,
     N15,
     CouplingParams,
@@ -101,7 +102,6 @@ def test_label_states_stack_refusal_names_the_first_refused_matrix():
     iso=st.sampled_from([N14, N15]),
     temp=st.floats(77.0, 400.0),
     points=st.lists(st.tuples(st.floats(0.0, 2000.0), st.floats(0.0, 5.0)), max_size=4),
-    nuclear_transverse=st.booleans(),
     dtype=st.sampled_from([np.float64, np.longdouble]),
 )
 # A batch whose second point sits on the anti-crossing, so a refusal is always tried.
@@ -109,38 +109,37 @@ def test_label_states_stack_refusal_names_the_first_refused_matrix():
     iso=N14,
     temp=297.0,
     points=[(470.0, 0.0), (1022.8, 0.0)],
-    nuclear_transverse=True,
     dtype=np.float64,
 )
-def test_kernel_batches_match_the_per_point_path(iso, temp, points, nuclear_transverse, dtype):
+def test_kernel_batches_match_the_per_point_path(iso, temp, points, dtype):
     p = params_at(iso, temp)
     fields = [FieldConfig(bz=bz, bx=bx) for bz, bx in points]
     refused = []
     for f in fields:
         try:
-            reference = reference_lines(p, f, iso, dtype, nuclear_transverse)
+            reference = reference_lines(p, f, iso, dtype)
         except AmbiguousLabelingError as err:
             where = f"at Bz = {f.bz} G, Bx = {f.bx} G ({iso.name}): {err}"
             refused.append(where)
             for call in (transition_lines, transition_set):
                 with pytest.raises(AmbiguousLabelingError) as one:
-                    call(p, [f] if call is transition_lines else f, iso, dtype, nuclear_transverse)
+                    call(p, [f] if call is transition_lines else f, iso, dtype)
                 assert str(one.value) == where
             continue
-        lines, _ = transition_lines(p, [f], iso, dtype, nuclear_transverse)
+        lines, _ = transition_lines(p, [f], iso, dtype)
         assert lines.dtype == dtype
         assert np.array_equal(lines[0], reference)
-        ts = transition_set(p, f, iso, dtype, nuclear_transverse)
+        ts = transition_set(p, f, iso, dtype)
         assert np.array_equal(np.array(list(ts.frequencies.values()), dtype=dtype), reference)
     if refused:
         with pytest.raises(AmbiguousLabelingError) as batch:
-            transition_lines(p, fields, iso, dtype, nuclear_transverse)
+            transition_lines(p, fields, iso, dtype)
         assert str(batch.value) == refused[0]
         return
-    batch = transition_lines(p, fields, iso, dtype, nuclear_transverse)
+    batch = transition_lines(p, fields, iso, dtype)
     assert [len(x) for x in batch] == [len(fields)] * 2
     for i, f in enumerate(fields):
-        for whole, one in zip(batch, transition_lines(p, [f], iso, dtype, nuclear_transverse)):
+        for whole, one in zip(batch, transition_lines(p, [f], iso, dtype)):
             assert np.array_equal(whole[i], one[0])
 
 
@@ -173,7 +172,7 @@ def test_kernel_refuses_a_hamiltonian_that_overflows():
     # kernel skips eigh's symmetry check, not its finiteness check.
     p = CouplingParams(d=1.5e308, q=0.0, a_par=0.0, a_perp=0.0, gamma_n=N14.gamma_n)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="^matrix has non-finite entries$"):
-        transition_lines(p, [FieldConfig(bz=1e308 / p.gamma_e)], N14)
+        transition_lines(p, [FieldConfig(bz=1e308 / GAMMA_E_KHZ_PER_G)], N14)
 
 
 def test_labeling_ambiguous_near_anticrossing():
