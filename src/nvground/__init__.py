@@ -56,11 +56,9 @@ from .spin_core import (
     CouplingParams,
     FieldConfig,
     IsotopeSpec,
-    SpinOperators,
     StateLabel,
     build_hamiltonian,
     get_isotope,
-    spin_matrices,
 )
 from .transitions import (
     AmbiguousLabelingError,

@@ -71,7 +71,7 @@ def _params(args, iso: IsotopeSpec, temperature: float):
     if args.preset is not None:
         return presets.params_at(iso, temperature), presets.thermal_presets(iso)
     try:
-        raw = json.loads(Path(args.params).read_text(encoding="utf-8"))
+        raw = json.loads(Path(args.params).read_text(encoding="utf-8"), parse_int=float)
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot parse params file: {err}") from err
     keys = [field.name for field in dataclasses.fields(CouplingParams)]
@@ -79,14 +79,18 @@ def _params(args, iso: IsotopeSpec, temperature: float):
         unknown = [key for key in raw if key not in keys]  # TypeError for a JSON number
         if unknown:
             raise ConfigError(f"unknown key {unknown[0]!r}; the keys are {', '.join(keys)}")
-        params = CouplingParams(
-            d=float(raw["d"]),
-            q=float(raw.get("q", 0.0)),
-            a_par=float(raw["a_par"]),
-            a_perp=float(raw["a_perp"]),
-            gamma_n=float(raw.get("gamma_n", iso.gamma_n)),
-        )
-    except (KeyError, TypeError, ValueError) as err:
+        values = {"q": 0.0, "gamma_n": iso.gamma_n, **raw}
+        for key in keys:
+            if key not in values:
+                raise ConfigError(f"missing key {key!r}")
+            # parse_int=float reads every JSON number as a float (inf past its
+            # range), so a bool or a numeric string is what this refuses
+            if type(values[key]) is not float:
+                raise ConfigError(f"{key} must be a number, not {json.dumps(values[key])}")
+        if values["gamma_n"] == 0:
+            raise ConfigError("gamma_n must be nonzero")
+        params = CouplingParams(**values)
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"bad params file: {err}") from err
     return params, None
 

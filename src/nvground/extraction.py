@@ -53,10 +53,6 @@ FERMI_CONTACT_SCALE_KHZ = 1.811e6
 DIPOLAR_SCALE_KHZ = 55.52e3
 
 
-class InconsistentModelError(ValueError):
-    """The requested reading of the hyperfine decomposition has no solution."""
-
-
 @dataclass(frozen=True, slots=True)
 class MeasurementEntry:
     label: str
@@ -376,14 +372,11 @@ class AnisotropyResult:
     hybridization_ratio: float  # cp2 / cs2
 
 
-def anisotropy(a_par: float, a_perp: float, contact_reading: str = "cs2") -> AnisotropyResult:
+def anisotropy(a_par: float, a_perp: float) -> AnisotropyResult:
     """Decompose (A_par, A_perp) into contact/dipolar terms and orbital content.
 
     With |cs|^2 + |cp|^2 = 1: |f| = 1811 MHz * |cs|^2 eta and
-    |d| = 55.52 MHz * |cp|^2 eta.  contact_reading="one_minus_cs2" exercises
-    the alternative normalization in which the contact term carries
-    (1 - |cs|^2): both equations then constrain the same product |cp|^2 eta,
-    which the data contradict, so that reading raises.
+    |d| = 55.52 MHz * |cp|^2 eta.
     """
     f = a_par + 2 * a_perp
     d = a_par - a_perp
@@ -391,14 +384,6 @@ def anisotropy(a_par: float, a_perp: float, contact_reading: str = "cs2") -> Ani
         raise ValueError("Fermi contact term vanishes; orbital split undefined")
     cs2_eta = abs(f) / FERMI_CONTACT_SCALE_KHZ
     cp2_eta = abs(d) / DIPOLAR_SCALE_KHZ
-    if contact_reading == "one_minus_cs2":
-        raise InconsistentModelError(
-            "with the contact term proportional to (1-|cs|^2) = |cp|^2, both "
-            f"equations determine |cp|^2 eta, but they disagree: {cs2_eta:.4g} "
-            f"(contact) vs {cp2_eta:.4g} (dipolar)"
-        )
-    if contact_reading != "cs2":
-        raise ValueError("contact_reading must be 'cs2' or 'one_minus_cs2'")
     eta = cs2_eta + cp2_eta
     cs2 = cs2_eta / eta
     cp2 = cp2_eta / eta

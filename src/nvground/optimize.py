@@ -180,10 +180,6 @@ class PolynomialModel:
     t_max: float
     residual_rms: float = 0.0
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def value(self, t: float) -> float:
         dt = t - self.t0
         acc = 0.0

@@ -98,40 +98,17 @@ class FieldConfig:
         return cls(bz=b_magnitude * math.cos(theta), bx=b_magnitude * math.sin(theta))
 
 
-@dataclass(frozen=True)
-class SpinOperators:
-    """Dimensionless spin matrices for a single spin s."""
-
-    sz: np.ndarray
-    sx: np.ndarray
-    s_plus: np.ndarray
-    s_minus: np.ndarray
-
-
-def spin_matrices(s: float, dtype=np.float64) -> SpinOperators:
-    """Spin operators for spin s in the Sz eigenbasis ordered m = s ... -s.
-
-    Matrix elements follow <m+-1|S+-|m> = sqrt(s(s+1) - m(m+-1)); all
-    entries are real in this basis.
-    """
-    two_s = 2 * s
-    if two_s < 0 or abs(two_s - round(two_s)) > 1e-12:
-        raise ValueError(f"spin must be a nonnegative half-integer, got {s}")
-    dtype = np.dtype(dtype).type
-    dim = int(round(two_s)) + 1
+def _sz_and_s_plus(s: float, dtype):
+    """(Sz, S+) for spin s in the Sz eigenbasis ordered m = s ... -s, with
+    <m+1|S+|m> = sqrt(s(s+1) - m(m+1)); S- is S+ transposed and every entry
+    is real in this basis."""
+    dim = round(2 * s) + 1
     m = np.array([s - k for k in range(dim)], dtype=dtype)
-    sz = np.diag(m)
     s_plus = np.zeros((dim, dim), dtype=dtype)
     for k in range(1, dim):
         # raising from m[k] to m[k-1] = m[k] + 1
-        s_plus[k - 1, k] = np.sqrt(
-            np.asarray(s * (s + 1) - m[k] * (m[k] + 1), dtype=dtype)
-        )
-    s_minus = s_plus.T.copy()
-    sx = (s_plus + s_minus) / dtype(2)
-    for arr in (sz, sx, s_plus, s_minus):
-        arr.flags.writeable = False
-    return SpinOperators(sz=sz, sx=sx, s_plus=s_plus, s_minus=s_minus)
+        s_plus[k - 1, k] = np.sqrt(np.asarray(s * (s + 1) - m[k] * (m[k] + 1), dtype=dtype))
+    return np.diag(m), s_plus
 
 
 def basis_labels(iso: IsotopeSpec) -> tuple[StateLabel, ...]:
@@ -147,24 +124,23 @@ def _structure(iso_name: str, dtype: np.dtype):
     """Stack of the eight coefficient matrices of the full Hamiltonian."""
     iso = ISOTOPES[iso_name]
     dtype = dtype.type
-    elec = spin_matrices(1.0, dtype=dtype)
-    nuc = spin_matrices(iso.nuclear_spin, dtype=dtype)
+    sz, s_plus = _sz_and_s_plus(1.0, dtype)
+    iz, i_plus = _sz_and_s_plus(iso.nuclear_spin, dtype)
     eye_e = np.eye(3, dtype=dtype)
-    eye_n = np.eye(round(2 * iso.nuclear_spin + 1), dtype=dtype)
-    iz = nuc.sz
-    flip_flop = (
-        np.kron(elec.s_plus, nuc.s_minus) + np.kron(elec.s_minus, nuc.s_plus)
-    ) / dtype(2)
+    eye_n = np.eye(len(iz), dtype=dtype)
+    sx = (s_plus + s_plus.T) / dtype(2)
+    ix = (i_plus + i_plus.T) / dtype(2)
+    flip_flop = (np.kron(s_plus, i_plus.T) + np.kron(s_plus.T, i_plus)) / dtype(2)
     stack = np.stack(
         [
-            np.kron(elec.sz @ elec.sz, eye_n),  # D
+            np.kron(sz @ sz, eye_n),            # D
             np.kron(eye_e, iz @ iz),            # Q
-            np.kron(elec.sz, iz),               # A_par
-            np.kron(elec.sz, eye_n),            # gamma_e * Bz
+            np.kron(sz, iz),                    # A_par
+            np.kron(sz, eye_n),                 # gamma_e * Bz
             np.kron(eye_e, iz),                 # -gamma_n * Bz
             flip_flop,                          # A_perp
-            np.kron(elec.sx, eye_n),            # gamma_e * Bx
-            np.kron(eye_e, nuc.sx),             # -gamma_n * Bx
+            np.kron(sx, eye_n),                 # gamma_e * Bx
+            np.kron(eye_e, ix),                 # -gamma_n * Bx
         ]
     )
     stack.flags.writeable = False

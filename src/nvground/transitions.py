@@ -260,19 +260,16 @@ def isotopic_d_shift(fplus14: float, fminus14: float, fplus15: float, fminus15: 
     return (fplus15 + fminus15) / 2 - (fplus14 + fminus14) / 2
 
 
-def ratio_estimators(ts: TransitionSet, mw: Mapping[str, float] | None = None) -> dict[str, float]:
+def ratio_estimators(ts: TransitionSet) -> dict[str, float]:
     """Closed-form parameter estimates from linear combinations of 14NV lines.
 
     Returns gamma_ratio = (fplus(+1) - fminus(+1) + f5 - f3)/(f3 - f6),
     gamma_n_bz = (f3 - f6)/2, q_abs = mean of f1..f6, and
-    a_par_abs = (f1 + f2 - 2 f3 + f4 + f5 - 2 f6)/6.  ``mw`` may override
-    the electron-line values (e.g. with measured ones).
+    a_par_abs = (f1 + f2 - 2 f3 + f4 + f5 - 2 f6)/6.
     """
     if ts.isotope != "N14":
         raise ValueError("ratio estimators are defined for the N14 line set")
-    f = dict(ts.frequencies)
-    if mw:
-        f.update(mw)
+    f = ts.frequencies
     f1, f2, f3, f4, f5, f6 = (f[k] for k in ("f1", "f2", "f3", "f4", "f5", "f6"))
     denom = f3 - f6
     if denom == 0:

@@ -220,9 +220,20 @@ def bad_inputs(tmp_path):
                         ("negative_sigma.csv", "-0.02")):
         (tmp_path / name).write_text(f"tau_s,signal\n# noise_sigma={sigma}\n{rows}")
     (tmp_path / "two_sigmas.csv").write_text(f"tau_s,signal\n# noise_sigma=0\n# noise_sigma=0\n{rows}")
-    # A --params file reads only d, q, a_par, a_perp and gamma_n.
-    for name, key in (("gamma_e.json", "gamma_e"), ("misspelt.json", "a_prep")):
-        params = {"d": 2870.28e3, "q": -4945.88, "a_par": -2165.19, "a_perp": -2635.0, key: 1.0}
+    # A --params file reads only d, q, a_par, a_perp and gamma_n, each a JSON
+    # number, and gamma_n is nonzero.
+    n14 = {"d": 2870.28e3, "q": -4945.88, "a_par": -2165.19, "a_perp": -2635.0}
+    n15 = {"d": 2870.28e3, "a_par": 3033.3, "a_perp": 3680.0}
+    for name, params in (
+        ("gamma_e.json", {**n14, "gamma_e": 1.0}),
+        ("misspelt.json", {**n14, "a_prep": 1.0}),
+        ("zero_gamma_n.json", {**n14, "gamma_n": 0}),
+        ("zero_gamma_n_n15.json", {**n15, "gamma_n": 0}),
+        ("bool_q.json", {**n14, "q": True}),
+        ("string_d.json", {**n14, "d": "2870280"}),
+        ("huge_int_d.json", {**n14, "d": 10**400}),
+        ("no_d.json", {key: value for key, value in n14.items() if key != "d"}),
+    ):
         (tmp_path / name).write_text(json.dumps(params))
     return tmp_path
 
@@ -371,9 +382,21 @@ MISSING = {
         (["perturb-check", "--bz-steps", "0"], 2, ""),
         ([*FIT, "{dir}/cold.csv", *(f for name in PARAM_FIELDS["N14"] for f in ("--fix", name))], 2,
          "T = 77.0 K: every parameter is fixed; nothing to fit"),
-        *(([*PARAMS_N14, f"{{dir}}/{name}", "--bz", "470"], 2,
-           f"bad params file: unknown key {key!r}")
-          for name, key in (("gamma_e.json", "gamma_e"), ("misspelt.json", "a_prep"))),
+        *(([*PARAMS_N14, f"{{dir}}/{name}", "--bz", "470"], 2, f"bad params file: {names}")
+          for name, names in (
+              ("gamma_e.json", "unknown key 'gamma_e'"),
+              ("misspelt.json", "unknown key 'a_prep'"),
+              ("zero_gamma_n.json", "gamma_n must be nonzero"),
+              ("bool_q.json", "q must be a number, not true"),
+              ("string_d.json", 'd must be a number, not "2870280"'),
+              # an integer literal too large for a float reads as inf
+              ("huge_int_d.json", "coupling parameters must be finite"),
+              ("no_d.json", "missing key 'd'"),
+          )),
+        *(([command, "--isotope", iso, "--params", f"{{dir}}/{name}", "--bz", "470", *more], 2,
+           "bad params file: gamma_n must be nonzero")
+          for command, more in (("fit", MEASURED), ("angular-scan", ()))
+          for iso, name in (("n14", "zero_gamma_n.json"), ("n15", "zero_gamma_n_n15.json"))),
         *((argv, 2, names) for argv, names in (REFUSED | MISSING).values()),
     ],
     ids=[
@@ -382,7 +405,9 @@ MISSING = {
         "word-noise-sigma", "nan-noise-sigma", "negative-noise-sigma", "two-noise-sigmas",
         "ramsey-no-isotope", "n15-zero-field", "n14-zero-field", "wide-angle", "tripwire",
         "perturb-gslac", "empty-grid", "fit-every-parameter-fixed", "params-gamma-e",
-        "params-misspelt-key", *REFUSED, *MISSING,
+        "params-misspelt-key", "params-zero-gamma-n", "params-bool-q", "params-string-d",
+        "params-huge-int-d", "params-no-d", "fit-zero-gamma-n-n14", "fit-zero-gamma-n-n15",
+        "angular-scan-zero-gamma-n-n14", "angular-scan-zero-gamma-n-n15", *REFUSED, *MISSING,
     ],
 )
 def test_failures_end_in_one_error_line(bad_inputs, capsys, argv, code, names):

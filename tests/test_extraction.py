@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from per_point import reference_lines
 
 from nvground.extraction import (
-    InconsistentModelError,
     MeasurementEntry,
     MeasurementSet,
     ParamVector,
@@ -567,12 +566,7 @@ def test_anisotropy_pure_s_character():
     assert res.cs2 == 1.0
 
 
-def test_anisotropy_literal_reading_is_inconsistent():
-    p = params_at("N14")
-    with pytest.raises(InconsistentModelError):
-        anisotropy(p.a_par, p.a_perp, contact_reading="one_minus_cs2")
-    with pytest.raises(ValueError):
-        anisotropy(p.a_par, p.a_perp, contact_reading="bogus")
+def test_anisotropy_refuses_vanishing_contact_term():
     with pytest.raises(ValueError):
         anisotropy(2.0, -1.0)  # f = 0
 

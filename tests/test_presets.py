@@ -2,15 +2,25 @@ import numpy as np
 import pytest
 
 from nvground.cli import main
-from nvground.extraction import params_from_models
+from nvground.extraction import (
+    MeasurementEntry,
+    MeasurementSet,
+    ParamVector,
+    extract_params,
+    model_frequencies,
+    params_from_models,
+)
 from nvground.presets import (
     FRACTIONAL_PPM_PER_K,
     PRESET_NAMES,
     TABLE1,
+    TABLE3,
+    TABLE3_BZ_G,
     params_at,
     thermal_presets,
 )
-from nvground.spin_core import get_isotope
+from nvground.spin_core import GAMMA_E_KHZ_PER_G, FieldConfig, get_isotope
+from nvground.transitions import LINES, transition_set
 
 
 def test_reference_values_at_297():
@@ -74,3 +84,48 @@ def test_preset_name_validation(tmp_path, capsys):
         assert not out.exists()
         assert main(argv + ["--preset", PRESET_NAMES[0]]) == 0
         assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "iso_name, labels, bz, sigma_bz, chi2, line_pull, difference_pulls",
+    [
+        ("N14", ("f1", "f2", "f3", "f4", "f5", "f6"), 469.9459, 0.02297, 0.08346, 0.2007,
+         {"f1-f2": 0.461, "f5-f4": 0.461, "f3-f6": 0.582}),
+        ("N15", ("f7", "f8", "f9"), 470.7634, 0.06279, 0.03808, 0.1775, {}),
+    ],
+)
+def test_table3_is_the_presets_at_one_fitted_field(
+    iso_name, labels, bz, sigma_bz, chi2, line_pull, difference_pulls
+):
+    # Table 3's nuclear lines, fitted with only gamma_e Bz free and every
+    # other field at its 297 K preset: one field per isotope, 0.82 G apart,
+    # brings every line within its table sigma of the presets (chi^2 well
+    # below its 5 or 2 dof), where the nominal 470 G misses f1-f2 by 17 sigma.
+    iso = get_isotope(iso_name)
+    sigmas = np.array([TABLE3[label].freq_sigma_khz for label in labels])
+    ms = MeasurementSet(297.0, iso, tuple(
+        MeasurementEntry(label, TABLE3[label].freq_khz, TABLE3[label].freq_sigma_khz)
+        for label in labels
+    ))
+    guess = ParamVector.from_physical(iso.name, params_at(iso), FieldConfig(bz=TABLE3_BZ_G))
+    fit = extract_params(ms, guess, fixed=tuple(n for n in guess.fields() if n != "gamma_e_bz"))
+    assert fit.unresolved == ()
+    assert fit.params.gamma_e_bz / GAMMA_E_KHZ_PER_G == pytest.approx(bz, abs=1e-4)
+    assert fit.objective == pytest.approx(chi2, abs=1e-5)
+    # sigma from J^T J, J by central differences as in the acceptance tests
+    x, k, step = fit.params.as_array(), guess.fields().index("gamma_e_bz"), 0.1
+    up, down = x.copy(), x.copy()
+    up[k] += step
+    down[k] -= step
+    jac = (model_frequencies(up, iso, labels) - model_frequencies(down, iso, labels)) / (2 * step)
+    sigma = 1.0 / np.sqrt(np.sum((jac / sigmas) ** 2)) / GAMMA_E_KHZ_PER_G
+    assert sigma == pytest.approx(sigma_bz, abs=1e-5)
+    lines = transition_set(*fit.params.to_physical(), iso)
+    pulls = {
+        label: (lines[label] - row.freq_khz) / row.freq_sigma_khz
+        for label, row in TABLE3.items()
+        if label in LINES[iso.name]
+    }
+    assert max(abs(pulls[label]) for label in labels) == pytest.approx(line_pull, abs=1e-3)
+    for label, pull in difference_pulls.items():
+        assert pulls[label] == pytest.approx(pull, abs=1e-3)

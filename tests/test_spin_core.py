@@ -10,41 +10,42 @@ from nvground.spin_core import (
     StateLabel,
     _coefficients,
     _hamiltonians,
+    _structure,
+    _sz_and_s_plus,
     basis_labels,
     build_hamiltonian,
     get_isotope,
-    spin_matrices,
 )
 from nvground.presets import params_at
 
 
 def test_spin_half_sz():
-    ops = spin_matrices(0.5)
-    assert np.allclose(ops.sz, np.diag([0.5, -0.5]))
+    sz, _ = _sz_and_s_plus(0.5, np.float64)
+    assert np.allclose(sz, np.diag([0.5, -0.5]))
 
 
 def test_spin_one_ladder():
-    ops = spin_matrices(1.0)
+    _, s_plus = _sz_and_s_plus(1.0, np.float64)
     # S+ on m=0 gives sqrt(2) times m=+1; basis ordered (+1, 0, -1)
     m0 = np.array([0.0, 1.0, 0.0])
-    assert np.allclose(ops.s_plus @ m0, np.sqrt(2) * np.array([1.0, 0.0, 0.0]))
-    assert np.allclose(ops.s_minus, ops.s_plus.T)
-    assert np.allclose(ops.sx, ops.sx.T)
+    assert np.allclose(s_plus @ m0, np.sqrt(2) * np.array([1.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0])
 def test_commutator_algebra(s):
-    ops = spin_matrices(s)
-    sy = (ops.s_plus - ops.s_minus) / 2j
-    comm = ops.sx @ sy - sy @ ops.sx
-    assert np.max(np.abs(comm - 1j * ops.sz)) < 1e-12
+    sz, s_plus = _sz_and_s_plus(s, np.float64)
+    sx = (s_plus + s_plus.T) / 2
+    sy = (s_plus - s_plus.T) / 2j
+    comm = sx @ sy - sy @ sx
+    assert np.max(np.abs(comm - 1j * sz)) < 1e-12
 
 
-def test_spin_matrices_rejects_bad_spin():
-    with pytest.raises(ValueError):
-        spin_matrices(-0.5)
-    with pytest.raises(ValueError):
-        spin_matrices(0.7)
+@pytest.mark.parametrize("iso", [N14, N15])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_structure_stack_is_symmetric_and_read_only(iso, dtype):
+    stack = _structure(iso.name, np.dtype(dtype))
+    assert stack.dtype == dtype and not stack.flags.writeable
+    assert np.array_equal(stack, np.swapaxes(stack, 1, 2))
 
 
 def test_isotope_specs():

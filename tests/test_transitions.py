@@ -307,10 +307,3 @@ def test_ratio_estimators_require_n14():
     ts15 = transition_set(P15, B470, N15)
     with pytest.raises(ValueError):
         ratio_estimators(ts15)
-
-
-def test_ratio_estimators_mw_override():
-    ts = transition_set(P14, B470, N14)
-    est0 = ratio_estimators(ts)
-    est1 = ratio_estimators(ts, mw={"fplus_+1": ts["fplus_+1"] + 1.0, "fminus_+1": ts["fminus_+1"]})
-    assert est1["gamma_ratio"] > est0["gamma_ratio"]
