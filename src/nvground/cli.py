@@ -24,7 +24,7 @@ from . import extraction, io, perturbation, presets, ramsey
 from .extraction import ParamVector
 from .io import ConfigError, fmt_g, fmt_khz
 from .optimize import FitConvergenceError, NonFiniteObjectiveError, PolynomialModel
-from .spin_core import CouplingParams, FieldConfig, IsotopeSpec, get_isotope
+from .spin_core import GAMMA_E_KHZ_PER_G, CouplingParams, FieldConfig, IsotopeSpec, get_isotope
 from .transitions import (
     AmbiguousLabelingError,
     known_labels,
@@ -89,6 +89,10 @@ def _params(args, iso: IsotopeSpec, temperature: float):
                 raise ConfigError(f"{key} must be a number, not {json.dumps(values[key])}")
         if values["gamma_n"] == 0:
             raise ConfigError("gamma_n must be nonzero")
+        if math.isinf(GAMMA_E_KHZ_PER_G / values["gamma_n"]):
+            raise ConfigError(
+                f"gamma_n {values['gamma_n']!r} is too small: gamma_e/gamma_n overflows"
+            )
         params = CouplingParams(**values)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad params file: {err}") from err
@@ -366,7 +370,7 @@ COMMON_FLAGS = {
     "--preset": dict(
         choices=presets.PRESET_NAMES, metavar="PRESET", help="named parameter preset (%(choices)s)"
     ),
-    "--params": dict(help="JSON file with d, q, a_par, a_perp [, gamma_n]"),
+    "--params": dict(help="JSON file with d, a_par, a_perp [, q, gamma_n]"),
     "--bz": dict(type=_finite_float, default=None, help="axial field, Gauss"),
     "--bx": dict(type=_finite_float, default=0.0, help="transverse field, Gauss"),
     "--b": dict(type=_finite_float, default=None, help="field magnitude, Gauss"),

@@ -141,6 +141,10 @@ class ParamVector:
 
 @dataclass(frozen=True, slots=True)
 class FitResult:
+    """One temperature's fit.  ``iterations`` and ``n_evals`` count its one
+    Nelder-Mead run, each evaluation one forward-model solve; a field in
+    ``unresolved`` keeps its guess value to SVD rounding (about 1e-14 kHz)."""
+
     params: ParamVector
     objective: float
     residuals: dict[str, float]  # model - measured, kHz
@@ -239,6 +243,7 @@ def extract_params(
     and named in FitResult.unresolved, and needs no entry: ``ms`` needs one
     entry per other free parameter.  The entries are fitted in known_labels
     order, so their order in ``ms`` does not change a bit of the result.
+    A 15NV guess with Q != 0 is refused (ValueError) by its own first solve.
     """
     if guess.isotope != ms.isotope.name:
         raise ValueError(
@@ -430,7 +435,9 @@ def transition_table(
     """Exact-diagonalization line table with exact dT slopes from the same
     solve, at any field: the field does not depend on T, so the rates are
     those of the models' derived() polynomials (transitions.line_slopes).
-    Returns (freqs, slopes), keyed in LINES row order: kHz and Hz/K."""
+    No temperature step is taken, so the slopes are exact at the ends of the
+    models' range too.  Returns (freqs, slopes), keyed in LINES row order:
+    kHz and Hz/K."""
     params = params_from_models(models, iso, temperature)
     rates = params_from_models({n: m.derived() for n, m in models.items()}, iso, temperature)
     freqs, slopes = line_slopes(params, rates, field, iso)

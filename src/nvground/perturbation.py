@@ -14,6 +14,10 @@ Point-shift predictions meant to face experiment keep the full
 Hamiltonian; for f7 the distinction matters, because the dropped term
 interferes with the A_perp pathway and scales the misalignment response
 down by about gamma_n D / (A_perp gamma_e) ~ 12%.
+
+The ms = 0 line's functions take the isotope and no line name (ms0_line
+picks the line), so no call can pair one isotope's parameters with the
+other's line.
 """
 
 from __future__ import annotations

@@ -221,7 +221,7 @@ def bad_inputs(tmp_path):
         (tmp_path / name).write_text(f"tau_s,signal\n# noise_sigma={sigma}\n{rows}")
     (tmp_path / "two_sigmas.csv").write_text(f"tau_s,signal\n# noise_sigma=0\n# noise_sigma=0\n{rows}")
     # A --params file reads only d, q, a_par, a_perp and gamma_n, each a JSON
-    # number, and gamma_n is nonzero.
+    # number, and gamma_n is nonzero and large enough for a finite gamma_e/gamma_n.
     n14 = {"d": 2870.28e3, "q": -4945.88, "a_par": -2165.19, "a_perp": -2635.0}
     n15 = {"d": 2870.28e3, "a_par": 3033.3, "a_perp": 3680.0}
     for name, params in (
@@ -229,6 +229,7 @@ def bad_inputs(tmp_path):
         ("misspelt.json", {**n14, "a_prep": 1.0}),
         ("zero_gamma_n.json", {**n14, "gamma_n": 0}),
         ("zero_gamma_n_n15.json", {**n15, "gamma_n": 0}),
+        ("tiny_gamma_n.json", {**n14, "gamma_n": 1e-320}),
         ("bool_q.json", {**n14, "q": True}),
         ("string_d.json", {**n14, "d": "2870280"}),
         ("huge_int_d.json", {**n14, "d": 10**400}),
@@ -394,9 +395,14 @@ MISSING = {
               ("no_d.json", "missing key 'd'"),
           )),
         *(([command, "--isotope", iso, "--params", f"{{dir}}/{name}", "--bz", "470", *more], 2,
-           "bad params file: gamma_n must be nonzero")
+           f"bad params file: {names}")
           for command, more in (("fit", MEASURED), ("angular-scan", ()))
-          for iso, name in (("n14", "zero_gamma_n.json"), ("n15", "zero_gamma_n_n15.json"))),
+          for iso, name, names in (
+              ("n14", "zero_gamma_n.json", "gamma_n must be nonzero"),
+              ("n15", "zero_gamma_n_n15.json", "gamma_n must be nonzero"),
+              ("n14", "tiny_gamma_n.json",
+               "gamma_n 1e-320 is too small: gamma_e/gamma_n overflows"),
+          )),
         *((argv, 2, names) for argv, names in (REFUSED | MISSING).values()),
     ],
     ids=[
@@ -407,7 +413,8 @@ MISSING = {
         "perturb-gslac", "empty-grid", "fit-every-parameter-fixed", "params-gamma-e",
         "params-misspelt-key", "params-zero-gamma-n", "params-bool-q", "params-string-d",
         "params-huge-int-d", "params-no-d", "fit-zero-gamma-n-n14", "fit-zero-gamma-n-n15",
-        "angular-scan-zero-gamma-n-n14", "angular-scan-zero-gamma-n-n15", *REFUSED, *MISSING,
+        "fit-tiny-gamma-n", "angular-scan-zero-gamma-n-n14", "angular-scan-zero-gamma-n-n15",
+        "angular-scan-tiny-gamma-n", *REFUSED, *MISSING,
     ],
 )
 def test_failures_end_in_one_error_line(bad_inputs, capsys, argv, code, names):

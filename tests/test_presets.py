@@ -86,6 +86,35 @@ def test_preset_name_validation(tmp_path, capsys):
         assert out.exists()
 
 
+# Central-difference steps (kHz) for the J^T J sigmas of a Table 3 fit.
+STEPS = {"gamma_e_bz": 0.1, "q": 0.01, "a_par": 0.01, "a_perp": 0.01}
+
+
+def _fit_table3(iso, labels, free):
+    """Table 3's ``labels`` fitted from TABLE3_BZ_G with the fields ``free``
+    free and every other field at its 297 K preset: the fit, and each free
+    field's sigma from J^T J, J by central differences as in the acceptance
+    tests."""
+    sigmas = np.array([TABLE3[label].freq_sigma_khz for label in labels])
+    ms = MeasurementSet(297.0, iso, tuple(
+        MeasurementEntry(label, TABLE3[label].freq_khz, TABLE3[label].freq_sigma_khz)
+        for label in labels
+    ))
+    guess = ParamVector.from_physical(iso.name, params_at(iso), FieldConfig(bz=TABLE3_BZ_G))
+    fit = extract_params(ms, guess, fixed=tuple(n for n in guess.fields() if n not in free))
+    x, columns = fit.params.as_array(), []
+    for name in free:
+        k, step = guess.fields().index(name), STEPS[name]
+        up, down = x.copy(), x.copy()
+        up[k] += step
+        down[k] -= step
+        columns.append(
+            (model_frequencies(up, iso, labels) - model_frequencies(down, iso, labels)) / (2 * step)
+        )
+    jac = np.array(columns).T / sigmas[:, None]
+    return fit, dict(zip(free, np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)))))
+
+
 @pytest.mark.parametrize(
     "iso_name, labels, bz, sigma_bz, chi2, line_pull, difference_pulls",
     [
@@ -102,24 +131,11 @@ def test_table3_is_the_presets_at_one_fitted_field(
     # brings every line within its table sigma of the presets (chi^2 well
     # below its 5 or 2 dof), where the nominal 470 G misses f1-f2 by 17 sigma.
     iso = get_isotope(iso_name)
-    sigmas = np.array([TABLE3[label].freq_sigma_khz for label in labels])
-    ms = MeasurementSet(297.0, iso, tuple(
-        MeasurementEntry(label, TABLE3[label].freq_khz, TABLE3[label].freq_sigma_khz)
-        for label in labels
-    ))
-    guess = ParamVector.from_physical(iso.name, params_at(iso), FieldConfig(bz=TABLE3_BZ_G))
-    fit = extract_params(ms, guess, fixed=tuple(n for n in guess.fields() if n != "gamma_e_bz"))
+    fit, sigma = _fit_table3(iso, labels, ("gamma_e_bz",))
     assert fit.unresolved == ()
     assert fit.params.gamma_e_bz / GAMMA_E_KHZ_PER_G == pytest.approx(bz, abs=1e-4)
     assert fit.objective == pytest.approx(chi2, abs=1e-5)
-    # sigma from J^T J, J by central differences as in the acceptance tests
-    x, k, step = fit.params.as_array(), guess.fields().index("gamma_e_bz"), 0.1
-    up, down = x.copy(), x.copy()
-    up[k] += step
-    down[k] -= step
-    jac = (model_frequencies(up, iso, labels) - model_frequencies(down, iso, labels)) / (2 * step)
-    sigma = 1.0 / np.sqrt(np.sum((jac / sigmas) ** 2)) / GAMMA_E_KHZ_PER_G
-    assert sigma == pytest.approx(sigma_bz, abs=1e-5)
+    assert sigma["gamma_e_bz"] / GAMMA_E_KHZ_PER_G == pytest.approx(sigma_bz, abs=1e-5)
     lines = transition_set(*fit.params.to_physical(), iso)
     pulls = {
         label: (lines[label] - row.freq_khz) / row.freq_sigma_khz
@@ -129,3 +145,32 @@ def test_table3_is_the_presets_at_one_fitted_field(
     assert max(abs(pulls[label]) for label in labels) == pytest.approx(line_pull, abs=1e-3)
     for label, pull in difference_pulls.items():
         assert pulls[label] == pytest.approx(pull, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "iso_name, labels, expected, chi2",
+    [
+        ("N14", ("f1", "f2", "f3", "f4", "f5", "f6"),
+         {"gamma_e_bz": (469.94675, 0.045234), "q": (-4945.88250, 0.026308),
+          "a_par": (-2165.19007, 0.042131), "a_perp": (-2635.2247, 11.2993)}, 5.983e-4),
+        ("N15", ("f7", "f8", "f9"),
+         {"gamma_e_bz": (470.70683, 0.33504), "a_par": (3033.32255, 0.18332),
+          "a_perp": (3697.9496, 104.161)}, 0.0),
+    ],
+)
+def test_table3_with_free_couplings_puts_each_preset_a_perp_within_1_sigma(
+    iso_name, labels, expected, chi2
+):
+    # The same fit with the couplings free too (D and gamma_e/gamma_n stay at
+    # their presets): 15NV's three lines fix its three fields (0 dof) but
+    # barely constrain A_perp.  Values (Bz in G, the rest in kHz) are pinned
+    # to a hundredth of their sigma.
+    iso = get_isotope(iso_name)
+    fit, sigma = _fit_table3(iso, labels, tuple(expected))
+    assert fit.unresolved == ()
+    assert fit.objective == pytest.approx(chi2, abs=1e-6)
+    for name, (value, sigma_value) in expected.items():
+        unit = GAMMA_E_KHZ_PER_G if name == "gamma_e_bz" else 1.0
+        assert getattr(fit.params, name) / unit == pytest.approx(value, abs=0.01 * sigma_value)
+        assert sigma[name] / unit == pytest.approx(sigma_value, rel=1e-3)
+    assert abs(fit.params.a_perp - TABLE1[iso.name]["a_perp"].value) <= sigma["a_perp"]
