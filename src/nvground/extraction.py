@@ -8,8 +8,9 @@ gamma_e itself is an external constant, so Bz and gamma_n in physical
 units appear only at reporting time.
 
 The simplex runs in whitened coordinates.  One Jacobian of the
-sigma-weighted lines at the guess (Hellmann-Feynman, from the guess's own
-diagonalization) is taken apart by its SVD J = U S V^T over the directions
+sigma-weighted lines at the guess (the kernel's Hellmann-Feynman
+derivative stack at the guess, a batch of one, through the chain rule of
+_coefficient_row) is taken apart by its SVD J = U S V^T over the directions
 the lines resolve (_FLAT_RTOL); the origin moves to the Gauss-Newton point
 x_gn = x0 - V S^-1 U^T r0, and the simplex searches z with
 x = x_gn + V S^-1 z.  A unit of z moves the chi^2 by about one, so every
@@ -32,14 +33,20 @@ from .optimize import (
     polyfit_weighted,
     weighted_objective,
 )
-from .spin_core import GAMMA_E_KHZ_PER_G, CouplingParams, FieldConfig, IsotopeSpec, _require_finite
+from .spin_core import (
+    GAMMA_E_KHZ_PER_G,
+    CouplingParams,
+    FieldConfig,
+    IsotopeSpec,
+    _coefficients,
+    _require_finite,
+)
 from .transitions import (
+    _ROW_MAP,
     AmbiguousLabelingError,
     _kernel,
     _row_index,
     known_labels,
-    line_derivatives,
-    line_slopes,
     transition_set,  # unused here; perfbench's tracer pins this binding site
 )
 
@@ -178,7 +185,8 @@ def _coefficient_row(x: np.ndarray, iso: IsotopeSpec, dc: np.ndarray | None = No
         d=dc[0], q=dc[1], a_par=dc[2], a_perp=dc[5],
         gamma_e_bz=dc[3] - dc[4] / r,
         gamma_e_bx=math.copysign(1.0, gamma_e_bx) * (dc[6] - dc[7] / r),
-        gamma_ratio=(gamma_e_bz * dc[4] + abs(gamma_e_bx) * dc[7]) / r**2,
+        # r * r overflows to inf (a flat column); a Python float's r**2 raises
+        gamma_ratio=(gamma_e_bz * dc[4] + abs(gamma_e_bx) * dc[7]) / (r * r),
     )
     return row, (bz, bx), np.column_stack([by_field[name] for name in PARAM_FIELDS[iso.name]])
 
@@ -194,10 +202,13 @@ def model_frequencies(x: np.ndarray, iso: IsotopeSpec, labels) -> np.ndarray:
 
 def _jacobian(vec: ParamVector, iso: IsotopeSpec, labels) -> tuple[np.ndarray, np.ndarray]:
     """Model frequencies for ``labels`` at ``vec`` and their derivatives with
-    respect to every fit field, (M,) and (M, len(vec.fields())), from one
-    diagonalization (transitions.line_derivatives) and the chain rule
-    through _coefficient_row's derivative."""
-    lines, dlines = line_derivatives(*vec.to_physical(), iso)
+    respect to every fit field, (M,) and (M, len(vec.fields())): the
+    kernel's derivative stack at vec.to_physical(), a batch of one, through
+    _coefficient_row's chain rule.  The objects refuse the guess, in their
+    order: a non-finite coupling, the field, a 15NV Q != 0 (_coefficients)."""
+    p, f = vec.to_physical()
+    point = [(f.bz, f.bx)]
+    (lines,), _, (dlines,) = _kernel(_coefficients(p, point, iso), iso, point, derivatives=True)
     rows = _row_index(iso.name, tuple(labels))
     return lines[rows], _coefficient_row(vec.as_array(), iso, dlines[rows].T)[2]
 
@@ -433,15 +444,17 @@ def transition_table(
     iso: IsotopeSpec,
 ) -> tuple[dict[str, float], dict[str, float]]:
     """Exact-diagonalization line table with exact dT slopes from the same
-    solve, at any field: the field does not depend on T, so the rates are
-    those of the models' derived() polynomials (transitions.line_slopes).
-    No temperature step is taken, so the slopes are exact at the ends of the
-    models' range too.  Returns (freqs, slopes), keyed in LINES row order:
-    kHz and Hz/K."""
+    solve, at any field: the field does not depend on T, so the slopes are
+    the kernel's derivative stack contracted with the coefficient rates of
+    the models' derived() polynomials.  The splittings are contracted first
+    and go through the row map after, so in kHz/K a difference row's slope
+    is the difference of its two, exactly.  No temperature step is taken,
+    so the slopes are exact at the ends of the models' range too.  Returns
+    (freqs, slopes), keyed in LINES row order: kHz and Hz/K."""
     params = params_from_models(models, iso, temperature)
     rates = params_from_models({n: m.derived() for n, m in models.items()}, iso, temperature)
-    freqs, slopes = line_slopes(params, rates, field, iso)
-    return (
-        {label: float(f) for label, f in freqs.items()},
-        {label: float(1e3 * slope) for label, slope in slopes.items()},
-    )
+    point = [(field.bz, field.bx)]
+    (lines,), _, (dlines,) = _kernel(_coefficients(params, point, iso), iso, point, derivatives=True)
+    names, _, _, rows, split_rows = _ROW_MAP[iso.name]
+    slopes = (dlines[split_rows] @ _coefficients(rates, [(0.0, 0.0)], iso)[0]) @ rows
+    return dict(zip(names, lines.tolist())), dict(zip(names, (1e3 * slopes).tolist()))

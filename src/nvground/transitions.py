@@ -6,6 +6,11 @@ component, which realizes the standard transition naming: f1..f6 for the
 (MW) lines, fdq = f1 - f2 for the 14NV double-quantum transition, and
 the 14NV difference rows such as f1-f2.  ``LINES`` is the one list of
 these names and their order.
+
+Lines and their derivatives take one batched path, ``_kernel``: a stack of
+field points -> one H stack, eigh and labeling -> every line (N, L) and, on
+request, its Hellmann-Feynman derivatives (N, L, 8) with respect to the
+Hamiltonian's eight coefficients.  A single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -178,24 +183,36 @@ def label_states(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, n
     return np.take_along_axis(values, pair, -1), np.take_along_axis(vectors, pair[..., None, :], -1)
 
 
-def _kernel(coefficients: np.ndarray, iso: IsotopeSpec, points):
+def _kernel(coefficients: np.ndarray, iso: IsotopeSpec, points, derivatives: bool = False):
     """The forward kernel: _coefficients rows (N, 8) at (bz, bx) ``points`` ->
-    one H stack, eigh and labeling -> lines (N, L) in LINES row order,
-    energies (N, d) in basis order, and eigenvectors in eigh's order with
-    their _level_order for the caller that reads them.  Each point gets the
-    bits of a batch of one; a refusal names the first refused point.  H is
-    built symmetric: only its finiteness is checked before eigensolve._eigh."""
+    one H stack, eigh and labeling -> lines (N, L) in LINES row order and
+    energies (N, d) in basis order; with ``derivatives``, also the lines'
+    derivatives (N, L, 8) with respect to the c_j of H = sum_j c_j S_j
+    (spin_core._structure) from the labelled eigenvectors: level k moves by
+    dE_k/dc_j = v_k^T S_j v_k (Hellmann-Feynman; Feynman, Phys. Rev. 56, 340,
+    1939), and a difference row by the difference of its two rows', exactly.
+    Each point gets the bits of a batch of one; a refusal names the first
+    refused point.  H is built symmetric: only its finiteness is checked
+    before eigensolve._eigh."""
     values, vectors = _eigh(_check_finite(_hamiltonians(coefficients, iso)))
     try:
         order = _level_order(vectors)
     except AmbiguousLabelingError as err:
         bz, bx = points[err.index[0]]
         raise AmbiguousLabelingError(f"at Bz = {bz} G, Bx = {bx} G ({iso.name}): {err}") from err
-    energies = values[np.arange(len(order))[:, None], order]
+    n = np.arange(len(order))[:, None]
+    energies = values[n, order]
     _, a, b, rows, _ = _ROW_MAP[iso.name]
     # take: about half the cost of energies[:, a] on these small arrays
-    lines = np.abs(energies.take(a, axis=1) - energies.take(b, axis=1)) @ rows
-    return lines, energies, vectors, order
+    splits = energies.take(a, axis=1) - energies.take(b, axis=1)
+    lines = np.abs(splits) @ rows
+    if not derivatives:
+        return lines, energies
+    # v[n, i, k] = vectors[n, i, order[n, k]]: basis order, in the C order the bits need
+    v = vectors[n[:, None], np.arange(order.shape[-1])[:, None], order[:, None, :]][:, None]
+    dlevels = np.sum(v * (_structure(iso.name, v.dtype) @ v), axis=-2)  # (N, 8, d)
+    dsplits = np.sign(splits)[:, None] * (dlevels.take(a, axis=-1) - dlevels.take(b, axis=-1))
+    return lines, energies, rows.T @ dsplits.swapaxes(-1, -2)
 
 
 @functools.lru_cache
@@ -209,7 +226,7 @@ def transition_lines(p: CouplingParams, fields, iso: IsotopeSpec, dtype=np.float
     """The kernel's (lines (N, L), energies (N, d)) at FieldConfigs ``fields``;
     ``dtype`` as in build_hamiltonian."""
     points = [(f.bz, f.bx) for f in fields]
-    return _kernel(_coefficients(p, points, iso, dtype), iso, points)[:2]
+    return _kernel(_coefficients(p, points, iso, dtype), iso, points)
 
 
 def transition_set(
@@ -219,37 +236,6 @@ def transition_set(
     transition_lines for a batch of one."""
     lines, _ = transition_lines(p, [f], iso, dtype)
     return TransitionSet(dict(zip(_ROW_MAP[iso.name][0], lines[0])), iso.name)
-
-
-def line_derivatives(p: CouplingParams, f: FieldConfig, iso: IsotopeSpec):
-    """Every row of the table at (p, f) and its derivatives with respect to
-    the eight coefficients c_j of H = sum_j c_j S_j (spin_core._structure),
-    from one diagonalization: level k moves by dE_k/dc_j = v_k^T S_j v_k
-    (Hellmann-Feynman; Feynman, Phys. Rev. 56, 340, 1939).  Returns
-    (lines (L,), dlines (L, 8)) in LINES row order; a difference row's
-    derivatives are the differences of its two rows', exactly.
-    """
-    points = [(f.bz, f.bx)]
-    (lines,), (energies,), (v,), (order,) = _kernel(_coefficients(p, points, iso), iso, points)
-    vectors = v.take(order, axis=1)  # basis order; take keeps C order, which the bits need
-    stack = _structure(iso.name, vectors.dtype)
-    dlevels = np.sum(vectors * (stack @ vectors), axis=1)  # (8, d)
-    _, a, b, rows, _ = _ROW_MAP[iso.name]
-    dsplits = np.sign(energies[a] - energies[b]) * (dlevels[:, a] - dlevels[:, b])
-    return lines, rows.T @ dsplits.T
-
-
-def line_slopes(p: CouplingParams, rates: CouplingParams, f: FieldConfig, iso: IsotopeSpec):
-    """Every row of the table at (p, f) and its derivative along ``rates``
-    (dD, dQ, dA_par, dA_perp, say per kelvin, at a fixed field), as two
-    dicts: line_derivatives contracted with the coefficient rates.  The
-    splittings are contracted first and go through the row map after, so
-    a difference row is the difference of its two slopes, exactly.
-    """
-    lines, dlines = line_derivatives(p, f, iso)
-    names, _, _, rows, split_rows = _ROW_MAP[iso.name]
-    slopes = (dlines[split_rows] @ _coefficients(rates, [(0.0, 0.0)], iso)[0]) @ rows
-    return dict(zip(names, lines)), dict(zip(names, slopes))
 
 
 def isotopic_d_shift(fplus14: float, fminus14: float, fplus15: float, fminus15: float) -> float:

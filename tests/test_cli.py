@@ -601,6 +601,24 @@ def test_fit_holds_and_reports_an_unresolved_field(report_inputs, capsys):
     assert not any(line.startswith("#") for line in out.splitlines())
 
 
+def test_fit_holds_a_gamma_ratio_whose_square_overflows(report_inputs, tmp_path, capsys):
+    # gamma_n = 1e-300 passes the --params check (gamma_e/gamma_n, 2.8e303,
+    # is finite), but the Jacobian's chain rule divides by gamma_ratio
+    # squared, which overflows to inf: the lines are flat in gamma_ratio, so
+    # the fit holds it at the guess and reports it, with no traceback.
+    params = tmp_path / "tiny_gamma_n.json"
+    params.write_text(json.dumps(
+        {"d": 2870.28e3, "q": -4945.88, "a_par": -2165.19, "a_perp": -2635.0, "gamma_n": 1e-300}
+    ))
+    code = main(["fit", "--isotope", "n14", "--params", str(params), "--bz", "470",
+                 "--measurements", str(report_inputs / "one.csv"), *FIXED])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    (rec,) = json.loads(captured.out)["results"]
+    assert rec["unresolved"] == ["gamma_ratio"]
+    assert rec["params"]["gamma_ratio"] == pytest.approx(GAMMA_E_KHZ_PER_G / 1e-300, rel=1e-4)
+
+
 def test_thermal_command_recovers_fractional_derivative(tmp_path, capsys):
     data = tmp_path / "series.csv"
     temps = ",".join(str(t) for t in np.linspace(77, 400, 12))

@@ -33,7 +33,7 @@ from nvground.presets import (
 )
 from nvground import extraction, optimize
 from nvground.spin_core import GAMMA_E_KHZ_PER_G, N14, N15, FieldConfig, _coefficients
-from nvground.transitions import LINES, AmbiguousLabelingError, known_labels, transition_set
+from nvground.transitions import LINES, AmbiguousLabelingError, _kernel, known_labels, transition_set
 
 B470 = FieldConfig(bz=TABLE3_BZ_G)
 FIT_LABELS_N14 = ["f1", "f2", "f3", "f4", "f5", "f6", "fplus_+1", "fminus_+1"]
@@ -130,23 +130,35 @@ def test_fit_reorder_invariance():
 @pytest.mark.parametrize("iso", [N14, N15], ids=["N14", "N15"])
 @pytest.mark.parametrize("bz, bx", [(470.0, 0.0), (100.0, 0.3)], ids=["axial-470G", "tilted-100G"])
 def test_jacobian_matches_central_differences(iso, bz, bx):
-    # The Hellmann-Feynman Jacobian through the chain rule to the fit
-    # fields, gamma_e_bx and gamma_ratio included, against central
-    # differences of the forward model over every line with two levels.
-    # The lines carry about 3e-9 kHz of eigensolver noise, so the step is
-    # 1e-4 of each field and the tolerance 5e-9 kHz over the step.
-    vec = ParamVector.from_physical(iso.name, params_at(iso), FieldConfig(bz=bz, bx=bx))
+    # The kernel's Hellmann-Feynman stack over three fields (the given one
+    # scaled by 0.5, 1 and 1.5), each point the bits of _jacobian's batch of
+    # one, through the chain rule to the fit fields, gamma_e_bx and
+    # gamma_ratio included, against central differences of the forward
+    # model over every line with two levels.  The lines carry about 3e-9 kHz
+    # of eigensolver noise, so the step is 1e-4 of each field and the
+    # tolerance 5e-9 kHz over the step.
     labels = known_labels(iso)
-    model, jac = _jacobian(vec, iso, labels)
-    x = vec.as_array()
-    assert np.array_equal(model, model_frequencies(x, iso, labels))
-    for j, name in enumerate(vec.fields()):
-        h = 1e-4 * abs(x[j]) if x[j] else 1e-2
-        up, down = x.copy(), x.copy()
-        up[j] += h
-        down[j] -= h
-        fd = (model_frequencies(up, iso, labels) - model_frequencies(down, iso, labels)) / (2 * h)
-        assert np.allclose(jac[:, j], fd, rtol=1e-6, atol=5e-9 / h), name
+    rows = [list(LINES[iso.name]).index(label) for label in labels]
+    vecs = [
+        ParamVector.from_physical(iso.name, params_at(iso), FieldConfig(bz=k * bz, bx=k * bx))
+        for k in (0.5, 1.0, 1.5)
+    ]
+    p = vecs[0].to_physical()[0]
+    points = [(f.bz, f.bx) for _, f in (vec.to_physical() for vec in vecs)]
+    lines, _, derivatives = _kernel(_coefficients(p, points, iso), iso, points, derivatives=True)
+    for vec, line, derivative in zip(vecs, lines, derivatives, strict=True):
+        x = vec.as_array()
+        model, jac = _jacobian(vec, iso, labels)
+        assert np.array_equal(model, line[rows])
+        assert np.array_equal(model, model_frequencies(x, iso, labels))
+        assert np.array_equal(jac, _coefficient_row(x, iso, derivative[rows].T)[2])
+        for j, name in enumerate(vec.fields()):
+            h = 1e-4 * abs(x[j]) if x[j] else 1e-2
+            up, down = x.copy(), x.copy()
+            up[j] += h
+            down[j] -= h
+            fd = (model_frequencies(up, iso, labels) - model_frequencies(down, iso, labels)) / (2 * h)
+            assert np.allclose(jac[:, j], fd, rtol=1e-6, atol=5e-9 / h), name
 
 
 def test_fit_residuals_consistent_with_objective():

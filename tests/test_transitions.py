@@ -1,12 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from per_point import reference_lines
+from per_point import reference_derivatives, reference_lines
 
 from nvground import transitions
 from nvground.eigensolve import _eigh, eigh
-from nvground.presets import GAMMA_RATIO_N14, TABLE3, params_at
+from nvground.extraction import transition_table
+from nvground.presets import GAMMA_RATIO_N14, TABLE3, params_at, thermal_presets
 from nvground.spin_core import (
     GAMMA_E_KHZ_PER_G,
     N14,
@@ -14,6 +17,7 @@ from nvground.spin_core import (
     CouplingParams,
     FieldConfig,
     StateLabel,
+    _coefficients,
     basis_labels,
     build_hamiltonian,
 )
@@ -21,10 +25,9 @@ from nvground.transitions import (
     LINES,
     OVERLAP_THRESHOLD,
     AmbiguousLabelingError,
+    _kernel,
     isotopic_d_shift,
     label_states,
-    line_derivatives,
-    line_slopes,
     ratio_estimators,
     transition_lines,
     transition_set,
@@ -97,6 +100,12 @@ def test_label_states_stack_refusal_names_the_first_refused_matrix():
     assert stacked.value.index == (1,)
 
 
+def derivative_stack(p, fields, iso, dtype=np.float64):
+    """The kernel's (lines, energies, derivatives) at FieldConfigs ``fields``."""
+    points = [(f.bz, f.bx) for f in fields]
+    return _kernel(_coefficients(p, points, iso, dtype), iso, points, derivatives=True)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     iso=st.sampled_from([N14, N15]),
@@ -112,7 +121,10 @@ def test_label_states_stack_refusal_names_the_first_refused_matrix():
     dtype=np.float64,
 )
 def test_kernel_batches_match_the_per_point_path(iso, temp, points, dtype):
+    # Lines in either dtype, and in float64 the derivative stack too: each
+    # point of a stack has the bits of the per-point path, or its refusal.
     p = params_at(iso, temp)
+    stacks = (transition_lines, derivative_stack) if dtype is np.float64 else (transition_lines,)
     fields = [FieldConfig(bz=bz, bx=bx) for bz, bx in points]
     refused = []
     for f in fields:
@@ -132,15 +144,22 @@ def test_kernel_batches_match_the_per_point_path(iso, temp, points, dtype):
         ts = transition_set(p, f, iso, dtype)
         assert np.array_equal(np.array(list(ts.frequencies.values()), dtype=dtype), reference)
     if refused:
-        with pytest.raises(AmbiguousLabelingError) as batch:
-            transition_lines(p, fields, iso, dtype)
-        assert str(batch.value) == refused[0]
+        for stack in stacks:
+            with pytest.raises(AmbiguousLabelingError) as batch:
+                stack(p, fields, iso, dtype)
+            assert str(batch.value) == refused[0]
         return
     batch = transition_lines(p, fields, iso, dtype)
     assert [len(x) for x in batch] == [len(fields)] * 2
     for i, f in enumerate(fields):
         for whole, one in zip(batch, transition_lines(p, [f], iso, dtype)):
             assert np.array_equal(whole[i], one[0])
+    if dtype is np.float64:
+        *values, derivatives = derivative_stack(p, fields, iso)
+        assert all(np.array_equal(x, y) for x, y in zip(values, batch, strict=True))
+        assert derivatives.shape == (len(fields), len(LINES[iso.name]), 8)
+        for i, f in enumerate(fields):
+            assert derivatives[i].tobytes() == reference_derivatives(p, f, iso).tobytes()
 
 
 @pytest.mark.parametrize("iso", [N14, N15], ids=["N14", "N15"])
@@ -148,11 +167,14 @@ def test_kernel_batches_match_the_per_point_path(iso, temp, points, dtype):
 def test_no_result_reads_eigenvector_signs(monkeypatch, iso, bx):
     # An eigenvector's sign is arbitrary: negating every other column of the
     # kernel's eigensolver output leaves lines, energies and derivatives bit
-    # for bit.
-    p, f = params_at(iso), FieldConfig(bz=470.0, bx=bx)
-    dtypes = (np.float64, np.longdouble)
-    before = {dtype: transition_lines(p, [f], iso, dtype) for dtype in dtypes}
-    derivatives = line_derivatives(p, f, iso)
+    # for bit, over a stack of fields.
+    p, fields = params_at(iso), [FieldConfig(bz=bz, bx=bx) for bz in (10.0, 470.0, 900.0)]
+    calls = [
+        functools.partial(stack, p, fields, iso, dtype)
+        for stack in (transition_lines, derivative_stack)
+        for dtype in (np.float64, np.longdouble)
+    ]
+    before = [call() for call in calls]
 
     def flipped(m):
         values, vectors = _eigh(m)
@@ -160,11 +182,8 @@ def test_no_result_reads_eigenvector_signs(monkeypatch, iso, bx):
         return values, vectors
 
     monkeypatch.setattr(transitions, "_eigh", flipped)
-    for dtype, (lines, energies) in before.items():
-        after_lines, after_energies = transition_lines(p, [f], iso, dtype)
-        assert np.array_equal(after_lines, lines) and np.array_equal(after_energies, energies)
-    for old, new in zip(derivatives, line_derivatives(p, f, iso)):
-        assert np.array_equal(old, new)
+    for call, old in zip(calls, before):
+        assert all(np.array_equal(x, y) for x, y in zip(call(), old, strict=True))
 
 
 def test_kernel_refuses_a_hamiltonian_that_overflows():
@@ -212,22 +231,26 @@ def test_all_frequencies_positive_and_pairs_ordered():
 @pytest.mark.parametrize("iso", [N14, N15], ids=["N14", "N15"])
 def test_difference_rows_are_differences_bit_for_bit(iso):
     # fdq = f1 - f2, f1-f2, f5-f4 and f3-f6 go through the same row map
-    # as the splittings; each equals the difference of its two lines.
+    # as the splittings; each equals the difference of its two lines, and
+    # so do its derivatives over a stack of fields.  transition_table's dT
+    # slopes contract those derivatives, then convert kHz/K to Hz/K, which
+    # rounds, so its frequencies are checked exactly and its slopes' keys.
     fields = [FieldConfig(bz=bz, bx=bx) for bz in (10.0, 470.0, 900.0) for bx in (0.0, 0.3)]
     names = list(LINES[iso.name])
-    p, rates = params_at(iso), params_at(iso, 300.0)  # any direction serves as rates
+    p = params_at(iso)
     for dtype in (np.float64, np.longdouble):
-        lines = transition_lines(p, fields, iso, dtype)[0]
+        lines, _, derivatives = derivative_stack(p, fields, iso, dtype)
         for name, line in LINES[iso.name].items():
             if line.minus:
                 a, b = (names.index(term) for term in line.minus)
-                assert np.array_equal(lines[:, names.index(name)], lines[:, a] - lines[:, b])
+                for x in (lines, derivatives):
+                    assert np.array_equal(x[:, names.index(name)], x[:, a] - x[:, b])
     for f in fields:
-        for table in line_slopes(p, rates, f, iso):
-            assert list(table) == names
-            for name, line in LINES[iso.name].items():
-                if line.minus:
-                    assert table[name] == table[line.minus[0]] - table[line.minus[1]]
+        freqs, slopes = transition_table(thermal_presets(iso), 297.0, f, iso)
+        assert list(freqs) == list(slopes) == names
+        for name, line in LINES[iso.name].items():
+            if line.minus:
+                assert freqs[name] == freqs[line.minus[0]] - freqs[line.minus[1]]
 
 
 def test_fdq_equals_f5_minus_f4():
