@@ -206,6 +206,11 @@ def cmd_angular_scan(args) -> int:
     f0 = float(transition_set(params, FieldConfig(bz=args.bz), iso, np.longdouble)[transition])
     if f0 == 0:
         raise ConfigError(f"{transition} is 0 at Bz = {args.bz} G; no fractional shift to scan")
+    if not (math.isfinite(beta) and math.isfinite(baseline_khz) and round(baseline_khz, 6)):
+        raise ConfigError(
+            f"{transition} at Bz = {fmt_g(args.bz)} G has beta_perturbative={beta:.6g} and "
+            f"baseline_khz={fmt_khz(baseline_khz)}; need a finite beta and a nonzero baseline"
+        )
     rows = []
     for theta_deg in thetas:
         shift = float(
@@ -291,6 +296,7 @@ def cmd_synth(args) -> int:
         for label in labels:
             sigma = _sigma_for(label)
             noise = rng.normal() * sigma * args.noise_scale if args.noise_scale else 0.0
+            sigma *= args.noise_scale or 1.0  # the sigma of the noise drawn, if any
             rows.append(io.MeasurementRow(temperature, label, float(ts[label]) + noise, sigma))
     io.write_measurements(args.out, rows)
     print(f"wrote {len(rows)} rows for {iso.name} to {args.out}")
@@ -462,7 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--isotope", "--preset", "--bz", "--seed", own={
             "--out": dict(required=True, help="output measurement CSV file"),
             "--temps": dict(default="297", help="comma-separated temperatures, K"),
-            "--noise-scale": dict(type=_finite_float, default=1.0, help="0 for noiseless"),
+            "--noise-scale": dict(
+                type=_finite_float, default=1.0,
+                help="noise in units of each line's sigma, which the file gives scaled "
+                "by the same factor; 0 for noiseless lines at the unscaled sigma"),
         })
 
     add("ramsey", "synthesize and fit Ramsey fringes end to end", cmd_ramsey,

@@ -54,11 +54,6 @@ from .transitions import (
 T_REF_K = 297.0
 THERMAL_DEGREE = 4
 
-# Hyperfine decomposition scales (kHz): contact term per unit |cs|^2 eta,
-# dipolar term per unit |cp|^2 eta.
-FERMI_CONTACT_SCALE_KHZ = 1.811e6
-DIPOLAR_SCALE_KHZ = 55.52e3
-
 
 @dataclass(frozen=True, slots=True)
 class MeasurementEntry:
@@ -372,47 +367,16 @@ def thermal_models(series: list[tuple[float, FitResult]]) -> dict[str, Polynomia
     models = {}
     for name in THERMAL_PARAMS[iso]:
         values = np.array([getattr(series[i][1].params, name) for i in order])
-        models[name] = polyfit_weighted(temps[order], values, ones, THERMAL_DEGREE, T_REF_K)
+        model = polyfit_weighted(temps[order], values, ones, THERMAL_DEGREE, T_REF_K)
+        value, rate = model.value(T_REF_K), model.derivative(T_REF_K)
+        if not all(map(math.isfinite, (value, rate, model.residual_rms))):
+            raise ValueError(
+                f"the {name} thermal model is not finite: at {T_REF_K:g} K its value is "
+                f"{value:.6g} and its rate {rate:.6g} per K; its residual rms is "
+                f"{model.residual_rms:.6g}"
+            )
+        models[name] = model
     return models
-
-
-@dataclass(frozen=True)
-class AnisotropyResult:
-    """Contact/dipolar split of the hyperfine coupling and orbital content."""
-
-    fermi_f: float  # A_par + 2 A_perp, kHz, signed
-    dipolar_d: float  # A_par - A_perp, kHz, signed
-    eta: float
-    cs2: float
-    cp2: float
-    hybridization_ratio: float  # cp2 / cs2
-
-
-def anisotropy(a_par: float, a_perp: float) -> AnisotropyResult:
-    """Decompose (A_par, A_perp) into contact/dipolar terms and orbital content.
-
-    With |cs|^2 + |cp|^2 = 1: |f| = 1811 MHz * |cs|^2 eta and
-    |d| = 55.52 MHz * |cp|^2 eta.
-    """
-    f = a_par + 2 * a_perp
-    d = a_par - a_perp
-    if f == 0:
-        raise ValueError("Fermi contact term vanishes; orbital split undefined")
-    cs2_eta = abs(f) / FERMI_CONTACT_SCALE_KHZ
-    cp2_eta = abs(d) / DIPOLAR_SCALE_KHZ
-    eta = cs2_eta + cp2_eta
-    cs2 = cs2_eta / eta
-    cp2 = cp2_eta / eta
-    if cs2 == 0:
-        raise ValueError("pure p character; hybridization ratio undefined")
-    return AnisotropyResult(
-        fermi_f=f,
-        dipolar_d=d,
-        eta=eta,
-        cs2=cs2,
-        cp2=cp2,
-        hybridization_ratio=cp2 / cs2,
-    )
 
 
 def params_from_models(

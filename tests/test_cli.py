@@ -230,6 +230,7 @@ def bad_inputs(tmp_path):
         ("zero_gamma_n.json", {**n14, "gamma_n": 0}),
         ("zero_gamma_n_n15.json", {**n15, "gamma_n": 0}),
         ("tiny_gamma_n.json", {**n14, "gamma_n": 1e-320}),
+        ("small_gamma_n.json", {**n14, "gamma_n": 1e-300}),
         ("bool_q.json", {**n14, "q": True}),
         ("string_d.json", {**n14, "d": "2870280"}),
         ("huge_int_d.json", {**n14, "d": 10**400}),
@@ -378,6 +379,10 @@ MISSING = {
         (["angular-scan", "--isotope", "n15", *PRESET, "--bz", "0"], 2, ""),
         (["angular-scan", "--isotope", "n14", *PRESET, "--bz", "0"], 3, ""),
         (["angular-scan", "--isotope", "n14", *PRESET, "--bz", "480", "--theta-max-deg", "3"], 2, ""),
+        # gamma_e/gamma_n is finite, but beta is about -3e300 and the baseline
+        # prints as 0
+        (["angular-scan", "--isotope", "n14", "--params", "{dir}/small_gamma_n.json", "--bz", "480"],
+         2, "fdq at Bz = 480 G has beta_perturbative=-3.05374e+300 and baseline_khz=0.000000"),
         (["perturb-check", "--tolerance-hz", "0.001"], 5, ""),
         (["perturb-check", "--bz-max", "1024", "--bz-steps", "3"], 2, ""),
         (["perturb-check", "--bz-steps", "0"], 2, ""),
@@ -409,7 +414,8 @@ MISSING = {
         "no-source", "unknown-preset", "gslac", "underdetermined-fit", "missing-file",
         "huge-f1", "cold-huge-f1", "gslac-fit-guess", "huge-trace", "flat-trace",
         "word-noise-sigma", "nan-noise-sigma", "negative-noise-sigma", "two-noise-sigmas",
-        "ramsey-no-isotope", "n15-zero-field", "n14-zero-field", "wide-angle", "tripwire",
+        "ramsey-no-isotope", "n15-zero-field", "n14-zero-field", "wide-angle",
+        "angular-scan-small-gamma-n", "tripwire",
         "perturb-gslac", "empty-grid", "fit-every-parameter-fixed", "params-gamma-e",
         "params-misspelt-key", "params-zero-gamma-n", "params-bool-q", "params-string-d",
         "params-huge-int-d", "params-no-d", "fit-zero-gamma-n-n14", "fit-zero-gamma-n-n15",
@@ -567,6 +573,20 @@ def test_synth_deterministic_and_fit_roundtrip(tmp_path, capsys):
     assert rec["unresolved"] == []
 
 
+def test_synth_writes_the_sigma_of_the_noise_it_draws(tmp_path):
+    # --noise-scale k draws k sigma of noise and writes k sigma, so a fit's
+    # chi^2 stays calibrated; noiseless lines (k = 0) keep the unscaled sigma.
+    sigmas = {}
+    for k in ("0", "1", "3"):
+        out = tmp_path / f"k{k}.csv"
+        assert main([*SYNTH, "--temps", "297", "--noise-scale", k, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        sigmas[k] = {label: sigma for _, label, _, sigma in rows}
+    assert sigmas["3"]["f1"] == "0.030000" and sigmas["1"]["f1"] == "0.010000"
+    assert sigmas["0"] == sigmas["1"]
+    assert sigmas["3"] == {label: f"{3 * float(s):.6f}" for label, s in sigmas["1"].items()}
+
+
 def test_fit_reports_each_fits_evaluation_count(report_inputs, capsys):
     # n_evals is FitResult.n_evals: the forward evaluations each fit made.
     series = report_inputs / "series.csv"
@@ -617,6 +637,14 @@ def test_fit_holds_a_gamma_ratio_whose_square_overflows(report_inputs, tmp_path,
     (rec,) = json.loads(captured.out)["results"]
     assert rec["unresolved"] == ["gamma_ratio"]
     assert rec["params"]["gamma_ratio"] == pytest.approx(GAMMA_E_KHZ_PER_G / 1e-300, rel=1e-4)
+    # Its thermal model has a finite value but an overflowing residual rms:
+    # refused in one line that names it, not in the JSON writer's words.
+    code = main(["fit", "--isotope", "n14", "--params", str(params), "--bz", "470",
+                 "--measurements", str(report_inputs / "series.csv"), *FIXED, "--thermal"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error: the gamma_ratio thermal model is not finite: at 297 K its value")
+    assert err.endswith("its residual rms is inf\n")
 
 
 def test_thermal_command_recovers_fractional_derivative(tmp_path, capsys):

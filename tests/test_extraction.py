@@ -13,7 +13,6 @@ from nvground.extraction import (
     MeasurementEntry,
     MeasurementSet,
     ParamVector,
-    anisotropy,
     extract_params,
     model_frequencies,
     params_from_models,
@@ -559,28 +558,6 @@ def test_thermal_models_span_check():
     series = thermal_series(N14, [280.0, 290.0, 297.0, 305.0, 315.0])
     with pytest.raises(ValueError):
         thermal_models(series)
-
-
-def test_anisotropy_table_values():
-    p = params_at("N14")
-    res = anisotropy(p.a_par, p.a_perp)
-    assert res.fermi_f == pytest.approx(-7435.2, abs=0.05)
-    assert res.dipolar_d == pytest.approx(469.8, abs=0.05)
-    assert res.eta == pytest.approx(1.26e-2, rel=0.01)
-    assert res.hybridization_ratio == pytest.approx(2.06, rel=0.01)
-    assert res.cs2 + res.cp2 == pytest.approx(1.0, rel=1e-12)
-
-
-def test_anisotropy_pure_s_character():
-    res = anisotropy(-1000.0, -1000.0)
-    assert res.dipolar_d == 0.0
-    assert res.cp2 == 0.0
-    assert res.cs2 == 1.0
-
-
-def test_anisotropy_refuses_vanishing_contact_term():
-    with pytest.raises(ValueError):
-        anisotropy(2.0, -1.0)  # f = 0
 
 
 def test_transition_table_slopes_n14():
