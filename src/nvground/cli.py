@@ -23,7 +23,7 @@ import numpy as np
 from . import extraction, io, perturbation, presets, ramsey
 from .extraction import ParamVector
 from .io import ConfigError, fmt_g, fmt_khz
-from .optimize import FitConvergenceError, NonFiniteObjectiveError, PolynomialModel
+from .optimize import FitConvergenceError, NonFiniteObjectiveError, PolynomialModel, chi2_tail
 from .spin_core import GAMMA_E_KHZ_PER_G, CouplingParams, FieldConfig, IsotopeSpec, get_isotope
 from .transitions import (
     AmbiguousLabelingError,
@@ -40,6 +40,10 @@ EXIT_FIT = 4
 EXIT_TRIPWIRE = 5
 
 DEFAULT_NOISE_TOLERANCE_HZ = 20.0
+# A fit whose chi^2 upper-tail probability for its dof is below this gets a
+# `warning:` line: a model that describes the lines, within their sigmas,
+# warns in about one fit in a million.
+FALSE_ALARM_PROBABILITY = 1e-6
 
 
 class TripwireError(RuntimeError):
@@ -139,6 +143,8 @@ def _fit_record(temperature: float, fit) -> dict:
         "temperature_K": temperature,
         "params": {name: round(float(getattr(vec, name)), 6) for name in vec.fields()},
         "objective": float(fit.objective),
+        "dof": fit.dof,
+        "tail_probability": chi2_tail(fit.objective, fit.dof) if fit.dof else None,
         "residuals_khz": {k: round(v, 6) for k, v in fit.residuals.items()},
         "unresolved": list(fit.unresolved),
         "iterations": fit.iterations,
@@ -189,6 +195,14 @@ def cmd_fit(args) -> int:
         for name, value in rec["params"].items():
             lines.append(f"{fmt_g(rec['temperature_K'])},{name},{fmt_g(value)}")
     _report(args, payload, lines)
+    for rec in payload["results"]:
+        if rec["dof"] and rec["tail_probability"] < FALSE_ALARM_PROBABILITY:
+            print(
+                f"warning: T = {rec['temperature_K']} K: chi^2 {rec['objective']:.6g} for "
+                f"{rec['dof']} dof has tail probability {rec['tail_probability']:.3g}, below "
+                f"{FALSE_ALARM_PROBABILITY:g}; the model does not describe these lines",
+                file=sys.stderr,
+            )
     return EXIT_OK
 
 

@@ -31,7 +31,6 @@ from .optimize import (
     PolynomialModel,
     nelder_mead,
     polyfit_weighted,
-    weighted_objective,
 )
 from .spin_core import (
     GAMMA_E_KHZ_PER_G,
@@ -40,6 +39,7 @@ from .spin_core import (
     IsotopeSpec,
     _coefficients,
     _require_finite,
+    _weights,
 )
 from .transitions import (
     _ROW_MAP,
@@ -145,7 +145,8 @@ class ParamVector:
 class FitResult:
     """One temperature's fit.  ``iterations`` and ``n_evals`` count its one
     Nelder-Mead run, each evaluation one forward-model solve; a field in
-    ``unresolved`` keeps its guess value to SVD rounding (about 1e-14 kHz)."""
+    ``unresolved`` keeps its guess value to SVD rounding (about 1e-14 kHz).
+    ``dof`` is the number of lines less the directions they resolve."""
 
     params: ParamVector
     objective: float
@@ -153,6 +154,7 @@ class FitResult:
     unresolved: tuple[str, ...]  # free fields held at the guess: the lines are flat there
     iterations: int
     n_evals: int
+    dof: int
 
 
 def _coefficient_row(x: np.ndarray, iso: IsotopeSpec, dc: np.ndarray | None = None):
@@ -173,7 +175,7 @@ def _coefficient_row(x: np.ndarray, iso: IsotopeSpec, dc: np.ndarray | None = No
     bz, bx = gamma_e_bz / g, abs(gamma_e_bx / g)
     _require_finite("coupling parameters", d, q, a_par, a_perp, gamma_n)
     _require_finite("field components", bz, bx)
-    row = np.array([d, q, a_par, g * bz, -gamma_n * bz, a_perp, g * bx, -gamma_n * bx])
+    row = np.array(_weights(d, q, a_par, a_perp, gamma_n, bz, bx))
     if dc is None:
         return row, (bz, bx)
     by_field = dict(
@@ -267,9 +269,12 @@ def extract_params(
     entries = sorted(ms.entries, key=lambda e: order.index(e.label))
     labels = tuple(e.label for e in entries)
     measured = np.array([e.freq_khz for e in entries])
-    sigmas = np.array([e.sigma_khz for e in entries])
-    chi2 = weighted_objective(measured, sigmas)
+    sigmas = np.array([e.sigma_khz for e in entries])  # > 0 and finite: MeasurementSet
     full = guess.as_array()
+
+    def chi2(model: np.ndarray) -> tuple[np.ndarray, float]:
+        r = (model - measured) / sigmas  # the one sigma-weighted residual, and r . r
+        return r, float(r @ r)
 
     def at_temperature(err: Exception) -> Exception:
         err.args = (f"T = {ms.temperature} K: {err}",)  # same type, so the same exit code
@@ -299,10 +304,10 @@ def extract_params(
             f"T = {ms.temperature} K: {len(ms.entries)} measurements cannot "
             f"determine {len(free) - len(flat_columns)} parameters"
         )
-    f0 = chi2(model0)
+    r0, f0 = chi2(model0)
     if not math.isfinite(f0):
         raise at_temperature(NonFiniteObjectiveError(x0, f0))
-    origin, basis, flat = _whitened(weighted, (model0 - measured) / sigmas, x0)
+    origin, basis, flat = _whitened(weighted, r0, x0)
     if not basis.shape[1]:
         raise ValueError(f"T = {ms.temperature} K: the lines resolve no free parameter")
 
@@ -312,7 +317,7 @@ def extract_params(
             model = model_frequencies(x, ms.isotope, labels)
         except AmbiguousLabelingError as err:
             raise labeling_failed(x, err) from err
-        return chi2(model)
+        return chi2(model)[1]
 
     try:
         result = nelder_mead(objective, np.zeros(basis.shape[1]), **_FIT_TOLERANCES)
@@ -335,6 +340,7 @@ def extract_params(
         unresolved=tuple(fields[i] for i in free[np.union1d(flat, flat_columns)]),
         iterations=result.iterations,
         n_evals=result.n_evals,
+        dof=len(labels) - basis.shape[1],
     )
 
 

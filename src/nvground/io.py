@@ -54,33 +54,46 @@ def write_measurements(path: str | Path, rows: list[MeasurementRow]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_measurements(path: str | Path, iso: IsotopeSpec) -> list[MeasurementSet]:
-    """Parse a measurement CSV into per-temperature sets (ascending T)."""
+def _read_csv(path: str | Path, kind: str, header: str, parse):
+    """The conventions both CSV formats share: the file's stripped ``#``
+    lines, and parse(fields) of each row after ``header``, taken lazily so
+    that a file's errors come in its line order, each with its line number."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
-        raise ConfigError(f"cannot read measurement file: {err}") from err
+        raise ConfigError(f"cannot read {kind} file: {err}") from err
     lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1)]
-    lines = [(n, ln) for n, ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0][1] != MEASUREMENT_HEADER:
-        raise ConfigError(
-            f"measurement file must start with header {MEASUREMENT_HEADER!r}"
-        )
-    sets: dict[float, MeasurementSet] = {}
-    for n, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ConfigError(f"line {n}: expected 4 comma-separated fields")
+    rows = [(n, ln) for n, ln in lines if ln and not ln.startswith("#")]
+    if not rows or rows[0][1] != header:
+        raise ConfigError(f"{kind} file must start with header {header!r}")
+    return [ln for _, ln in lines if ln.startswith("#")], _parsed(rows[1:], header, parse)
+
+
+def _parsed(rows, header: str, parse):
+    width = header.count(",") + 1
+    for n, line in rows:
         try:
-            temperature = float(parts[0])
-            # One string per label name, however many rows name it.
-            label = sys.intern(parts[1].strip())
-            entry = MeasurementEntry(label, float(parts[2]), float(parts[3]))
-            # Each line grows its temperature's set through MeasurementSet's checks.
-            earlier = sets[temperature].entries if temperature in sets else ()
-            sets[temperature] = MeasurementSet(temperature, iso, (*earlier, entry))
+            fields = line.split(",")
+            if len(fields) != width:
+                raise ValueError(f"expected {width} comma-separated fields")
+            yield parse(fields)
         except ValueError as err:
             raise ConfigError(f"line {n}: {err}") from err
+
+
+def read_measurements(path: str | Path, iso: IsotopeSpec) -> list[MeasurementSet]:
+    """Parse a measurement CSV into per-temperature sets (ascending T)."""
+    sets: dict[float, MeasurementSet] = {}
+
+    def grow(fields) -> tuple[float, MeasurementSet]:
+        # Each row grows its set through MeasurementSet's checks; labels are interned.
+        temperature, label = float(fields[0]), sys.intern(fields[1].strip())
+        entry = MeasurementEntry(label, float(fields[2]), float(fields[3]))
+        earlier = sets[temperature].entries if temperature in sets else ()
+        return temperature, MeasurementSet(temperature, iso, (*earlier, entry))
+
+    for temperature, ms in _read_csv(path, "measurement", MEASUREMENT_HEADER, grow)[1]:
+        sets[temperature] = ms
     return [sets[t] for t in sorted(sets)]
 
 
@@ -94,33 +107,18 @@ def write_trace(path: str | Path, trace: RamseyTrace) -> None:
 def read_trace(path: str | Path) -> RamseyTrace:
     """Parse a trace CSV; ``#`` lines are comments, except that one
     ``# noise_sigma=<value>`` line sets ``noise_sigma`` (0.0 without it)."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise ConfigError(f"cannot read trace file: {err}") from err
-    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    noise = [ln[len(NOISE_SIGMA_PREFIX):] for _, ln in lines if ln.startswith(NOISE_SIGMA_PREFIX)]
-    lines = [(n, ln) for n, ln in lines if not ln.startswith("#")]
-    if not lines or lines[0][1] != TRACE_HEADER:
-        raise ConfigError(f"trace file must start with header {TRACE_HEADER!r}")
+    comments, rows = _read_csv(path, "trace", TRACE_HEADER, lambda f: (float(f[0]), float(f[1])))
+    noise = [ln[len(NOISE_SIGMA_PREFIX):] for ln in comments if ln.startswith(NOISE_SIGMA_PREFIX)]
     if len(noise) > 1:
         raise ConfigError("trace file gives noise_sigma more than once")
     try:
         noise_sigma = float(noise[0]) if noise else 0.0
     except ValueError as err:
         raise ConfigError(f"bad noise_sigma: {err}") from err
-    times, signal = [], []
-    for n, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"line {n}: expected 2 comma-separated fields")
-        try:
-            times.append(float(parts[0]))
-            signal.append(float(parts[1]))
-        except ValueError as err:
-            raise ConfigError(f"line {n}: {err}") from err
+    samples = list(rows)
+    times, signal = np.array([t for t, _ in samples]), np.array([s for _, s in samples])
     try:
-        return RamseyTrace(times=np.array(times), signal=np.array(signal), noise_sigma=noise_sigma)
+        return RamseyTrace(times=times, signal=signal, noise_sigma=noise_sigma)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 

@@ -144,28 +144,6 @@ def nelder_mead(objective, x0, tol_f: float = 1e-12, tol_x: float = 1e-10) -> Op
     )
 
 
-def weighted_objective(measured, sigmas):
-    """The sum of squared sigma-weighted residuals, as a function of the model
-    frequencies alone.  ``measured`` and ``sigmas`` are checked here, once,
-    for an objective that is evaluated many times; a model vector of another
-    length is refused at each evaluation."""
-    y = np.asarray(measured, dtype=float)
-    s = np.asarray(sigmas, dtype=float)
-    if y.shape != s.shape:
-        raise ValueError("model, measured and sigma vectors must have equal length")
-    if np.any(s <= 0):
-        raise ValueError("sigmas must be positive")
-
-    def objective(model_freqs) -> float:
-        m = np.asarray(model_freqs, dtype=float)
-        if m.shape != y.shape:
-            raise ValueError("model, measured and sigma vectors must have equal length")
-        r = (m - y) / s
-        return float(r @ r)
-
-    return objective
-
-
 @dataclass(frozen=True)
 class PolynomialModel:
     """Polynomial in (T - t0) with coefficients in kHz/K^k.
@@ -234,7 +212,8 @@ def polyfit_weighted(x, y, sigma, degree: int, t0: float) -> PolynomialModel:
         )
     coeffs = np.linalg.solve(gram, a.T @ (y / s)) / scale
     fitted = np.vander(t, degree + 1, increasing=True) @ coeffs
-    rms = float(np.sqrt(np.mean((fitted - y) ** 2)))
+    with np.errstate(over="ignore"):  # an rms past the float range is inf, without a warning
+        rms = float(np.sqrt(np.mean((fitted - y) ** 2)))
     return PolynomialModel(
         coeffs=tuple(float(c) for c in coeffs),
         t0=t0,
@@ -242,3 +221,22 @@ def polyfit_weighted(x, y, sigma, degree: int, t0: float) -> PolynomialModel:
         t_max=float(x.max()),
         residual_rms=rms,
     )
+
+
+def chi2_tail(chi2: float, dof: int) -> float:
+    """P(X >= chi2) for X chi^2-distributed with ``dof`` >= 1 degrees of
+    freedom: the regularized upper incomplete gamma Q(dof/2, chi2/2), as a
+    finite sum of positive terms by Q(a + 1, y) = Q(a, y) + y^a e^-y /
+    Gamma(a + 1) from Q(0, y) = 0 (even dof) or Q(1/2, y) = erfc(sqrt(y))
+    (odd dof).  Past e^-y's underflow, far in the tail, it is 0."""
+    if not (isinstance(dof, int) and dof >= 1 and 0 <= chi2 < math.inf):
+        raise ValueError(f"need dof >= 1 and a finite chi2 >= 0, not {dof!r} and {chi2!r}")
+    y = chi2 / 2
+    a = 0.5 * (dof % 2)
+    q = math.erfc(math.sqrt(y)) if dof % 2 else 0.0
+    term = math.exp(-y) * y**a / math.gamma(a + 1)
+    for _ in range(dof // 2):
+        q += term
+        a += 1
+        term *= y / a
+    return min(q, 1.0)

@@ -147,28 +147,19 @@ def _structure(iso_name: str, dtype: np.dtype):
     return stack
 
 
+def _weights(d, q, a_par, a_perp, gamma_n, bz, bx) -> list:
+    """The eight _structure weights c_j of H = sum_j c_j S_j, in stack order."""
+    g = GAMMA_E_KHZ_PER_G
+    return [d, q, a_par, g * bz, -gamma_n * bz, a_perp, g * bx, -gamma_n * bx]
+
+
 def _coefficients(p: CouplingParams, points, iso: IsotopeSpec, dtype=np.float64) -> np.ndarray:
-    """The eight _structure weights c_j of H = sum_j c_j S_j at each (bz, bx)
-    field point of ``points`` (bx may be < 0), as an (N, 8) array.  ``p`` and
-    ``points`` come from CouplingParams and FieldConfig, checked finite there."""
+    """The _weights at each (bz, bx) of ``points`` (bx may be < 0), (N, 8); ``p``
+    and ``points`` come from CouplingParams and FieldConfig, checked finite there."""
     if iso.name == "N15" and p.q != 0.0:
         raise ValueError("N15 has nuclear spin 1/2: Q must be exactly 0")
-    return np.array(
-        [
-            [
-                p.d,
-                p.q,
-                p.a_par,
-                GAMMA_E_KHZ_PER_G * bz,
-                -p.gamma_n * bz,
-                p.a_perp,
-                GAMMA_E_KHZ_PER_G * bx,
-                -p.gamma_n * bx,
-            ]
-            for bz, bx in points
-        ],
-        dtype=dtype,
-    )
+    c = (p.d, p.q, p.a_par, p.a_perp, p.gamma_n)
+    return np.array([_weights(*c, bz, bx) for bz, bx in points], dtype=dtype)
 
 
 def _hamiltonians(rows: np.ndarray, iso: IsotopeSpec) -> np.ndarray:

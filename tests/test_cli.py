@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,12 @@ import pytest
 
 import nvground
 from nvground import cli, optimize
-from nvground.cli import build_parser, main
+from nvground.cli import FALSE_ALARM_PROBABILITY, build_parser, main
 from nvground.extraction import PARAM_FIELDS, ParamVector, extract_params, transition_table
 from nvground.io import (
     MEASUREMENT_HEADER,
+    TRACE_HEADER,
+    ConfigError,
     MeasurementRow,
     read_measurements,
     read_trace,
@@ -633,7 +636,9 @@ def test_fit_holds_a_gamma_ratio_whose_square_overflows(report_inputs, tmp_path,
     code = main(["fit", "--isotope", "n14", "--params", str(params), "--bz", "470",
                  "--measurements", str(report_inputs / "one.csv"), *FIXED])
     captured = capsys.readouterr()
-    assert code == 0 and captured.err == ""
+    # The fit is meaningless, and says so in one warning line.
+    assert code == 0 and captured.err.startswith("warning: T = 297.0 K: ")
+    assert captured.err.count("\n") == 1
     (rec,) = json.loads(captured.out)["results"]
     assert rec["unresolved"] == ["gamma_ratio"]
     assert rec["params"]["gamma_ratio"] == pytest.approx(GAMMA_E_KHZ_PER_G / 1e-300, rel=1e-4)
@@ -645,6 +650,55 @@ def test_fit_holds_a_gamma_ratio_whose_square_overflows(report_inputs, tmp_path,
     assert code == 2 and err.count("\n") == 1
     assert err.startswith("error: the gamma_ratio thermal model is not finite: at 297 K its value")
     assert err.endswith("its residual rms is inf\n")
+
+
+README_TEMPS = "77,107,137,167,197,227,257,287,317,347,377,400"
+
+
+def test_fit_warns_when_its_chi2_is_improbable(tmp_path, capsys):
+    # gamma_n = 1e-300 on the README's series: gamma_e/gamma_n is held, as
+    # the lines are flat in it, so each fit resolves 5 directions from 8
+    # lines and ends at a chi^2 of about 1.4e11.  The command still exits 0,
+    # but each temperature gets one warning line that names it.
+    series, params = tmp_path / "series.csv", tmp_path / "p.json"
+    assert main([*SYNTH, "--temps", README_TEMPS, "--noise-scale", "0", "--out", str(series)]) == 0
+    params.write_text(json.dumps(
+        {"d": 2870280, "q": -4945.88, "a_par": -2165.19, "a_perp": -2635, "gamma_n": 1e-300}
+    ))
+    capsys.readouterr()
+    code = main(["fit", "--isotope", "n14", "--params", str(params), "--bz", "470",
+                 "--measurements", str(series), *FIXED])
+    captured = capsys.readouterr()
+    assert code == 0
+    results = json.loads(captured.out)["results"]
+    assert [(rec["dof"], rec["tail_probability"]) for rec in results] == [(3, 0.0)] * 12
+    assert all(1.3e11 < rec["objective"] < 1.4e11 for rec in results)
+    warnings = captured.err.splitlines()
+    assert len(warnings) == 12
+    for line, rec in zip(warnings, results):
+        assert line.startswith(f"warning: T = {rec['temperature_K']} K: chi^2 ")
+
+
+def test_fit_reports_dof_and_tail_probability(report_inputs, tmp_path, capsys):
+    # N14 with gamma_e_bx fixed: 8 lines, 6 resolved directions.  Noiseless
+    # lines fit to a chi^2 near 0, whose tail probability is near 1.  15NV
+    # on axis: 5 lines resolve its 5 other fields, so 0 dof and no
+    # probability (null), and no warning either.
+    code, out = run(capsys, *FIT, str(report_inputs / "series.csv"), *FIXED)
+    assert code == 0 and capsys.readouterr().err == ""
+    for rec in json.loads(out)["results"]:
+        assert rec["dof"] == 2
+        assert rec["tail_probability"] == optimize.chi2_tail(rec["objective"], 2)
+        assert rec["tail_probability"] > 1 - FALSE_ALARM_PROBABILITY
+    series15 = tmp_path / "series15.csv"
+    assert main(["synth", "--isotope", "n15", *PRESET, "--bz", "470", "--temps", "77,297",
+                 "--noise-scale", "0", "--out", str(series15)]) == 0
+    capsys.readouterr()
+    code = main(["fit", "--isotope", "n15", *PRESET, "--bz", "470", "--measurements", str(series15)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    results = json.loads(captured.out)["results"]
+    assert [(rec["dof"], rec["tail_probability"]) for rec in results] == [(0, None)] * 2
 
 
 def test_thermal_command_recovers_fractional_derivative(tmp_path, capsys):
@@ -858,6 +912,41 @@ def test_measurement_csv_rejects_bad_rows(tmp_path):
     path.write_text("wrong,header\n")
     with pytest.raises(ValueError):
         read_measurements(path, N14)
+
+
+GOOD_ROW = {"measurement": "297,f1,5.0,0.1", "trace": "0.0,1.0"}
+HEADER = {"measurement": MEASUREMENT_HEADER, "trace": TRACE_HEADER}
+# Each CSV format's refusals, in the one ConfigError line the CLI prints:
+# (format, file text or None for no file, the whole message).
+CSV_CASES = [
+    *[(kind, None, rf"cannot read {kind} file: \[Errno 2\] No such file or directory: .*")
+      for kind in HEADER],
+    *[(kind, f"wrong,header\n{GOOD_ROW[kind]}\n",
+       re.escape(f"{kind} file must start with header {HEADER[kind]!r}")) for kind in HEADER],
+    ("measurement", f"{MEASUREMENT_HEADER}\n297,f1,5.0\n", "line 2: expected 4 comma-separated fields"),
+    ("trace", f"{TRACE_HEADER}\n0.0,1.0,2.0\n", "line 2: expected 2 comma-separated fields"),
+    ("measurement", f"{MEASUREMENT_HEADER}\n297,f1,abc,0.1\n",
+     "line 2: could not convert string to float: 'abc'"),
+    ("trace", f"{TRACE_HEADER}\n0.0,abc\n", "line 2: could not convert string to float: 'abc'"),
+    # Blank and # lines, indented or not, before and after the header, are
+    # skipped, and still counted in the line numbers.
+    *[(kind, f"\n  # by hand\n{HEADER[kind]}\n{GOOD_ROW[kind]}\n\n   # gap\n#\n1,2,3,4,5\n",
+       f"line 8: expected {HEADER[kind].count(',') + 1} comma-separated fields") for kind in HEADER],
+    ("measurement", f"{MEASUREMENT_HEADER}\n297,f1,5.0,0\n", "line 2: sigma for f1 must be positive"),
+    ("measurement", f"{MEASUREMENT_HEADER}\n297,f1,nan,0.1\n",
+     "line 2: frequency and sigma for f1 must be finite"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, text, message", CSV_CASES, ids=[f"{c[0]}-{i}" for i, c in enumerate(CSV_CASES)]
+)
+def test_csv_formats_share_their_conventions(tmp_path, kind, text, message):
+    path = tmp_path / "in.csv"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        read_measurements(path, N14) if kind == "measurement" else read_trace(path)
 
 
 def test_trace_csv_roundtrip_precision(tmp_path):

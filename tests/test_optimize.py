@@ -12,8 +12,8 @@ from nvground.optimize import (
     PolynomialModel,
     RankDeficientError,
     nelder_mead,
+    chi2_tail,
     polyfit_weighted,
-    weighted_objective,
 )
 from nvground.presets import thermal_presets
 
@@ -260,18 +260,6 @@ def test_options_validation():
         nelder_mead(lambda x: x[0] ** 2, [1.0], tol_f=0.0)
 
 
-def test_weighted_objective_examples():
-    assert weighted_objective([1.0, 2.0], [0.1, 0.2])([1.0, 2.0]) == 0.0
-    assert weighted_objective([1.0], [0.5])([1.5]) == pytest.approx(1.0)
-    assert weighted_objective([0.0, 0.0], [1.0, 1.0])([1.0, 2.0]) == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        weighted_objective([1.0], [0.0])
-    with pytest.raises(ValueError):
-        weighted_objective([1.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        weighted_objective([1.0], [1.0])([1.0, 2.0])
-
-
 def test_polyfit_recovers_exact_line():
     t = np.linspace(77.0, 400.0, 5)
     y = 2.0 + 3.0 * (t - 297.0)
@@ -357,6 +345,47 @@ def test_polyfit_rank_deficiency():
         polyfit_weighted(dup, np.ones_like(dup), np.ones_like(dup), 4, 297.0)
 
 
+def test_polyfit_residual_past_the_float_range_is_inf_without_a_warning():
+    # gamma_e/gamma_n at gamma_n = 1e-300 is about 2.8e303: the fit's
+    # residuals there square past the float range.  The rms is inf, for
+    # thermal_models to refuse, and no overflow warning escapes to a library
+    # caller (the suite turns a warning into an error).
+    t = np.array([77.0, 150.0, 225.0, 297.0, 400.0])
+    y = 2.8033e303 * np.array([1.0, 1.0 + 1e-12, 1.0, 1.0 - 1e-12, 1.0])
+    assert polyfit_weighted(t, y, np.ones_like(t), 4, 297.0).residual_rms == math.inf
+
+
 def test_polyfit_needs_enough_points():
     with pytest.raises(ValueError):
         polyfit_weighted([1.0, 2.0], [1.0, 2.0], [1.0, 1.0], 4, 0.0)
+
+
+# (dof, chi2, Q(dof/2, chi2/2)) from mpmath.gammainc(dof/2, chi2/2, inf,
+# regularized=True) at 40 digits, rounded to 17.
+CHI2_TAIL_REFERENCE = [
+    (1, 0.5, 0.47950012218695346),
+    (1, 30.0, 4.3204630578274973e-8),
+    (2, 1.0, 0.60653065971263342),
+    (2, 27.6, 1.0156314710024902e-6),
+    (3, 4.2, 0.24066188520961539),
+    (4, 0.01, 0.99998754158864572),
+    (5, 11.07, 0.050009618622405482),
+    (6, 50.0, 4.701068998290321e-9),
+    (9, 3.3, 0.95120469068409706),
+    (2, 1400.0, 9.8596765437597709e-305),
+    (7, 1400.0, 3.8599631812373352e-298),
+]
+
+
+@pytest.mark.parametrize("dof, chi2, expected", CHI2_TAIL_REFERENCE)
+def test_chi2_tail_matches_mpmath(dof, chi2, expected):
+    assert chi2_tail(chi2, dof) == pytest.approx(expected, rel=1e-13)
+
+
+def test_chi2_tail_edges():
+    assert chi2_tail(0.0, 1) == chi2_tail(0.0, 2) == 1.0
+    # mpmath gives 5.9e-30400613734: past the float range, so 0.
+    assert chi2_tail(1.4e11, 2) == 0.0
+    for dof, chi2 in ((0, 1.0), (2, -1.0), (2, math.inf), (2, math.nan), (2.0, 1.0)):
+        with pytest.raises(ValueError):
+            chi2_tail(chi2, dof)
