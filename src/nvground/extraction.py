@@ -193,8 +193,7 @@ def model_frequencies(x: np.ndarray, iso: IsotopeSpec, labels) -> np.ndarray:
     the fit array ``x`` (PARAM_FIELDS order), the bits and refusals of
     transition_set at ParamVector(x).to_physical(), without its objects."""
     row, point = _coefficient_row(x, iso)
-    lines = _kernel(row[None], iso, [point])[0]
-    return lines[0, _row_index(iso.name, tuple(labels))]
+    return _kernel(row[None], iso, [point])[0, _row_index(iso.name, tuple(labels))]
 
 
 def _jacobian(vec: ParamVector, iso: IsotopeSpec, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +204,7 @@ def _jacobian(vec: ParamVector, iso: IsotopeSpec, labels) -> tuple[np.ndarray, n
     order: a non-finite coupling, the field, a 15NV Q != 0 (_coefficients)."""
     p, f = vec.to_physical()
     point = [(f.bz, f.bx)]
-    (lines,), _, (dlines,) = _kernel(_coefficients(p, point, iso), iso, point, derivatives=True)
+    (lines,), (dlines,) = _kernel(_coefficients(p, point, iso), iso, point, derivatives=True)
     rows = _row_index(iso.name, tuple(labels))
     return lines[rows], _coefficient_row(vec.as_array(), iso, dlines[rows].T)[2]
 
@@ -424,7 +423,7 @@ def transition_table(
     params = params_from_models(models, iso, temperature)
     rates = params_from_models({n: m.derived() for n, m in models.items()}, iso, temperature)
     point = [(field.bz, field.bx)]
-    (lines,), _, (dlines,) = _kernel(_coefficients(params, point, iso), iso, point, derivatives=True)
+    (lines,), (dlines,) = _kernel(_coefficients(params, point, iso), iso, point, derivatives=True)
     names, _, _, rows, split_rows = _ROW_MAP[iso.name]
     slopes = (dlines[split_rows] @ _coefficients(rates, [(0.0, 0.0)], iso)[0]) @ rows
     return dict(zip(names, lines.tolist())), dict(zip(names, (1e3 * slopes).tolist()))

@@ -15,6 +15,11 @@ Hamiltonian; for f7 the distinction matters, because the dropped term
 interferes with the A_perp pathway and scales the misalignment response
 down by about gamma_n D / (A_perp gamma_e) ~ 12%.
 
+The series take Bz >= 0: the spectrum at -Bz is the +Bz one mirrored
+(see transitions).  The same mirror writes each pair of lines once:
+f2, f6, f5 and f9 are f1, f3, f4 and f8 with gamma_n Bz -> -gamma_n Bz
+and F- = D - gamma_e Bz <-> F+ = D + gamma_e Bz (_mirror_half).
+
 The ms = 0 line's functions take the isotope and no line name (ms0_line
 picks the line), so no call can pair one isotope's parameters with the
 other's line.
@@ -34,7 +39,7 @@ from .spin_core import (
     StateLabel,
     _coefficients,
 )
-from .transitions import LINES, _kernel, nuclear_labels, transition_set
+from .transitions import LINES, _kernel, _row_index, nuclear_labels, transition_set
 
 # The series in 1/(D - gamma_e Bz) is trusted only this far from the
 # ground-state level anti-crossing.
@@ -48,7 +53,7 @@ class ValidityMarginError(ValueError):
 def _require_margin(p: CouplingParams, bz: float, bx: float = 0.0) -> None:
     if not (math.isfinite(bz) and math.isfinite(bx)):  # NaN passes every check below
         raise ValidityMarginError(f"the field must be finite, not Bz = {bz} G, Bx = {bx} G")
-    if bz < 0:  # the formulas are odd in Bz (f7 = |gamma_n| Bz + ...), the lines even
+    if bz < 0:  # the formulas are odd in Bz (f7 = |gamma_n| Bz + ...); -Bz mirrors the lines
         raise ValidityMarginError(
             f"the perturbative formulas take Bz >= 0, not {bz:g} G; "
             "the spectrum at -Bz is the +Bz one"
@@ -62,43 +67,66 @@ def _require_margin(p: CouplingParams, bz: float, bx: float = 0.0) -> None:
         )
 
 
-def _with_fdq(freqs: dict[str, float], iso: IsotopeSpec) -> dict[str, float]:
-    """Nuclear-line formula values, plus fdq for 14NV."""
-    lines = LINES[iso.name]
-    if "fdq" in lines:
-        a, b = lines["fdq"].minus
-        freqs["fdq"] = freqs[a] - freqs[b]
-    return freqs
-
-
-def _second_order(p: CouplingParams, iso: IsotopeSpec, bz: float) -> dict[str, float]:
-    """The lowest-order terms, also the leading terms of nuclear_freqs_full."""
-    fp, fm = p.d + GAMMA_E_KHZ_PER_G * bz, p.d - GAMMA_E_KHZ_PER_G * bz
+def _mirror_half(p: CouplingParams, iso: IsotopeSpec, g: float, fm: float, fp: float, higher=None):
+    """f1, f3, f4 (14NV) or f8 (15NV) at nuclear Zeeman term g (gamma_n Bz,
+    or |gamma_n| Bz for 15NV) and F-, F+ = fm, fp: the lowest order, or the
+    full series with ``higher`` = (x, (1/F+ + 1/F-)^2), x = (gamma_e Bx)^2 / 2.
+    At (-g, fp, fm) the same terms are their mirror partners f2, f6, f5 or f9.
+    """
     w = p.a_perp * p.a_perp
     if iso.name == "N14":
         q, a = abs(p.q), abs(p.a_par)
-        gn = p.gamma_n * bz
-        return {
-            "f1": q + gn - w / fm,
-            "f2": q - gn - w / fp,
-            "f3": q - a + gn,
-            "f4": q + a - gn + w / fm,
-            "f5": q + a + gn + w / fp,
-            "f6": q - a - gn,
-        }
+        f1, f3, f4 = q + g - w / fm, q - a + g, q + a - g + w / fm
+        if higher is None:
+            return f1, f3, f4
+        x, sum_inv_sq = higher
+        fm2, fp2 = fm * fm, fp * fp
+        d_lo, d_hi = q - a, q + a
+        return (
+            f1
+            - w * (d_lo / fm2 + (2 * q - a) / fp2)
+            + x * (w * (3 / q) * sum_inv_sq - a * (1 / fm2 - 1 / fp2)),
+            f3 - w * (2 * q - a) / fm2 + x * (w * (2 / d_lo + 1 / d_hi) / fm2 + a / fm2),
+            f4 - w * q / fm2 + x * (w * (1 / d_lo + 2 / d_hi) / fm2 - a / fm2),
+        )
     a = p.a_par
-    gn = abs(p.gamma_n) * bz
-    return {
-        "f7": gn + (w / 2) * (1 / fm - 1 / fp),
-        "f8": a - gn - (w / 2) / fm,
-        "f9": a + gn - (w / 2) / fp,
-    }
+    f8 = a - g - (w / 2) / fm
+    if higher is None:
+        return (f8,)
+    x, fm2 = higher[0], fm * fm
+    return (f8 - (w / 4) * (a / fm2) + (x * (w / a - a) / fm2 if x != 0 else 0.0),)
+
+
+def _series(p: CouplingParams, iso: IsotopeSpec, bz: float, higher=None) -> dict[str, float]:
+    """Every nuclear line of the series in LINES order, plus the series' own
+    fdq = f1 - f2 (which holds for Bz >= 0): the lowest order, or the full
+    series with ``higher`` as in _mirror_half.  Each mirror pair is one
+    _mirror_half at (g, F-, F+) and at (-g, F+, F-); f7 is its own partner.
+    """
+    fp, fm = p.d + GAMMA_E_KHZ_PER_G * bz, p.d - GAMMA_E_KHZ_PER_G * bz
+    if iso.name == "N14":
+        gn = p.gamma_n * bz
+        f1, f3, f4 = _mirror_half(p, iso, gn, fm, fp, higher)
+        f2, f6, f5 = _mirror_half(p, iso, -gn, fp, fm, higher)
+        return {"f1": f1, "f2": f2, "f3": f3, "f4": f4, "f5": f5, "f6": f6, "fdq": f1 - f2}
+    w, a, gn = p.a_perp * p.a_perp, p.a_par, abs(p.gamma_n) * bz
+    f7 = gn + (w / 2) * (1 / fm - 1 / fp)
+    if higher is not None:
+        (x, sum_inv_sq), fm2, fp2 = higher, fm * fm, fp * fp
+        f7 = (
+            f7
+            + (w / 4) * (a / fm2 - a / fp2)
+            + (x * ((w / gn) * sum_inv_sq - a * (1 / fm2 - 1 / fp2)) if x != 0 else 0.0)
+        )
+    (f8,) = _mirror_half(p, iso, gn, fm, fp, higher)
+    (f9,) = _mirror_half(p, iso, -gn, fp, fm, higher)
+    return {"f7": f7, "f8": f8, "f9": f9}
 
 
 def nuclear_freqs_2nd(p: CouplingParams, iso: IsotopeSpec, bz: float) -> dict[str, float]:
     """Lowest-order nuclear frequencies in A_perp^2/F+- on axis (Bx = 0)."""
     _require_margin(p, bz)
-    return _with_fdq(_second_order(p, iso, bz), iso)
+    return _series(p, iso, bz)
 
 
 def nuclear_freqs_full(
@@ -113,53 +141,15 @@ def nuclear_freqs_full(
     """
     _require_margin(p, bz, bx)
     fp, fm = p.d + GAMMA_E_KHZ_PER_G * bz, p.d - GAMMA_E_KHZ_PER_G * bz
-    w = p.a_perp * p.a_perp
     x = (GAMMA_E_KHZ_PER_G * bx) ** 2 / 2
-    fp2, fm2 = fp * fp, fm * fm
-    sum_inv_sq = (1 / fp + 1 / fm) ** 2
-    f = _second_order(p, iso, bz)
-    if iso.name == "N14":
+    higher = x, (1 / fp + 1 / fm) ** 2
+    if x != 0:
         q, a = abs(p.q), abs(p.a_par)
-        d_lo, d_hi = q - a, q + a
-        if x != 0 and (q < 1e-9 or abs(d_lo) < 1e-9 or abs(d_hi) < 1e-9):
+        if iso.name == "N14" and (q < 1e-9 or abs(q - a) < 1e-9):  # so q + a >= 1e-9 too
             raise ValueError("Q +- A_par too small for the transverse-field terms")
-        freqs = {
-            "f1": f["f1"]
-            - w * (d_lo / fm2 + (2 * q - a) / fp2)
-            + x * (w * (3 / q) * sum_inv_sq - a * (1 / fm2 - 1 / fp2)),
-            "f2": f["f2"]
-            - w * ((2 * q - a) / fm2 + d_lo / fp2)
-            + x * (w * (3 / q) * sum_inv_sq + a * (1 / fm2 - 1 / fp2)),
-            "f3": f["f3"]
-            - w * (2 * q - a) / fm2
-            + x * (w * (2 / d_lo + 1 / d_hi) / fm2 + a / fm2),
-            "f4": f["f4"]
-            - w * q / fm2
-            + x * (w * (1 / d_lo + 2 / d_hi) / fm2 - a / fm2),
-            "f5": f["f5"]
-            - w * q / fp2
-            + x * (w * (1 / d_lo + 2 / d_hi) / fp2 - a / fp2),
-            "f6": f["f6"]
-            - w * (2 * q - a) / fp2
-            + x * (w * (2 / d_lo + 1 / d_hi) / fp2 + a / fp2),
-        }
-    else:
-        a = p.a_par
-        gn = abs(p.gamma_n) * bz
-        if x != 0 and (abs(a) < 1e-9 or abs(gn) < 1e-9):
+        if iso.name == "N15" and (a < 1e-9 or abs(p.gamma_n) * bz < 1e-9):
             raise ValueError("A_par or gamma_n Bz too small for the transverse-field terms")
-        freqs = {
-            "f7": f["f7"]
-            + (w / 4) * (a / fm2 - a / fp2)
-            + (x * ((w / gn) * sum_inv_sq - a * (1 / fm2 - 1 / fp2)) if x != 0 else 0.0),
-            "f8": f["f8"]
-            - (w / 4) * (a / fm2)
-            + (x * (w / a - a) / fm2 if x != 0 else 0.0),
-            "f9": f["f9"]
-            - (w / 4) * (a / fp2)
-            + (x * (w / a - a) / fp2 if x != 0 else 0.0),
-        }
-    return _with_fdq(freqs, iso)
+    return _series(p, iso, bz, higher)
 
 
 def ms0_line(iso: IsotopeSpec) -> str:
@@ -219,7 +209,7 @@ def _reduced_lines(p: CouplingParams, fields, iso: IsotopeSpec, dtype=np.float64
     points = [(f.bz, f.bx) for f in fields]
     rows = _coefficients(p, points, iso, dtype).reshape(-1, 8)  # (0, 8) for no fields
     rows[:, 7] = 0
-    return _kernel(rows, iso, points)[0]
+    return _kernel(rows, iso, points)
 
 
 # Angles (degrees) small enough for the theta^2 term to dominate the shift.
@@ -238,7 +228,7 @@ def exact_beta_estimates(p: CouplingParams, iso: IsotopeSpec, bz: float) -> np.n
     thetas = [math.radians(theta_deg) for theta_deg in BETA_THETAS_DEG]
     fields = [FieldConfig(bz=bz)] + [FieldConfig(bz=bz, bx=bz * math.tan(t)) for t in thetas]
     lines = _reduced_lines(p, fields, iso, np.longdouble)
-    f = lines[:, list(LINES[iso.name]).index(ms0_line(iso))]
+    f = lines[:, _row_index(iso.name, (ms0_line(iso),))[0]]
     return np.array([float(2 * (fk - f[0]) / (t * t * baseline)) for fk, t in zip(f[1:], thetas)])
 
 
@@ -257,7 +247,7 @@ def residuals_vs_exact(
     if order not in ("full", "2nd"):
         raise ValueError(f"order must be 'full' or '2nd', not {order!r}")
     names = nuclear_labels(iso)
-    columns = [list(LINES[iso.name]).index(name) for name in names]
+    columns = _row_index(iso.name, names)
     perts, fields = [], []
     try:
         for bz in map(float, bz_values):

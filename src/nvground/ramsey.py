@@ -72,7 +72,8 @@ class RamseyFit:
 
 
 def _model(times: np.ndarray, delta_khz, t2_star, amp, phase, offset) -> np.ndarray:
-    decay = np.exp(-times / t2_star) if np.isfinite(t2_star) else 1.0
+    # T2* = inf gives exp(-0.0) = 1.0 exactly: an undamped trace
+    decay = np.exp(-times / t2_star)
     return offset + amp * decay * np.cos(2 * math.pi * (delta_khz * 1e3) * times + phase)
 
 
@@ -87,7 +88,7 @@ def synthesize(
     rng_seed: int = 0,
 ) -> RamseyTrace:
     """Seeded synthetic fringe trace; identical seeds give identical traces."""
-    if t2_star_s <= 0:
+    if not t2_star_s > 0:  # NaN too
         raise ValueError("T2* must be positive")
     _require_noise_sigma(noise_sigma)
     times = np.asarray(times, dtype=float)
@@ -129,11 +130,10 @@ def initial_guess(trace: RamseyTrace) -> RamseyFit:
 
 
 def _canonicalize(delta, t2, amp, phase, offset):
-    # cos is even in (delta, phase) jointly; amp sign folds into phase.
+    # amp's sign folds into phase.  delta needs no fold: the objective is
+    # 1e300 at delta <= 0, above the FFT start's, so the best vertex has delta > 0.
     if amp < 0:
         amp, phase = -amp, phase + math.pi
-    if delta < 0:
-        delta, phase = -delta, -phase
     phase = math.remainder(phase, 2 * math.pi)
     return delta, t2, amp, phase, offset
 

@@ -3,9 +3,14 @@
 Eigenstates are tagged with the (ms, mI) basis label of their dominant
 component, which realizes the standard transition naming: f1..f6 for the
 14NV nuclear lines, f7..f9 for 15NV, fplus_*/fminus_* for the electron
-(MW) lines, fdq = f1 - f2 for the 14NV double-quantum transition, and
+(MW) lines, fdq for the 14NV double-quantum line (0, -1) <-> (0, +1), and
 the 14NV difference rows such as f1-f2.  ``LINES`` is the one list of
 these names and their order.
+
+H is unchanged by (ms, mI) -> (-ms, -mI) with Bz -> -Bz (a pi rotation
+about x), so every line at -Bz is its mirror partner at +Bz: f1 <-> f2,
+f3 <-> f6, f4 <-> f5, f8 <-> f9 and fplus_m <-> fminus_-m, while fdq and
+f7 are their own partners; a difference row such as f1-f2 changes sign.
 
 Lines and their derivatives take one batched path, ``_kernel``: a stack of
 field points -> one H stack, eigh and labeling -> every line (N, L) and, on
@@ -59,10 +64,8 @@ def mw_label(sign: int, mi: float) -> str:
 
 @dataclass(frozen=True)
 class Line:
-    """A named line: the splitting of two levels, the difference of two
-    other lines, or both (fdq connects (0, -1) and (0, +1), and its value is
-    f1 - f2).
-    """
+    """A named line: the splitting of two levels or the difference of two
+    other lines."""
 
     levels: tuple[StateLabel, StateLabel] | None = None
     minus: tuple[str, str] | None = None
@@ -83,7 +86,7 @@ def _line_table(iso: IsotopeSpec) -> dict[str, Line]:
             "f4": Line((s(-1, 0.0), s(-1, -1.0))),
             "f5": Line((s(1, 0.0), s(1, 1.0))),
             "f6": Line((s(1, 0.0), s(1, -1.0))),
-            "fdq": Line((s(0, -1.0), s(0, 1.0)), minus=("f1", "f2")),
+            "fdq": Line((s(0, -1.0), s(0, 1.0))),
         }
         for a, b in (("f1", "f2"), ("f5", "f4"), ("f3", "f6")):
             lines[f"{a}-{b}"] = Line(minus=(a, b))
@@ -109,11 +112,14 @@ def known_labels(iso: IsotopeSpec) -> tuple[str, ...]:
 
 
 def nuclear_labels(iso: IsotopeSpec) -> tuple[str, ...]:
-    """f1..f6 (14NV) or f7..f9 (15NV): splittings within one ms manifold."""
+    """f1..f6 (14NV) or f7..f9 (15NV): the splittings within one ms manifold
+    with |delta mI| = 1."""
     return tuple(
         name
         for name, line in LINES[iso.name].items()
-        if line.levels and not line.minus and line.levels[0].ms == line.levels[1].ms
+        if line.levels
+        and line.levels[0].ms == line.levels[1].ms
+        and abs(line.levels[0].mi - line.levels[1].mi) == 1
     )
 
 
@@ -127,7 +133,7 @@ def _row_map(iso: IsotopeSpec):
     """
     lines = LINES[iso.name]
     names = tuple(lines)
-    splits = [name for name, line in lines.items() if not line.minus]
+    splits = [name for name, line in lines.items() if line.levels]
     index = {label: k for k, label in enumerate(basis_labels(iso))}
     a, b = np.array([[index[s] for s in lines[name].levels] for name in splits]).T
     rows = np.zeros((len(splits), len(lines)))
@@ -185,15 +191,14 @@ def label_states(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, n
 
 def _kernel(coefficients: np.ndarray, iso: IsotopeSpec, points, derivatives: bool = False):
     """The forward kernel: _coefficients rows (N, 8) at (bz, bx) ``points`` ->
-    one H stack, eigh and labeling -> lines (N, L) in LINES row order and
-    energies (N, d) in basis order; with ``derivatives``, also the lines'
-    derivatives (N, L, 8) with respect to the c_j of H = sum_j c_j S_j
-    (spin_core._structure) from the labelled eigenvectors: level k moves by
-    dE_k/dc_j = v_k^T S_j v_k (Hellmann-Feynman; Feynman, Phys. Rev. 56, 340,
-    1939), and a difference row by the difference of its two rows', exactly.
-    Each point gets the bits of a batch of one; a refusal names the first
-    refused point.  H is built symmetric: only its finiteness is checked
-    before eigensolve._eigh."""
+    one H stack, eigh and labeling -> lines (N, L) in LINES row order; with
+    ``derivatives``, (lines, their derivatives (N, L, 8)) with respect to the
+    c_j of H = sum_j c_j S_j (spin_core._structure) from the labelled
+    eigenvectors: level k moves by dE_k/dc_j = v_k^T S_j v_k
+    (Hellmann-Feynman; Feynman, Phys. Rev. 56, 340, 1939), and a difference
+    row by the difference of its two rows', exactly.  Each point gets the
+    bits of a batch of one; a refusal names the first refused point.  H is
+    built symmetric: only its finiteness is checked before eigensolve._eigh."""
     values, vectors = _eigh(_check_finite(_hamiltonians(coefficients, iso)))
     try:
         order = _level_order(vectors)
@@ -207,12 +212,12 @@ def _kernel(coefficients: np.ndarray, iso: IsotopeSpec, points, derivatives: boo
     splits = energies.take(a, axis=1) - energies.take(b, axis=1)
     lines = np.abs(splits) @ rows
     if not derivatives:
-        return lines, energies
+        return lines
     # v[n, i, k] = vectors[n, i, order[n, k]]: basis order, in the C order the bits need
     v = vectors[n[:, None], np.arange(order.shape[-1])[:, None], order[:, None, :]][:, None]
     dlevels = np.sum(v * (_structure(iso.name, v.dtype) @ v), axis=-2)  # (N, 8, d)
     dsplits = np.sign(splits)[:, None] * (dlevels.take(a, axis=-1) - dlevels.take(b, axis=-1))
-    return lines, energies, rows.T @ dsplits.swapaxes(-1, -2)
+    return lines, rows.T @ dsplits.swapaxes(-1, -2)
 
 
 @functools.lru_cache
@@ -223,8 +228,8 @@ def _row_index(iso_name: str, labels: tuple[str, ...]) -> np.ndarray:
 
 
 def transition_lines(p: CouplingParams, fields, iso: IsotopeSpec, dtype=np.float64):
-    """The kernel's (lines (N, L), energies (N, d)) at FieldConfigs ``fields``;
-    ``dtype`` as in build_hamiltonian."""
+    """The kernel's lines (N, L) at FieldConfigs ``fields``; ``dtype`` as in
+    build_hamiltonian."""
     points = [(f.bz, f.bx) for f in fields]
     return _kernel(_coefficients(p, points, iso, dtype), iso, points)
 
@@ -234,8 +239,8 @@ def transition_set(
 ) -> TransitionSet:
     """All named transitions from exact diagonalization at one field point:
     transition_lines for a batch of one."""
-    lines, _ = transition_lines(p, [f], iso, dtype)
-    return TransitionSet(dict(zip(_ROW_MAP[iso.name][0], lines[0])), iso.name)
+    (lines,) = transition_lines(p, [f], iso, dtype)
+    return TransitionSet(dict(zip(_ROW_MAP[iso.name][0], lines)), iso.name)
 
 
 def isotopic_d_shift(fplus14: float, fminus14: float, fplus15: float, fminus15: float) -> float:

@@ -1,6 +1,6 @@
 """The per-point forward path the batched kernel replaced, kept as a test
 reference: build H, eigh, label_states, then |E_a - E_b| per named line and
-each difference row (fdq = f1 - f2, f1-f2, ...) from its two lines; and
+each difference row (f1-f2, ...) from its two lines; and
 the Hellmann-Feynman line derivatives of one point, as they were computed
 before the kernel returned them for a whole stack.
 """

@@ -152,6 +152,29 @@ def test_transitions_slopes_at_any_field(capsys, flags, field):
     assert rows == [(label, round(slope, 6)) for label, slope in slopes.items()]
 
 
+def test_transitions_at_minus_bz_mirror_those_at_plus_bz(capsys):
+    # (ms, mI) -> (-ms, -mI) with Bz -> -Bz leaves H unchanged: each line at
+    # -470 G has the value and slope of its mirror partner at +470 G, fdq is
+    # its own partner, and each difference row changes sign.
+    def rows(bz):
+        argv = ["transitions", "--isotope", "n14", *PRESET, "--bz", bz, "--format", "json"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        return {r["transition"]: (r["freq_khz"], r["df_dt_hz_per_k"]) for r in rows}
+
+    plus, minus = rows("470"), rows("-470")
+    assert minus["fdq"] == plus["fdq"] == (286.332709, 0.148549)
+    pairs = [("f1", "f2"), ("f3", "f6"), ("f4", "f5")]
+    pairs += [(f"fplus_{m}", f"fminus_{n}") for m, n in (("+1", "-1"), ("0", "0"), ("-1", "+1"))]
+    for a, b in pairs:
+        assert minus[a] == plus[b] and minus[b] == plus[a]
+    differences = ["f1-f2", "f5-f4", "f3-f6"]
+    for name in differences:
+        assert minus[name] == tuple(-x for x in plus[name])
+    assert len(plus) == 1 + 2 * len(pairs) + len(differences)
+
+
 def test_transitions_polar_field_equivalent(capsys):
     _, out_polar = run(
         capsys,

@@ -144,7 +144,7 @@ def test_jacobian_matches_central_differences(iso, bz, bx):
     ]
     p = vecs[0].to_physical()[0]
     points = [(f.bz, f.bx) for _, f in (vec.to_physical() for vec in vecs)]
-    lines, _, derivatives = _kernel(_coefficients(p, points, iso), iso, points, derivatives=True)
+    lines, derivatives = _kernel(_coefficients(p, points, iso), iso, points, derivatives=True)
     for vec, line, derivative in zip(vecs, lines, derivatives, strict=True):
         x = vec.as_array()
         model, jac = _jacobian(vec, iso, labels)

@@ -32,8 +32,10 @@ def test_synthesize_deterministic():
 
 
 def test_synthesize_validation():
-    with pytest.raises(ValueError):
-        synthesize(3.0, -1.0, 0.5, 0.0, 1.0, TIMES)
+    # A NaN T2* is refused by name, not taken as no decay (T2* = inf).
+    for t2 in (-1.0, math.nan):
+        with pytest.raises(ValueError, match=r"^T2\* must be positive$"):
+            synthesize(3.0, t2, 0.5, 0.0, 1.0, TIMES)
     with pytest.raises(ValueError):
         RamseyTrace(times=np.array([0.0, 0.0, 1.0]), signal=np.zeros(3))
 

@@ -27,7 +27,9 @@ from nvground.transitions import (
     AmbiguousLabelingError,
     _kernel,
     isotopic_d_shift,
+    known_labels,
     label_states,
+    nuclear_labels,
     ratio_estimators,
     transition_lines,
     transition_set,
@@ -101,7 +103,7 @@ def test_label_states_stack_refusal_names_the_first_refused_matrix():
 
 
 def derivative_stack(p, fields, iso, dtype=np.float64):
-    """The kernel's (lines, energies, derivatives) at FieldConfigs ``fields``."""
+    """The kernel's (lines, derivatives) at FieldConfigs ``fields``."""
     points = [(f.bz, f.bx) for f in fields]
     return _kernel(_coefficients(p, points, iso, dtype), iso, points, derivatives=True)
 
@@ -138,7 +140,7 @@ def test_kernel_batches_match_the_per_point_path(iso, temp, points, dtype):
                     call(p, [f] if call is transition_lines else f, iso, dtype)
                 assert str(one.value) == where
             continue
-        lines, _ = transition_lines(p, [f], iso, dtype)
+        lines = transition_lines(p, [f], iso, dtype)
         assert lines.dtype == dtype
         assert np.array_equal(lines[0], reference)
         ts = transition_set(p, f, iso, dtype)
@@ -150,13 +152,12 @@ def test_kernel_batches_match_the_per_point_path(iso, temp, points, dtype):
             assert str(batch.value) == refused[0]
         return
     batch = transition_lines(p, fields, iso, dtype)
-    assert [len(x) for x in batch] == [len(fields)] * 2
+    assert len(batch) == len(fields)
     for i, f in enumerate(fields):
-        for whole, one in zip(batch, transition_lines(p, [f], iso, dtype)):
-            assert np.array_equal(whole[i], one[0])
+        assert np.array_equal(batch[i], transition_lines(p, [f], iso, dtype)[0])
     if dtype is np.float64:
-        *values, derivatives = derivative_stack(p, fields, iso)
-        assert all(np.array_equal(x, y) for x, y in zip(values, batch, strict=True))
+        lines, derivatives = derivative_stack(p, fields, iso)
+        assert np.array_equal(lines, batch)
         assert derivatives.shape == (len(fields), len(LINES[iso.name]), 8)
         for i, f in enumerate(fields):
             assert derivatives[i].tobytes() == reference_derivatives(p, f, iso).tobytes()
@@ -166,8 +167,8 @@ def test_kernel_batches_match_the_per_point_path(iso, temp, points, dtype):
 @pytest.mark.parametrize("bx", [0.0, 0.3], ids=["axial", "tilted"])
 def test_no_result_reads_eigenvector_signs(monkeypatch, iso, bx):
     # An eigenvector's sign is arbitrary: negating every other column of the
-    # kernel's eigensolver output leaves lines, energies and derivatives bit
-    # for bit, over a stack of fields.
+    # kernel's eigensolver output leaves lines and derivatives bit for bit,
+    # over a stack of fields.
     p, fields = params_at(iso), [FieldConfig(bz=bz, bx=bx) for bz in (10.0, 470.0, 900.0)]
     calls = [
         functools.partial(stack, p, fields, iso, dtype)
@@ -230,8 +231,8 @@ def test_all_frequencies_positive_and_pairs_ordered():
 
 @pytest.mark.parametrize("iso", [N14, N15], ids=["N14", "N15"])
 def test_difference_rows_are_differences_bit_for_bit(iso):
-    # fdq = f1 - f2, f1-f2, f5-f4 and f3-f6 go through the same row map
-    # as the splittings; each equals the difference of its two lines, and
+    # f1-f2, f5-f4 and f3-f6 go through the same row map as the
+    # splittings; each equals the difference of its two lines, and
     # so do its derivatives over a stack of fields.  transition_table's dT
     # slopes contract those derivatives, then convert kHz/K to Hz/K, which
     # rounds, so its frequencies are checked exactly and its slopes' keys.
@@ -239,7 +240,7 @@ def test_difference_rows_are_differences_bit_for_bit(iso):
     names = list(LINES[iso.name])
     p = params_at(iso)
     for dtype in (np.float64, np.longdouble):
-        lines, _, derivatives = derivative_stack(p, fields, iso, dtype)
+        lines, derivatives = derivative_stack(p, fields, iso, dtype)
         for name, line in LINES[iso.name].items():
             if line.minus:
                 a, b = (names.index(term) for term in line.minus)
@@ -251,6 +252,66 @@ def test_difference_rows_are_differences_bit_for_bit(iso):
         for name, line in LINES[iso.name].items():
             if line.minus:
                 assert freqs[name] == freqs[line.minus[0]] - freqs[line.minus[1]]
+
+
+def mirror_partners(iso) -> dict[str, str]:
+    """Each line between two levels -> the line between their mirror
+    levels, (ms, mI) -> (-ms, -mI)."""
+    lines = LINES[iso.name]
+    by_levels = {frozenset(line.levels): name for name, line in lines.items() if line.levels}
+    return {
+        name: by_levels[frozenset(StateLabel(-s.ms, -s.mi) for s in lines[name].levels)]
+        for name in known_labels(iso)
+    }
+
+
+def test_mirror_partners_and_nuclear_labels():
+    # README's list of the mirror pairs; no line is a splitting and a difference.
+    pairs = {
+        "N14": [("f1", "f2"), ("f3", "f6"), ("f4", "f5"), ("fdq", "fdq")]
+        + [(f"fplus_{m}", f"fminus_{n}") for m, n in (("+1", "-1"), ("0", "0"), ("-1", "+1"))],
+        "N15": [("f7", "f7"), ("f8", "f9")]
+        + [(f"fplus_{m}", f"fminus_{n}") for m, n in (("+1/2", "-1/2"), ("-1/2", "+1/2"))],
+    }
+    for iso in (N14, N15):
+        expected = {a: b for a, b in pairs[iso.name]} | {b: a for a, b in pairs[iso.name]}
+        assert mirror_partners(iso) == expected
+        assert not any(line.levels and line.minus for line in LINES[iso.name].values())
+    assert nuclear_labels(N14) == ("f1", "f2", "f3", "f4", "f5", "f6")
+    assert nuclear_labels(N15) == ("f7", "f8", "f9")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    iso=st.sampled_from([N14, N15]),
+    temp=st.floats(77.0, 400.0),
+    bz=st.floats(1.0, 2200.0),
+    bx=st.floats(0.0, 40.0),
+    dtype=st.sampled_from([np.float64, np.longdouble]),
+)
+# Just below the anti-crossing f2 > f1, so f1 - f2 is no splitting there.
+@example(iso=N14, temp=297.0, bz=1017.0, bx=5.0, dtype=np.float64)
+def test_minus_bz_mirrors_plus_bz(iso, temp, bz, bx, dtype):
+    # H is unchanged by (ms, mI) -> (-ms, -mI) with Bz -> -Bz, so each line
+    # at -Bz is its mirror partner at +Bz, and is positive; a refusal on one
+    # side comes with one on the other.  The partners differ by eigensolver
+    # rounding, at most 14 (float64) and 5 (longdouble) eps (D + gamma_e |Bz|)
+    # over 1,500 random points.
+    p = params_at(iso, temp)
+    sides = []
+    for sign in (1, -1):
+        try:
+            sides.append(transition_set(p, FieldConfig(bz=sign * bz, bx=bx), iso, dtype))
+        except AmbiguousLabelingError:
+            sides.append(None)
+    plus, minus = sides
+    assert (plus is None) == (minus is None)
+    if plus is None:
+        return
+    tol = 64 * np.finfo(dtype).eps * (p.d + GAMMA_E_KHZ_PER_G * bz)
+    for name, partner in mirror_partners(iso).items():
+        assert plus[name] > 0 and minus[name] > 0
+        assert abs(minus[name] - plus[partner]) <= tol, (name, partner)
 
 
 def test_fdq_equals_f5_minus_f4():
