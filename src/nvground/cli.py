@@ -51,10 +51,10 @@ class TripwireError(RuntimeError):
 
 
 # Exception -> (exit code, stderr prefix); the first matching entry wins.
-# ValueError covers ConfigError, ValidityMarginError and UndersampledTraceError.
+# ValueError covers ConfigError, ValidityMarginError and both refusals of a
+# Ramsey trace (NonIdentifiableTraceError, UndersampledTraceError).
 EXIT_TABLE = {
     ValueError: (EXIT_CONFIG, ""),
-    ramsey.NonIdentifiableTraceError: (EXIT_CONFIG, ""),
     AmbiguousLabelingError: (EXIT_LABELING, "ambiguous state labeling: "),
     FitConvergenceError: (EXIT_FIT, ""),
     NonFiniteObjectiveError: (EXIT_FIT, ""),
@@ -283,12 +283,6 @@ def _synth_labels(iso: IsotopeSpec) -> list[str]:
     return [*nuclear_labels(iso), mw_label(+1, top), mw_label(-1, top)]
 
 
-def _sigma_for(label: str) -> float:
-    if label.startswith("fplus") or label.startswith("fminus"):
-        return presets.MW_SIGMA_KHZ
-    return presets.TABLE3[label].freq_sigma_khz
-
-
 def cmd_synth(args) -> int:
     iso = get_isotope(args.isotope)
     try:
@@ -308,7 +302,7 @@ def cmd_synth(args) -> int:
     for temperature in temps:
         ts = transition_set(presets.params_at(iso, temperature), FieldConfig(bz=args.bz), iso)
         for label in labels:
-            sigma = _sigma_for(label)
+            sigma = presets.line_sigma_khz(label)
             noise = rng.normal() * sigma * args.noise_scale if args.noise_scale else 0.0
             sigma *= args.noise_scale or 1.0  # the sigma of the noise drawn, if any
             rows.append(io.MeasurementRow(temperature, label, float(ts[label]) + noise, sigma))

@@ -110,6 +110,14 @@ GAMMA_N_ISOTOPE_RATIO = 1.40285   # |gamma_n(15N) / gamma_n(14N)|
 A_PAR_ISOTOPE_RATIO = 1.40096     # |A_par(15N) / A_par(14N)|
 
 
+def line_sigma_khz(label: str) -> float:
+    """Measurement sigma of a line, kHz: MW_SIGMA_KHZ for the electron
+    lines, else its TABLE3 sigma."""
+    if label.startswith(("fplus", "fminus")):
+        return MW_SIGMA_KHZ
+    return TABLE3[label].freq_sigma_khz
+
+
 def thermal_presets(isotope: str | IsotopeSpec) -> dict[str, PolynomialModel]:
     """Degree-4 polynomial models (quadratic content) for one isotope."""
     iso = isotope if isinstance(isotope, IsotopeSpec) else get_isotope(isotope)

@@ -4,7 +4,8 @@ A two-pulse free-precession signal oscillates at the detuning of the
 drive from the true transition, delta = f_rf - f, damped on the T2*
 scale.  Fitting the fringes therefore measures |delta|; the caller
 resolves the sign, e.g. by stepping f_rf and watching the fitted delta
-move.  Detunings are kHz, times are seconds.
+move.  The fit starts from the trace's FFT peak, and that start refuses
+a trace it cannot resolve.  Detunings are kHz, times are seconds.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .optimize import FitConvergenceError, nelder_mead
 # Signal model: offset + amp * exp(-tau/T2*) * cos(2 pi delta tau + phase)
 
 
-class NonIdentifiableTraceError(RuntimeError):
+class NonIdentifiableTraceError(ValueError):
     """The trace carries no resolvable oscillation."""
 
 
@@ -63,8 +64,8 @@ class RamseyFit:
     amplitude: float
     phase: float
     offset: float
-    rms_residual: float = 0.0
-    iterations: int = 0
+    rms_residual: float
+    iterations: int
 
     def __post_init__(self):
         if self.t2_star_s <= 0:
@@ -99,34 +100,35 @@ def synthesize(
     return RamseyTrace(times=times, signal=signal, noise_sigma=noise_sigma)
 
 
-def initial_guess(trace: RamseyTrace) -> RamseyFit:
-    """Coarse FFT-peak starting point for the fringe fit."""
+def initial_guess(trace: RamseyTrace) -> np.ndarray:
+    """FFT-peak start (delta kHz, T2* s, amp, phase, offset) for the fringe fit.
+
+    Refuses a trace it cannot resolve, in this order: one with no dominant
+    spectral peak (NonIdentifiableTraceError), then one whose span holds
+    fewer than 3 periods at the peak's detuning or whose median spacing
+    gives fewer than 4 samples per period (UndersampledTraceError).
+    """
     t, s = trace.times, trace.signal
     offset = float(np.mean(s))
-    detrended = s - offset
     dt = float(np.median(np.diff(t)))
-    spectrum = np.fft.rfft(detrended)
-    freqs_hz = np.fft.rfftfreq(len(t), d=dt)
+    spectrum = np.fft.rfft(s - offset)
     mags = np.abs(spectrum)
     mags[0] = 0.0
     peak = int(np.argmax(mags))
-    others = np.delete(mags, peak)
-    floor = float(np.median(others))
+    floor = float(np.median(np.delete(mags, peak)))
     if peak == 0 or mags[peak] <= max(3.0 * floor, 1e-12 * (1 + abs(offset))):
-        raise NonIdentifiableTraceError(
-            "no dominant oscillation peak in the trace spectrum"
-        )
-    delta_khz = freqs_hz[peak] / 1e3
-    phase = float(np.angle(spectrum[peak]))
-    amp = float(2 * mags[peak] / len(t))
+        raise NonIdentifiableTraceError("no dominant oscillation peak in the trace spectrum")
+    delta_khz = float(np.fft.rfftfreq(len(t), d=dt)[peak] / 1e3)
+    f_hz = delta_khz * 1e3
     span = float(t[-1] - t[0])
-    return RamseyFit(
-        delta_khz=float(delta_khz),
-        t2_star_s=span / 2,
-        amplitude=amp,
-        phase=phase,
-        offset=offset,
-    )
+    if span * f_hz < 3.0:
+        raise UndersampledTraceError(
+            f"trace spans {span * f_hz:.2f} periods at {delta_khz:.6g} kHz; need >= 3"
+        )
+    if dt > 1.0 / (4.0 * f_hz):
+        raise UndersampledTraceError(f"fewer than 4 samples per period at {delta_khz:.6g} kHz")
+    amp = float(2 * mags[peak] / len(t))
+    return np.array([delta_khz, span / 2, amp, float(np.angle(spectrum[peak])), offset])
 
 
 def _canonicalize(delta, t2, amp, phase, offset):
@@ -139,24 +141,8 @@ def _canonicalize(delta, t2, amp, phase, offset):
 
 
 def fit_fringes(trace: RamseyTrace) -> RamseyFit:
-    """Least-squares fringe fit for (delta, T2*, amp, phase, offset).
-
-    Starts from initial_guess, and requires at least 3 oscillation
-    periods in the trace span and 4 samples per period at its detuning.
-    """
-    guess = initial_guess(trace)
+    """Least-squares fringe fit for (delta, T2*, amp, phase, offset) from initial_guess."""
     t, s = trace.times, trace.signal
-    span = float(t[-1] - t[0])
-    f_hz = guess.delta_khz * 1e3
-    if span * f_hz < 3.0:
-        raise UndersampledTraceError(
-            f"trace spans {span * f_hz:.2f} periods at {guess.delta_khz:.6g} kHz; need >= 3"
-        )
-    if float(np.median(np.diff(t))) > 1.0 / (4.0 * f_hz):
-        raise UndersampledTraceError(
-            f"fewer than 4 samples per period at {guess.delta_khz:.6g} kHz"
-        )
-
     big = 1e300
 
     def objective(x):
@@ -166,10 +152,7 @@ def fit_fringes(trace: RamseyTrace) -> RamseyFit:
         r = _model(t, delta, t2, amp, phase, offset) - s
         return float(r @ r)
 
-    x0 = np.array(
-        [guess.delta_khz, guess.t2_star_s, guess.amplitude, guess.phase, guess.offset]
-    )
-    result = nelder_mead(objective, x0)
+    result = nelder_mead(objective, initial_guess(trace))
     if not result.converged:
         raise FitConvergenceError(
             f"fringe fit did not converge in {result.iterations} iterations"

@@ -393,7 +393,8 @@ MISSING = {
         (["fit", "--isotope", "n14", *PRESET, "--bz", "1022.8", "--measurements", "{dir}/cold.csv"],
          3, "T = 77.0 K: labeling failed at trial point {'d': 2870280.0, "),
         (["ramsey-fit", "--trace-in", "{dir}/huge_trace.csv", "--f-rf-khz", "100"], 4, ""),
-        (["ramsey-fit", "--trace-in", "{dir}/flat.csv", "--f-rf-khz", "100"], 2, ""),
+        (["ramsey-fit", "--trace-in", "{dir}/flat.csv", "--f-rf-khz", "100"], 2,
+         "no dominant oscillation peak in the trace spectrum"),
         *((["ramsey-fit", "--trace-in", f"{{dir}}/{name}", "--f-rf-khz", "100"], 2, names)
           for name, names in (
               ("word_sigma.csv", "bad noise_sigma: could not convert string to float: 'abc'"),

@@ -24,9 +24,9 @@ from nvground.extraction import (
 from nvground.optimize import FitConvergenceError, PolynomialModel
 from nvground.presets import (
     GAMMA_RATIO_N14,
-    MW_SIGMA_KHZ,
     TABLE3,
     TABLE3_BZ_G,
+    line_sigma_khz,
     params_at,
     thermal_presets,
 )
@@ -39,12 +39,6 @@ FIT_LABELS_N14 = ["f1", "f2", "f3", "f4", "f5", "f6", "fplus_+1", "fminus_+1"]
 FIT_LABELS_N15 = ["f7", "f8", "f9", "fplus_+1/2", "fminus_+1/2"]
 
 
-def sigma_for(label):
-    if label.startswith("f") and not label[1].isdigit():
-        return MW_SIGMA_KHZ
-    return TABLE3[label].freq_sigma_khz
-
-
 def synthetic_set(iso, temperature=297.0, bz=470.0, noise=0.0, seed=0, bx=0.0):
     p = params_at(iso, temperature)
     ts = transition_set(p, FieldConfig(bz=bz, bx=bx), iso)
@@ -52,7 +46,7 @@ def synthetic_set(iso, temperature=297.0, bz=470.0, noise=0.0, seed=0, bx=0.0):
     rng = np.random.default_rng(seed)
     entries = []
     for label in labels:
-        sigma = sigma_for(label)
+        sigma = line_sigma_khz(label)
         bump = rng.normal() * sigma * noise if noise else 0.0
         entries.append(MeasurementEntry(label, float(ts[label]) + bump, sigma))
     return MeasurementSet(temperature=temperature, isotope=iso, entries=tuple(entries))

@@ -12,10 +12,12 @@ from nvground.extraction import (
 )
 from nvground.presets import (
     FRACTIONAL_PPM_PER_K,
+    MW_SIGMA_KHZ,
     PRESET_NAMES,
     TABLE1,
     TABLE3,
     TABLE3_BZ_G,
+    line_sigma_khz,
     params_at,
     thermal_presets,
 )
@@ -174,3 +176,10 @@ def test_table3_with_free_couplings_puts_each_preset_a_perp_within_1_sigma(
         assert getattr(fit.params, name) / unit == pytest.approx(value, abs=0.01 * sigma_value)
         assert sigma[name] / unit == pytest.approx(sigma_value, rel=1e-3)
     assert abs(fit.params.a_perp - TABLE1[iso.name]["a_perp"].value) <= sigma["a_perp"]
+
+
+def test_line_sigma_is_mw_for_electron_lines_and_table3_for_the_rest():
+    for label in ("fplus_+1", "fminus_-1", "fplus_+1/2", "fminus_-1/2"):
+        assert line_sigma_khz(label) == MW_SIGMA_KHZ
+    for label, row in TABLE3.items():
+        assert line_sigma_khz(label) == row.freq_sigma_khz

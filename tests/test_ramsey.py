@@ -121,8 +121,26 @@ def test_short_span_rejected():
 
 def test_initial_guess_near_truth():
     trace = synthesize(3.0, 1e-3, 0.5, 0.3, 1.0, TIMES, noise_sigma=0.02, rng_seed=1)
-    guess = initial_guess(trace)
-    assert guess.delta_khz == pytest.approx(3.0, rel=0.3)
+    delta_khz, t2_star_s, *_ = initial_guess(trace)
+    assert delta_khz == pytest.approx(3.0, rel=0.3)
+    assert t2_star_s == (TIMES[-1] - TIMES[0]) / 2
+
+
+def test_initial_guess_refuses_what_it_cannot_resolve():
+    # The start itself refuses, so no caller of it fits an undersampled trace.
+    sparse = synthesize(3.0, 1e-3, 0.5, 0.0, 1.0, np.linspace(0.0, 2e-3, 12))
+    with pytest.raises(UndersampledTraceError, match=r"fewer than 4 samples per period"):
+        initial_guess(sparse)
+    short = synthesize(3.0, 1e-3, 0.5, 0.0, 1.0, np.linspace(0.0, 0.5e-3, 100))
+    with pytest.raises(UndersampledTraceError, match=r"spans 1\.98 periods"):
+        initial_guess(short)
+
+
+def test_both_trace_refusals_are_value_errors():
+    # A trace the fit cannot resolve is a bad input, like a bad flag: the CLI
+    # maps every ValueError to exit 2.
+    assert issubclass(NonIdentifiableTraceError, ValueError)
+    assert issubclass(UndersampledTraceError, ValueError)
 
 
 def test_frequency_from_detuning():
