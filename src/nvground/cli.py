@@ -352,6 +352,17 @@ def cmd_ramsey(args) -> int:
         "f_rf_khz": round(f_rf, 6),
         "delta_true_khz": round(abs(delta_true), 9),
     } | _fit_payload(trace, f_rf, 1 if delta_true >= 0 else -1, f_true)
+    # A fit of uniform samples cannot tell a detuning from its alias, but the
+    # synthesized one is known: the trace must resolve it as initial_guess
+    # requires of the peak it found.
+    dt = float(np.median(np.diff(times)))
+    try:
+        ramsey.require_resolvable(abs(delta_true), float(times[-1] - times[0]), dt)
+    except ramsey.UndersampledTraceError as err:
+        raise ramsey.UndersampledTraceError(
+            f"the requested {abs(delta_true):.6g} kHz detuning is not resolved by the trace, "
+            f"sampled at 1/dt = {1 / dt / 1e3:.6g} kHz: {err}"
+        ) from None
     # Only a trace that fits is written: a refusal leaves no file behind.
     if args.trace_out:
         io.write_trace(args.trace_out, trace)

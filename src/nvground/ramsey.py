@@ -100,13 +100,25 @@ def synthesize(
     return RamseyTrace(times=times, signal=signal, noise_sigma=noise_sigma)
 
 
+def require_resolvable(delta_khz: float, span: float, dt: float) -> None:
+    """Refuse (UndersampledTraceError) a detuning that a trace spanning
+    ``span`` seconds at median spacing ``dt`` cannot resolve: fewer than 3
+    periods over the span, then fewer than 4 samples per period."""
+    f_hz = delta_khz * 1e3
+    if span * f_hz < 3.0:
+        raise UndersampledTraceError(
+            f"trace spans {span * f_hz:.2f} periods at {delta_khz:.6g} kHz; need >= 3"
+        )
+    if dt > 1.0 / (4.0 * f_hz):
+        raise UndersampledTraceError(f"fewer than 4 samples per period at {delta_khz:.6g} kHz")
+
+
 def initial_guess(trace: RamseyTrace) -> np.ndarray:
     """FFT-peak start (delta kHz, T2* s, amp, phase, offset) for the fringe fit.
 
     Refuses a trace it cannot resolve, in this order: one with no dominant
-    spectral peak (NonIdentifiableTraceError), then one whose span holds
-    fewer than 3 periods at the peak's detuning or whose median spacing
-    gives fewer than 4 samples per period (UndersampledTraceError).
+    spectral peak (NonIdentifiableTraceError), then one that cannot resolve
+    the peak's own detuning (require_resolvable, UndersampledTraceError).
     """
     t, s = trace.times, trace.signal
     offset = float(np.mean(s))
@@ -119,14 +131,8 @@ def initial_guess(trace: RamseyTrace) -> np.ndarray:
     if peak == 0 or mags[peak] <= max(3.0 * floor, 1e-12 * (1 + abs(offset))):
         raise NonIdentifiableTraceError("no dominant oscillation peak in the trace spectrum")
     delta_khz = float(np.fft.rfftfreq(len(t), d=dt)[peak] / 1e3)
-    f_hz = delta_khz * 1e3
     span = float(t[-1] - t[0])
-    if span * f_hz < 3.0:
-        raise UndersampledTraceError(
-            f"trace spans {span * f_hz:.2f} periods at {delta_khz:.6g} kHz; need >= 3"
-        )
-    if dt > 1.0 / (4.0 * f_hz):
-        raise UndersampledTraceError(f"fewer than 4 samples per period at {delta_khz:.6g} kHz")
+    require_resolvable(delta_khz, span, dt)
     amp = float(2 * mags[peak] / len(t))
     return np.array([delta_khz, span / 2, amp, float(np.angle(spectrum[peak])), offset])
 

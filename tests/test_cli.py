@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import nvground
-from nvground import cli, optimize
+from nvground import cli, extraction, optimize
 from nvground.cli import FALSE_ALARM_PROBABILITY, build_parser, main
 from nvground.extraction import PARAM_FIELDS, ParamVector, extract_params, transition_table
 from nvground.io import (
@@ -27,7 +27,7 @@ from nvground.io import (
 from nvground.presets import TABLE3, params_at, thermal_presets
 from nvground.ramsey import RamseyTrace, synthesize
 from nvground.spin_core import GAMMA_E_KHZ_PER_G, N14, N15, FieldConfig, get_isotope
-from nvground.transitions import known_labels, transition_set
+from nvground.transitions import AmbiguousLabelingError, known_labels, transition_set
 
 
 def run(capsys, *argv):
@@ -353,6 +353,19 @@ REFUSED = {
     # guessed frequency in 6 significant digits.
     "ramsey-zero-detuning": ([*RAMSEY, "--bz", "470", "--detune-khz", "0"],
                              "trace spans 1.00 periods at 0.4975 kHz; need >= 3"),
+    # A fit of uniform samples cannot tell the 60 kHz detuning from its
+    # 10.5 kHz alias; ramsey knows what it synthesized and refuses it.
+    "ramsey-aliased-detuning": (
+        [*RAMSEY, "--bz", "470", "--detune-khz", "60", "--samples", "100",
+         "--trace-out", "{dir}/never.csv"],
+        "the requested 60 kHz detuning is not resolved by the trace, sampled at "
+        "1/dt = 49.5 kHz: fewer than 4 samples per period at 60 kHz"),
+    "ramsey-other-isotopes-line": ([*RAMSEY, "--bz", "470", "--transition", "f9"],
+                                   "unknown transition 'f9' for N14"),
+    "transitions-b-without-theta": ([*TRANSITIONS_N14, "--b", "480"],
+                                    "--b and --theta-deg go together"),
+    "angular-scan-one-step": (["angular-scan", "--isotope", "n14", *PRESET, "--bz", "480",
+                               "--steps", "1"], "--steps must be at least 2"),
 }
 # Each leaves out a flag the command needs: one of --preset/--params, one of
 # --bz/--b, or a flag of its own.  (transitions without a source is no-source.)
@@ -468,6 +481,47 @@ def test_unconverged_fit_ends_in_one_error_line(bad_inputs, capsys, monkeypatch)
     assert main([*FIT, str(bad_inputs / "cold.csv")]) == 4
     err = capsys.readouterr().err
     assert err == "error: fit at T = 77.0 K did not converge in 5 iterations\n"
+
+
+def _failing_on_call(monkeypatch, k, fail):
+    """Make extraction.model_frequencies return ``fail(x, labels)`` on its
+    k-th call; returns the trial points it was called at."""
+    real, points = extraction.model_frequencies, []
+
+    def model_frequencies(x, iso, labels):
+        points.append(x.copy())
+        return fail(x, labels) if len(points) == k else real(x, iso, labels)
+
+    monkeypatch.setattr(extraction, "model_frequencies", model_frequencies)
+    return points
+
+
+def _refuse_labels(x, labels):
+    raise AmbiguousLabelingError("eigenstate 4 has max squared overlap 0.512 < 0.6")
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_a_labeling_failure_inside_the_simplex_names_its_point(bad_inputs, capsys, monkeypatch, k):
+    # A refusal raised at a simplex trial point ends the fit with exit 3 and
+    # names the temperature and that point.
+    points = _failing_on_call(monkeypatch, k, _refuse_labels)
+    assert main([*FIT, str(bad_inputs / "cold.csv")]) == 3
+    point = dict(zip(PARAM_FIELDS["N14"], points[-1].tolist()))
+    assert len(points) == k and capsys.readouterr().err == (
+        f"error: ambiguous state labeling: T = 77.0 K: labeling failed at trial point {point}: "
+        "eigenstate 4 has max squared overlap 0.512 < 0.6\n"
+    )
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_a_non_finite_chi2_inside_the_simplex_names_its_point(bad_inputs, capsys, monkeypatch, k):
+    # A non-finite chi^2 at a simplex trial point ends the fit with exit 4
+    # and names the temperature and that point in the fit's own parameters.
+    points = _failing_on_call(monkeypatch, k, lambda x, labels: np.full(len(labels), np.inf))
+    assert main([*FIT, str(bad_inputs / "cold.csv")]) == 4
+    assert len(points) == k and capsys.readouterr().err == (
+        f"error: T = 77.0 K: objective returned inf at {points[-1].tolist()}\n"
+    )
 
 
 @pytest.fixture(scope="module")

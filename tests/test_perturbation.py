@@ -240,6 +240,26 @@ def test_point_shift_f7_480():
     assert shift_hz > 0
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    iso=st.sampled_from([N14, N15]),
+    temp=st.floats(77.0, 400.0),
+    bz=st.floats(50.0, 900.0),
+    theta_deg=st.floats(0.0, 2.0, exclude_min=True),
+)
+def test_angular_shift_is_the_difference_of_two_single_points(iso, temp, bz, theta_deg):
+    # The tilted and axial fields share one longdouble kernel batch; each
+    # keeps the bits of its own single-point solve, and so does the shift.
+    p, theta = params_at(iso, temp), math.radians(theta_deg)
+    line = ms0_line(iso)
+    tilted = transition_set(p, FieldConfig(bz=bz, bx=bz * math.tan(theta)), iso, np.longdouble)
+    axial = transition_set(p, FieldConfig(bz=bz), iso, np.longdouble)
+    shift, reference = exact_angular_shift(p, iso, bz, theta), tilted[line] - axial[line]
+    # equal longdoubles of one sign have the same bits (tobytes would also read padding)
+    assert shift.dtype == np.longdouble and shift == reference
+    assert np.signbit(shift) == np.signbit(reference)
+
+
 def test_beta_values_match_quoted():
     # quoted values hold to half a unit in their last printed digit
     assert beta_coefficient(P14, N14, 480.0) == pytest.approx(-9.9, abs=0.05)
