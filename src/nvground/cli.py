@@ -70,10 +70,10 @@ def _field(args) -> FieldConfig:
     return FieldConfig.from_polar(args.b, math.radians(args.theta_deg))
 
 
-def _params(args, iso: IsotopeSpec, temperature: float):
-    """Resolve coupling parameters and, when available, thermal models."""
+def _params(args, iso: IsotopeSpec, temperature: float) -> CouplingParams:
+    """The coupling parameters of --preset at ``temperature``, or of the --params file."""
     if args.preset is not None:
-        return presets.params_at(iso, temperature), presets.thermal_presets(iso)
+        return presets.params_at(iso, temperature)
     try:
         raw = json.loads(Path(args.params).read_text(encoding="utf-8"), parse_int=float)
     except (OSError, json.JSONDecodeError) as err:
@@ -97,10 +97,9 @@ def _params(args, iso: IsotopeSpec, temperature: float):
             raise ConfigError(
                 f"gamma_n {values['gamma_n']!r} is too small: gamma_e/gamma_n overflows"
             )
-        params = CouplingParams(**values)
+        return CouplingParams(**values)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad params file: {err}") from err
-    return params, None
 
 
 def _report(args, payload: dict, csv_lines: list[str] | None = None) -> None:
@@ -112,19 +111,19 @@ def _report(args, payload: dict, csv_lines: list[str] | None = None) -> None:
         config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
         text = io.dump_json({"config": config, **payload})
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        io._write_text(args.out, "report", text)
     else:
         print(text)
 
 
 def cmd_transitions(args) -> int:
     iso = get_isotope(args.isotope)
-    params, models = _params(args, iso, args.temp)
-    field = _field(args)
-    if models is None:
-        freqs, slopes = transition_set(params, field, iso).frequencies, None
+    if args.preset is None:
+        params = _params(args, iso, args.temp)
+        freqs, slopes = transition_set(params, _field(args), iso).frequencies, None
     else:
-        freqs, slopes = extraction.transition_table(models, args.temp, field, iso)
+        models = presets.thermal_presets(iso)
+        freqs, slopes = extraction.transition_table(models, args.temp, _field(args), iso)
     json_rows = []
     lines = ["transition,freq_khz" + (",df_dt_hz_per_k" if slopes is not None else "")]
     for label, f in freqs.items():
@@ -178,7 +177,7 @@ def cmd_fit(args) -> int:
     if args.thermal and args.format == "csv":
         raise ConfigError("the thermal models have no CSV form; use --format json")
     iso = get_isotope(args.isotope)
-    params, _ = _params(args, iso, presets.T_REF_K)
+    params = _params(args, iso, presets.T_REF_K)
     sets = io.read_measurements(args.measurements, iso)
     if not sets:
         raise ConfigError("measurement file contains no rows")
@@ -208,7 +207,7 @@ def cmd_fit(args) -> int:
 
 def cmd_angular_scan(args) -> int:
     iso = get_isotope(args.isotope)
-    params, _ = _params(args, iso, args.temp)
+    params = _params(args, iso, args.temp)
     if not (0 < args.theta_max_deg <= 2.0):
         raise ConfigError("--theta-max-deg must lie in (0, 2]")
     if args.steps < 2:
@@ -329,8 +328,7 @@ def _fit_payload(trace, f_rf: float, sign: int, f_true: float | None = None) -> 
 
 def cmd_ramsey(args) -> int:
     iso = get_isotope(args.isotope)
-    params, _ = _params(args, iso, args.temp)
-    ts = transition_set(params, _field(args), iso)
+    ts = transition_set(_params(args, iso, args.temp), _field(args), iso)
     if args.transition not in known_labels(iso):
         raise ConfigError(f"unknown transition {args.transition!r} for {iso.name}")
     f_true = float(ts[args.transition])

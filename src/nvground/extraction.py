@@ -356,8 +356,6 @@ MIN_THERMAL_SPAN_K = 100.0
 
 def thermal_models(series: list[tuple[float, FitResult]]) -> dict[str, PolynomialModel]:
     """Fit each parameter's temperature dependence: THERMAL_DEGREE about T_REF_K."""
-    if not series:
-        raise ValueError("empty fit series")
     temps = np.array([t for t, _ in series], dtype=float)
     if len(temps) < MIN_THERMAL_POINTS:
         raise ValueError(f"need at least {MIN_THERMAL_POINTS} temperatures")

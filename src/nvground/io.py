@@ -45,13 +45,23 @@ class MeasurementRow:
     sigma_khz: float
 
 
+def _write_text(path: str | Path, kind: str, text: str) -> None:
+    """The one writer of every output file: ``text`` and a final newline.  A
+    path the OS refuses (a missing directory, a directory, no permission) is
+    a ConfigError naming it, as a file that cannot be read is."""
+    try:
+        Path(path).write_text(text + "\n", encoding="utf-8")
+    except OSError as err:
+        raise ConfigError(f"cannot write {kind} file {str(path)!r}: {err.strerror or err}") from err
+
+
 def write_measurements(path: str | Path, rows: list[MeasurementRow]) -> None:
     lines = [MEASUREMENT_HEADER]
     for r in rows:
         lines.append(
             f"{fmt_g(r.temperature)},{r.label},{fmt_khz(r.freq_khz)},{fmt_khz(r.sigma_khz)}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "measurement", "\n".join(lines))
 
 
 def _read_csv(path: str | Path, kind: str, header: str, parse):
@@ -101,7 +111,7 @@ def write_trace(path: str | Path, trace: RamseyTrace) -> None:
     lines = [TRACE_HEADER, f"{NOISE_SIGMA_PREFIX}{fmt_g(trace.noise_sigma)}"]
     for t, s in zip(trace.times, trace.signal):
         lines.append(f"{fmt_g(t)},{fmt_g(s)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "trace", "\n".join(lines))
 
 
 def read_trace(path: str | Path) -> RamseyTrace:

@@ -51,7 +51,9 @@ class ValidityMarginError(ValueError):
     """Field too close to the anti-crossing for the perturbative series, Bz < 0, or not finite."""
 
 
-def _require_margin(p: CouplingParams, bz: float, bx: float = 0.0) -> None:
+def _require_margin(p: CouplingParams, bz: float, bx: float = 0.0) -> tuple[float, float]:
+    """The gaps (F-, F+) = (D - gamma_e Bz, D + gamma_e Bz) the series divide
+    by, once the checks below pass; a field that fails one raises."""
     if not (math.isfinite(bz) and math.isfinite(bx)):  # NaN passes every check below
         raise ValidityMarginError(f"the field must be finite, not Bz = {bz} G, Bx = {bx} G")
     if bz < 0:  # the formulas are odd in Bz (f7 = |gamma_n| Bz + ...); -Bz mirrors the lines
@@ -59,13 +61,14 @@ def _require_margin(p: CouplingParams, bz: float, bx: float = 0.0) -> None:
             f"the perturbative formulas take Bz >= 0, not {bz:g} G; "
             "the spectrum at -Bz is the +Bz one"
         )
-    f_minus = p.d - GAMMA_E_KHZ_PER_G * bz
+    fm, fp = p.d - GAMMA_E_KHZ_PER_G * bz, p.d + GAMMA_E_KHZ_PER_G * bz
     limit = VALIDITY_FACTOR * abs(p.a_perp)
-    if min(abs(f_minus), abs(p.d + GAMMA_E_KHZ_PER_G * bz)) <= limit:
+    if min(abs(fm), abs(fp)) <= limit:
         raise ValidityMarginError(
-            f"|D - gamma_e Bz| = {abs(f_minus):.1f} kHz is within "
+            f"|D - gamma_e Bz| = {abs(fm):.1f} kHz is within "
             f"{VALIDITY_FACTOR} x |A_perp| = {limit:.1f} kHz of the anti-crossing"
         )
+    return fm, fp
 
 
 def _mirror_half(p: CouplingParams, iso: IsotopeSpec, g: float, fm: float, fp: float, higher=None):
@@ -98,13 +101,13 @@ def _mirror_half(p: CouplingParams, iso: IsotopeSpec, g: float, fm: float, fp: f
     return (f8 - (w / 4) * (a / fm2) + (x * (w / a - a) / fm2 if x != 0 else 0.0),)
 
 
-def _series(p: CouplingParams, iso: IsotopeSpec, bz: float, higher=None) -> dict[str, float]:
+def _series(p: CouplingParams, iso: IsotopeSpec, bz: float, gaps, higher=None) -> dict[str, float]:
     """Every nuclear line of the series in LINES order, plus the series' own
-    fdq = f1 - f2 (which holds for Bz >= 0): the lowest order, or the full
-    series with ``higher`` as in _mirror_half.  Each mirror pair is one
-    _mirror_half at (g, F-, F+) and at (-g, F+, F-); f7 is its own partner.
-    """
-    fp, fm = p.d + GAMMA_E_KHZ_PER_G * bz, p.d - GAMMA_E_KHZ_PER_G * bz
+    fdq = f1 - f2 (which holds for Bz >= 0), at _require_margin's ``gaps``
+    (F-, F+): the lowest order, or the full series with ``higher`` as in
+    _mirror_half.  Each mirror pair is one _mirror_half at (g, F-, F+) and
+    at (-g, F+, F-); f7 is its own partner."""
+    fm, fp = gaps
     if iso.name == "N14":
         gn = p.gamma_n * bz
         f1, f3, f4 = _mirror_half(p, iso, gn, fm, fp, higher)
@@ -126,8 +129,7 @@ def _series(p: CouplingParams, iso: IsotopeSpec, bz: float, higher=None) -> dict
 
 def nuclear_freqs_2nd(p: CouplingParams, iso: IsotopeSpec, bz: float) -> dict[str, float]:
     """Lowest-order nuclear frequencies in A_perp^2/F+- on axis (Bx = 0)."""
-    _require_margin(p, bz)
-    return _series(p, iso, bz)
+    return _series(p, iso, bz, _require_margin(p, bz))
 
 
 def nuclear_freqs_full(
@@ -140,8 +142,7 @@ def nuclear_freqs_full(
     the nuclear Zeeman splitting vanishes (15NV f7), and these cases raise.
     Each line is its nuclear_freqs_2nd value plus the higher-order terms.
     """
-    _require_margin(p, bz, bx)
-    fp, fm = p.d + GAMMA_E_KHZ_PER_G * bz, p.d - GAMMA_E_KHZ_PER_G * bz
+    fm, fp = _require_margin(p, bz, bx)
     x = (GAMMA_E_KHZ_PER_G * bx) ** 2 / 2
     higher = x, (1 / fp + 1 / fm) ** 2
     if x != 0:
@@ -150,7 +151,7 @@ def nuclear_freqs_full(
             raise ValueError("Q +- A_par too small for the transverse-field terms")
         if iso.name == "N15" and (a < 1e-9 or abs(p.gamma_n) * bz < 1e-9):
             raise ValueError("A_par or gamma_n Bz too small for the transverse-field terms")
-    return _series(p, iso, bz, higher)
+    return _series(p, iso, bz, (fm, fp), higher)
 
 
 def ms0_line(iso: IsotopeSpec) -> str:

@@ -246,6 +246,8 @@ def bad_inputs(tmp_path):
                         ("negative_sigma.csv", "-0.02")):
         (tmp_path / name).write_text(f"tau_s,signal\n# noise_sigma={sigma}\n{rows}")
     (tmp_path / "two_sigmas.csv").write_text(f"tau_s,signal\n# noise_sigma=0\n# noise_sigma=0\n{rows}")
+    (tmp_path / "no_rows.csv").write_text(f"{MEASUREMENT_HEADER}\n")
+    (tmp_path / "not_json.json").write_text("d = 2870280\n")
     # A --params file reads only d, q, a_par, a_perp and gamma_n, each a JSON
     # number, and gamma_n is nonzero and large enough for a finite gamma_e/gamma_n.
     n14 = {"d": 2870.28e3, "q": -4945.88, "a_par": -2165.19, "a_perp": -2635.0}
@@ -390,6 +392,21 @@ MISSING = {
     "ramsey-fit-no-f-rf": (["ramsey-fit", "--trace-in", "{dir}/trace.csv"],
                            REQUIRED + "--f-rf-khz"),
 }
+# Each gives a file or a flag value that the command cannot read or use.
+UNUSABLE = {
+    "params-not-json": ([*PARAMS_N14, "{dir}/not_json.json", "--bz", "470"],
+                        "cannot parse params file: Expecting value: line 1 column 1 (char 0)"),
+    "fit-header-only": ([*FIT, "{dir}/no_rows.csv"], "measurement file contains no rows"),
+    "synth-word-temperature": ([*SYNTH, "--temps", "297,abc", "--out", "{dir}/never.csv"],
+                               "bad --temps list: could not convert string to float: 'abc'"),
+    "synth-no-temperature": ([*SYNTH, "--temps", ",", "--out", "{dir}/never.csv"],
+                             "--temps must list at least one temperature"),
+    "fit-fix-unknown": ([*FIT, "{dir}/cold.csv", "--fix", "bogus"],
+                        "cannot fix unknown parameter 'bogus'"),
+    "transitions-past-preset-range": (
+        [*TRANSITIONS_N14, "--bz", "470", "--temp", "500"],
+        "temperature 500.0 K outside the d model range [77.0, 400.0] K"),
+}
 
 
 @pytest.mark.parametrize(
@@ -448,7 +465,7 @@ MISSING = {
               ("n14", "tiny_gamma_n.json",
                "gamma_n 1e-320 is too small: gamma_e/gamma_n overflows"),
           )),
-        *((argv, 2, names) for argv, names in (REFUSED | MISSING).values()),
+        *((argv, 2, names) for argv, names in (REFUSED | MISSING | UNUSABLE).values()),
     ],
     ids=[
         "no-source", "unknown-preset", "gslac", "underdetermined-fit", "missing-file",
@@ -460,7 +477,7 @@ MISSING = {
         "params-misspelt-key", "params-zero-gamma-n", "params-bool-q", "params-string-d",
         "params-huge-int-d", "params-no-d", "fit-zero-gamma-n-n14", "fit-zero-gamma-n-n15",
         "fit-tiny-gamma-n", "angular-scan-zero-gamma-n-n14", "angular-scan-zero-gamma-n-n15",
-        "angular-scan-tiny-gamma-n", *REFUSED, *MISSING,
+        "angular-scan-tiny-gamma-n", *REFUSED, *MISSING, *UNUSABLE,
     ],
 )
 def test_failures_end_in_one_error_line(bad_inputs, capsys, argv, code, names):
@@ -579,6 +596,32 @@ def test_every_report_goes_through_one_writer(report_inputs, tmp_path, capsys, a
     else:
         assert text == printed
         assert text.splitlines()[0].startswith(csv_header)
+
+
+@pytest.mark.parametrize(
+    "argv, out, kind",
+    [
+        ([*TRANSITIONS, "--out"], "{dir}/missing/t.csv", "report"),
+        (["perturb-check", "--bz-steps", "2", "--bx-steps", "2", "--out"], "{dir}/missing/p.json",
+         "report"),
+        ([*FIT, "{dir}/one.csv", *FIXED, "--out"], "{dir}", "report"),
+        (["synth", "--isotope", "n14", *PRESET, "--bz", "470", "--out"], "{dir}", "measurement"),
+        (["ramsey", "--isotope", "n14", *PRESET, "--bz", "470", "--trace-out"],
+         "{dir}/missing/trace.csv", "trace"),
+    ],
+    ids=["transitions", "perturb-check", "fit", "synth", "ramsey-trace-out"],
+)
+def test_a_refused_output_path_ends_in_one_error_line(report_inputs, capsys, argv, out, kind):
+    # A missing directory or a directory as the file: exit 2 with one line
+    # that names the path.  Nothing is written, and nothing is printed: a
+    # trace that cannot be written leaves ramsey without a report.
+    before = sorted(report_inputs.iterdir())
+    out = out.format(dir=report_inputs)
+    assert main([*(a.format(dir=report_inputs) for a in argv), out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cannot write {kind} file {out!r}: ")
+    assert sorted(report_inputs.iterdir()) == before
 
 
 def test_perturb_check_passes_and_trips(capsys):

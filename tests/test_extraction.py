@@ -554,6 +554,14 @@ def test_thermal_models_span_check():
         thermal_models(series)
 
 
+@pytest.mark.parametrize("n", [0, 4])
+def test_thermal_models_need_five_temperatures(n):
+    # An empty series is refused as any series too short is.
+    series = thermal_series(N14, np.linspace(77.0, 400.0, n))
+    with pytest.raises(ValueError, match="^need at least 5 temperatures$"):
+        thermal_models(series)
+
+
 def test_transition_table_slopes_n14():
     freqs, slopes = transition_table(thermal_presets("N14"), 297.0, B470, N14)
     assert slopes["f4"] == pytest.approx(-232.8, abs=2.0)
